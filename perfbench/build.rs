@@ -1,0 +1,14 @@
+//! Records the compiler version for the benchmark's provenance line.
+
+use std::process::Command;
+
+fn main() {
+    let version = Command::new("rustc")
+        .arg("--version")
+        .output()
+        .ok()
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .unwrap_or_else(|| "unknown".to_string());
+    println!("cargo:rustc-env=PERFBENCH_RUSTC={version}");
+}

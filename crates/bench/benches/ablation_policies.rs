@@ -1,5 +1,5 @@
-//! Ablation benches for the design choices called out in `DESIGN.md`:
-//! similarity policy, spanning-tree backbone, and probe/step counts.
+//! Ablation benches for three design choices of the pipeline: similarity
+//! policy, spanning-tree backbone, and probe/step counts.
 //!
 //! Beyond timing, each configuration's resulting edge count is printed once
 //! (via `eprintln!`) so the quality dimension of the trade-off is visible

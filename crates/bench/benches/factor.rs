@@ -1,16 +1,16 @@
-//! Level-scheduled LDLᵀ: numeric factorization and triangular-solve
+//! Subtree-partitioned LDLᵀ: numeric factorization and triangular-solve
 //! latency, serial vs forced pool widths.
 //!
 //! Three workload shapes, chosen for their elimination-tree profiles:
 //!
-//! - `mesh`: a 2-D grid Laplacian under min-degree — bushy etree, wide
-//!   levels, the case level scheduling is built for;
-//! - `scale_free`: a Barabási–Albert graph — skewed degrees, skewed level
-//!   widths (stresses the weighted span balancing);
+//! - `mesh`: a 2-D grid Laplacian under min-degree — bushy etree with a
+//!   separator trunk, balanced lanes below it;
+//! - `scale_free`: a Barabási–Albert graph — the hubs pile up in a heavy
+//!   trunk, the case the critical-path gate keeps on the flat serial
+//!   sweeps under automatic sizing;
 //! - `sparsifier`: the near-tree output of the paper's own pipeline
-//!   (σ² = 200 on a circuit grid) — deep, narrow etree with almost no
-//!   level parallelism, the case the nnz/level-width crossover keeps on
-//!   the flat serial sweeps under automatic sizing.
+//!   (σ² = 200 on a circuit grid) — deep etree, light trunk, many small
+//!   subtrees for the lanes.
 //!
 //! Three kernels per workload — `numeric` ([`LdlFactor::with_permutation`]
 //! with a precomputed ordering), `solve` (single RHS,
@@ -19,10 +19,11 @@
 //! forced pool widths, and each once per SIMD dispatch mode (the
 //! detected tier and forced `scalar`, suffixed onto the width label —
 //! the 8-wide interleaved sweeps are the rows the `kernel` module's LDLᵀ
-//! microkernels target). The forced rows engage the level-parallel path
-//! regardless of the crossovers; on a single-core host they measure pure
-//! dispatch overhead (the speedup needs real cores). Record the baseline
-//! with
+//! microkernels target). The forced rows engage the partitioned path
+//! regardless of the gates (one dispatch per phase); on a single-core
+//! host they measure pure dispatch overhead (the speedup needs real
+//! cores), so every record carries `available_parallelism`. Record the
+//! baseline with
 //!
 //! ```text
 //! CRITERION_JSON=BENCH_FACTOR.json cargo bench -p sass-bench --bench factor
@@ -68,13 +69,16 @@ fn bench_factor(c: &mut Criterion) {
             .unwrap()
             .permutation()
             .clone();
-        let f = LdlFactor::with_permutation(&a, perm.clone()).unwrap();
         let n = a.nrows();
+        let shape = LdlFactor::with_permutation(&a, perm.clone())
+            .unwrap()
+            .partition_shape();
         eprintln!(
-            "[{name}] n = {n}, nnz(L) = {}, levels = {}, max width = {}",
-            f.nnz_l(),
-            f.level_count(),
-            f.max_level_width()
+            "[{name}] n = {n}, lanes = {}, trunk = {} cols, critical path = {:.1}% \
+             (automatic pool width)",
+            shape.lanes,
+            shape.trunk_cols,
+            100.0 * shape.critical_fraction()
         );
         let b: Vec<f64> = (0..n).map(|i| ((i * 7 + 1) as f64 * 0.23).sin()).collect();
         let cols: Vec<Vec<f64>> = (0..LDL_BLOCK_WIDTH)
@@ -93,6 +97,9 @@ fn bench_factor(c: &mut Criterion) {
             for (width_label, width) in [("serial", 1usize), ("w2", 2), ("w4", 4)] {
                 let label = format!("{width_label}_{mode}");
                 pool::set_threads(width);
+                // The partition is built for the pool width at
+                // factorization time, so each width solves with its own.
+                let f = LdlFactor::with_permutation(&a, perm.clone()).unwrap();
                 group.bench_with_input(
                     BenchmarkId::new(format!("numeric/{label}"), &name),
                     &(),

@@ -1,6 +1,6 @@
 //! Ablation tables (ours, not from the paper): the preconditioner ladder,
 //! the Spielman–Srivastava baseline comparison, and the algorithm-knob
-//! sweeps backing `EXPERIMENTS.md` §Ablations.
+//! sweeps.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -148,5 +148,4 @@ fn main() {
     preconditioner_ladder();
     baseline_comparison();
     knob_sweeps();
-    println!("see EXPERIMENTS.md for interpretation of these tables.");
 }

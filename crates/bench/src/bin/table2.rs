@@ -186,16 +186,18 @@ fn multi_rhs_amortization() {
     const REPS: usize = 5;
     let solver = GroundedSolver::new(&sp.graph().laplacian(), OrderingKind::MinDegree)
         .expect("factorize sparsifier");
-    // Elimination-tree shape of the sparsifier factor: deep-and-narrow
-    // (near-tree, little level parallelism) vs shallow-and-wide decides
-    // whether the level-scheduled solves can spread over the pool.
+    // Elimination-tree partition of the sparsifier factor: the trunk plus
+    // the heaviest lane is the critical path a partitioned solve still
+    // walks, which decides whether the solves spread over the pool.
     let f = solver.factor();
+    let shape = f.partition_shape();
     println!(
-        "  sparsifier factor: nnz(L) = {}, etree levels = {}, max level width = {}, avg width = {:.1}, {} KiB",
+        "  sparsifier factor: nnz(L) = {}, etree partition: {} lanes, trunk {} cols ({:.1}% of work), critical path {:.1}%, {} KiB",
         f.nnz_l(),
-        f.level_count(),
-        f.max_level_width(),
-        f.n() as f64 / f.level_count().max(1) as f64,
+        shape.lanes,
+        shape.trunk_cols,
+        100.0 * shape.trunk_work as f64 / shape.total_work.max(1) as f64,
+        100.0 * shape.critical_fraction(),
         f.memory_bytes() / 1024
     );
     let mut scratch = sass_solver::GroundedScratch::new();

@@ -2,9 +2,10 @@
 //!
 //! One **binary** per table/figure regenerates the paper's rows on the
 //! synthetic workload catalog ([`workloads`]); one **Criterion bench** per
-//! table/figure measures the underlying kernels. `DESIGN.md` maps every
-//! experiment to its module and target; `EXPERIMENTS.md` records
-//! paper-vs-measured outcomes.
+//! table/figure measures the underlying kernels. The recorded
+//! `BENCH_*.json` baselines live at the repository root (README.md
+//! describes each), and ARCHITECTURE.md's "Where does X live?" table maps
+//! every measured subsystem to its module.
 //!
 //! Run the row printers with, e.g.:
 //!
@@ -103,7 +104,9 @@ pub fn append_json_record(rec: &str) {
 }
 
 /// Prints a `# simd: …` provenance line (detected/active dispatch tier,
-/// arch, compile-time target features, rustc version) and, when
+/// arch, compile-time target features, rustc version, and the host's
+/// `available_parallelism` — forced multi-lane rows only measure speedup
+/// when it exceeds one) and, when
 /// `CRITERION_JSON` is set, upserts the same record into the baseline
 /// file as a `{"id":"<group>/provenance", …}` JSON line — so recorded
 /// simd-vs-scalar rows carry the toolchain context they were measured
@@ -128,9 +131,11 @@ pub fn record_simd_provenance(group: &str) {
     .join("+");
     let (detected, active) = (kernel::detected().name(), kernel::active().name());
     let arch = std::env::consts::ARCH;
+    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
     println!(
         "# simd: detected={detected} active={active} arch={arch} \
-         compile_target_features=[{compile_features}] rustc=\"{rustc}\""
+         compile_target_features=[{compile_features}] rustc=\"{rustc}\" \
+         available_parallelism={cores}"
     );
     if let Ok(path) = std::env::var("CRITERION_JSON") {
         let id = format!("\"id\":\"{}/provenance\"", json_escape(group));
@@ -138,7 +143,7 @@ pub fn record_simd_provenance(group: &str) {
             "{{{id},\"detected\":\"{detected}\",\
              \"active\":\"{active}\",\"arch\":\"{arch}\",\
              \"compile_target_features\":\"{features}\",\
-             \"rustc\":\"{rustc}\"}}",
+             \"rustc\":\"{rustc}\",\"available_parallelism\":{cores}}}",
             detected = json_escape(detected),
             active = json_escape(active),
             arch = json_escape(arch),

@@ -1,7 +1,7 @@
 //! The synthetic workload catalog standing in for the paper's test cases.
 //!
-//! Every entry names the paper test case it substitutes (see `DESIGN.md`
-//! §3 for the rationale) and is deterministic. Two size tiers are
+//! Every entry names the paper test case it substitutes and is
+//! deterministic. Two size tiers are
 //! provided: `*_small` for Criterion benches and tests, full-size for the
 //! row-printing binaries.
 
@@ -94,8 +94,7 @@ pub fn table2_cases_small() -> Vec<Workload> {
 /// (10⁶–10⁷ nodes) for the direct solver's superlinear factorization cost
 /// to dominate. At laptop scale that blow-up appears in **3-D** meshes
 /// instead (separator size `n^(2/3)` vs `n^(1/2)`), so the largest rows
-/// here use `fem_mesh3d` — same crossover mechanism, smaller `n`
-/// (documented in `DESIGN.md` §3).
+/// here use `fem_mesh3d` — same crossover mechanism, smaller `n`.
 pub fn table3_cases() -> Vec<Workload> {
     vec![
         Workload::new("circuit-120", "G3_circuit", circuit_grid(120, 120, 0.1, 31)),

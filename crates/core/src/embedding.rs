@@ -71,8 +71,8 @@ impl OffTreeHeat {
 /// [`sass_sparse::pool::set_threads`] override) the per-column power-step
 /// products and the per-edge Joule-heat accumulation are spread over the
 /// persistent worker pool, and the triangular sweeps inside each blocked
-/// grounded solve run level-parallel over the sparsifier factor's
-/// elimination tree. Every kernel preserves the serial loop's
+/// grounded solve run on a subtree-to-lane partition of the sparsifier
+/// factor's elimination tree. Every kernel preserves the serial loop's
 /// floating-point association exactly, so heats are bit-for-bit identical
 /// at every worker count.
 ///

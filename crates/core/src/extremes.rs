@@ -52,7 +52,7 @@ pub fn estimate_lambda_max(
 /// Multi-probe variant of [`estimate_lambda_max`]: `probes` generalized
 /// power iterations advance side by side through the blocked grounded
 /// solver (one factor sweep per block of probes, the sweeps themselves
-/// level-parallel over the factor's elimination tree past the crossover),
+/// partitioned over the factor's elimination tree past the crossover),
 /// and the best Rayleigh quotient is returned. Still a lower bound on
 /// `λmax`; extra probes shrink the chance of a start vector nearly
 /// orthogonal to the dominant eigenvector, at far less than `probes`× the

@@ -3,8 +3,7 @@
 //! The DAC'18 paper evaluates on SuiteSparse matrices (circuit, thermal,
 //! FEM), protein/social/data networks and synthesized meshes. Those exact
 //! files are not redistributable here, so this module provides seeded
-//! generators for the same structural families (see `DESIGN.md` §3 for the
-//! per-test-case mapping):
+//! generators for the same structural families, mapped per test case:
 //!
 //! | paper case | generator |
 //! |---|---|

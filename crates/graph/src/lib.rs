@@ -13,7 +13,8 @@
 //!   give per-edge *stretch* ([`stretch`]) — the quantity the DAC'18 paper
 //!   ties to generalized eigenvalues,
 //! - synthetic workload [`generators`] standing in for the SuiteSparse /
-//!   network test cases of the paper (see `DESIGN.md` for the mapping).
+//!   network test cases of the paper (the module docs tabulate the
+//!   mapping).
 //!
 //! # Example
 //!

@@ -5,9 +5,10 @@ use sass_sparse::{dense, pool, CsrMatrix, DenseBlock, LdlFactor, SparseBackend, 
 /// Minimum `n × ncols` work before the blocked solve's per-column
 /// centering/mean-zero passes go parallel under automatic pool sizing (an
 /// explicit `SASS_THREADS` / `pool::set_threads` override skips the
-/// crossover). The triangular factor solves carry their own crossover
-/// inside [`LdlFactor`]: they run level-parallel over the elimination
-/// tree once the factor is big and bushy enough.
+/// crossover). The triangular factor solves carry their own gates inside
+/// [`LdlFactor`]: they run on a subtree-to-lane partition of the
+/// elimination tree once the factor is big enough and its trunk light
+/// enough.
 const MIN_PAR_BLOCK_WORK: usize = 32_768;
 
 /// Exact solver for (connected) graph-Laplacian systems via *grounding*.
@@ -254,8 +255,8 @@ impl GroundedSolver {
 
     /// The underlying LDLᵀ factorization of the grounded Laplacian —
     /// exposes the elimination-tree observability surface
-    /// ([`LdlFactor::level_count`], [`LdlFactor::max_level_width`],
-    /// [`LdlFactor::memory_bytes`]) the bench binaries report.
+    /// ([`LdlFactor::partition_shape`], [`LdlFactor::memory_bytes`]) the
+    /// bench binaries report.
     pub fn factor(&self) -> &LdlFactor {
         &self.factor
     }

@@ -63,9 +63,10 @@ impl Preconditioner for JacobiPrec {
 /// `z = L_P⁺ r`. This is the paper's use of the spectral sparsifier — the
 /// PCG iteration count is then governed by the relative condition number
 /// `κ(L_G, L_P) ≤ σ²`. Each application is a pair of triangular factor
-/// sweeps, which run level-parallel over the factor's elimination tree on
-/// the worker pool once the factor is past the size/width crossover — so
-/// PCG iterations get multicore preconditioner applies for free.
+/// sweeps, which run on a subtree-to-lane partition of the factor's
+/// elimination tree — one pool dispatch per sweep — once the factor is
+/// past the size and critical-path gates, so PCG iterations get multicore
+/// preconditioner applies for free.
 #[derive(Debug, Clone)]
 pub struct LaplacianPrec {
     solver: GroundedSolver,

@@ -1,7 +1,7 @@
 // Sparse kernels index multiple parallel arrays; explicit loops are clearer.
 #![allow(clippy::needless_range_loop)]
 
-use crate::etree::LevelSchedule;
+use crate::etree::{PartitionShape, SubtreePartition};
 use crate::ordering::{self, OrderingKind};
 use crate::pool;
 use crate::{CsrMatrix, DenseBlock, Permutation, Result, SparseError};
@@ -16,22 +16,22 @@ pub const LDL_BLOCK_WIDTH: usize = 8;
 
 /// Minimum factor work (`nnz(L) + n`, scaled by right-hand-side count for
 /// blocked solves) before a triangular sweep leaves the flat serial loops
-/// for the level-scheduled parallel path under automatic pool sizing. A
+/// for the partitioned parallel path under automatic pool sizing. A
 /// standing `SASS_THREADS` / [`pool::set_threads`] override skips the
 /// crossover, as everywhere in the workspace.
 const PAR_SOLVE_MIN_WORK: usize = 50_000;
 
-/// Minimum `nnz(L)` before the numeric factorization goes level-parallel
-/// under automatic pool sizing (per-column work is much higher than a
-/// solve's, so the crossover sits lower).
+/// Minimum `nnz(L)` before the numeric factorization goes parallel under
+/// automatic pool sizing (per-column work is much higher than a solve's,
+/// so the crossover sits lower).
 const PAR_FACTOR_MIN_NNZ: usize = 10_000;
 
-/// Minimum *average* elimination-tree level width for level scheduling to
-/// pay off under automatic sizing: near-tree factors — the sparsifiers
-/// this workspace exists to build — have deep, narrow etrees whose levels
-/// would each dispatch a handful of columns, so they keep the flat serial
-/// sweeps (and their current latency).
-const PAR_MIN_AVG_WIDTH: usize = 4;
+/// Largest critical-path share, in percent, at which a partitioned phase
+/// still beats the flat serial loops under automatic sizing: trunk plus
+/// heaviest lane over total work ([`PartitionShape::critical_fraction`]).
+/// Trunk-heavy etrees — scale-free sparsifiers, whose hubs pile up in the
+/// trunk — stay serial; an override skips the gate with the crossovers.
+const PAR_MAX_CRITICAL_PCT: usize = 65;
 
 thread_local! {
     /// Per-thread work buffer backing the non-scratch solve entry points:
@@ -52,18 +52,19 @@ thread_local! {
 ///
 /// Unlike the textbook formulation, `L` is stored **row-major** (CSR of the
 /// strictly lower triangle) with a derived transpose index for column-order
-/// traversal. Row storage makes every computation step *owner-writes-only*:
+/// traversal, both laid out in the partition's *slot* order (every lane's
+/// columns contiguous, then the trunk's) so that lanes write disjoint
+/// memory. Row storage makes every computation step *owner-writes-only*:
 /// the numeric phase's step `k` writes exactly row `k` and `d[k]`, a
 /// forward-substitution step writes exactly `y[k]`, a backward step exactly
 /// `y[k]` again — nothing scatters into other columns' storage. That is
-/// what lets the factorization and both triangular sweeps run
-/// level-parallel over the elimination tree ([`crate::etree`]): all of a
-/// column's inputs live in strictly lower (forward/factorization) or
-/// strictly higher (backward) levels, so each level dispatches its columns
-/// across the worker pool and barriers before the next. Results are
-/// identical to the serial sweeps at every worker count — each output is
-/// produced by the same operation sequence reading the same finalized
-/// inputs regardless of which lane runs it.
+/// what lets the factorization and both triangular sweeps run on a
+/// subtree-to-lane partition of the elimination tree ([`crate::etree`]):
+/// pool lanes own whole etree subtrees, the calling thread runs the
+/// ancestor-closed trunk, and each phase makes one pool dispatch. Results
+/// are identical to the flat serial sweeps at every worker count — each
+/// output is produced by the same operation sequence reading the same
+/// finalized inputs regardless of which lane runs it.
 ///
 /// The factorization does no pivoting, which is exact for symmetric positive
 /// definite matrices — in this workspace: *grounded* graph Laplacians, which
@@ -89,20 +90,32 @@ thread_local! {
 pub struct LdlFactor {
     n: usize,
     perm: Permutation,
-    /// Row pointers of `L` (CSR, strictly lower triangular part).
+    /// Slot of every (permuted) column: its position in the partition's
+    /// [`SubtreePartition::order`]. Rows and columns of `L`, the sweeps'
+    /// work vectors, `D` and the numeric phase's accumulator are all laid
+    /// out by slot, so each lane's columns occupy one contiguous range;
+    /// the etree and the permutation stay indexed by column.
+    slot: Vec<u32>,
+    /// Slot of every *unpermuted* index — the permutation and `slot`
+    /// composed, so a solve scatters its right-hand side in one hop.
+    slot_of_old: Vec<u32>,
+    /// Row pointers of `L` (CSR, strictly lower triangular part), by
+    /// slot: the row of column `k` is `rp[slot[k]]..rp[slot[k] + 1]`.
     rp: Vec<usize>,
-    /// Column indices of `L`, in each row's *topological pattern order*
-    /// (etree descendants before ancestors; ascending within one path
-    /// segment but NOT globally sorted when a row merges several
-    /// branches) — don't binary-search or merge rows assuming sortedness.
+    /// Slots of the columns of `L`'s entries, in each row's *topological
+    /// pattern order* (etree descendants before ancestors; ascending
+    /// within one path segment but NOT globally sorted when a row merges
+    /// several branches) — don't binary-search or merge rows assuming
+    /// sortedness.
     ri: Vec<u32>,
     /// Values of `L`, row-major.
     rx: Vec<f64>,
-    /// Derived transpose (CSC mirror of `rp`/`ri`/`rx`), column pointers:
-    /// `ci[cp[j]..cp[j + 1]]` / `cx[..]` are column `j`'s entries, rows
-    /// ascending — what the backward sweep traverses.
+    /// Derived transpose (CSC mirror of `rp`/`ri`/`rx`), column pointers
+    /// by slot: `ci[cp[q]..cp[q + 1]]` / `cx[..]` are the entries of the
+    /// column in slot `q`, rows ascending by column index — what the
+    /// backward sweep traverses.
     cp: Vec<usize>,
-    /// Row index of each column-order entry.
+    /// Row slot of each column-order entry.
     ci: Vec<u32>,
     /// Value of each column-order entry, mirrored from `rx` so the
     /// backward sweep streams values contiguously (an index indirection
@@ -112,23 +125,19 @@ pub struct LdlFactor {
     /// for a fixed pattern), letting [`LdlFactor::refactor_partial`] refresh
     /// only the patched columns' mirror values.
     mirror_map: Vec<usize>,
-    /// The diagonal matrix `D`.
+    /// The diagonal matrix `D`, by slot.
     d: Vec<f64>,
-    /// Elimination-tree level schedule driving the parallel phases.
-    schedule: LevelSchedule,
-    /// Per-level work prefixes balancing the sweeps' span splits.
-    sweep_weights: SweepWeights,
+    /// Subtree-to-lane partition of the etree driving the parallel
+    /// phases, weighted by each column's factor entries.
+    partition: SubtreePartition,
     /// Elimination tree (`parent[k] = −1` for roots), retained from the
     /// symbolic analysis: [`LdlFactor::refactor_partial`] climbs it to
     /// find the ancestor closure of changed columns.
     parent: Vec<i64>,
-    /// Per-row nonzero counts of `L` (the symbolic result behind `rp`),
-    /// retained so the masked numeric phase can weight its span splits.
-    rnz: Vec<usize>,
     /// Pattern (column pointers) of the permuted upper triangle the
     /// symbolic analysis consumed; [`LdlFactor::refactor_partial`]
     /// compares a new matrix's pattern against `ua_p`/`ua_i` to decide
-    /// whether the symbolic state — etree, fill pattern, schedule,
+    /// whether the symbolic state — etree, fill pattern, partition,
     /// permutation — is still valid.
     ua_p: Vec<usize>,
     /// Pattern (row indices) of the permuted upper triangle; see `ua_p`.
@@ -138,11 +147,11 @@ pub struct LdlFactor {
     /// persistent permuted upper triangle, replacing the per-call
     /// `permute_sym` + upper-triangle extraction with one `O(nnz)` copy.
     refactor_cache: Option<RefactorCache>,
-    /// Shadow map from column to its etree level, verifying the schedule
-    /// invariant the parallel phases rest on: a forward/factorization
-    /// step reads strictly lower levels, a backward step strictly higher.
+    /// Shadow map from column to its partition owner (lane index, or
+    /// `u32::MAX` for the trunk), verifying the ownership invariant the
+    /// parallel phases rest on.
     #[cfg(feature = "race-check")]
-    level_of: Vec<u32>,
+    owner_of: Vec<u32>,
 }
 
 /// What [`LdlFactor::refactor_partial`] did with the numeric phase.
@@ -170,35 +179,6 @@ pub struct RefactorStats {
     /// Whether the ancestor closure crossed the ratio crossover and the
     /// whole numeric phase was re-run instead.
     pub full: bool,
-}
-
-/// Segmented per-level work prefixes for the solve sweeps' span
-/// balancing: segment `l` (`seg[l]..seg[l + 1]`, length `width + 1`) is a
-/// zero-based prefix sum of per-column factor-entry counts (+1) over
-/// level `l`'s columns — row lengths for the forward sweep, column
-/// lengths for the backward sweep. Precomputed once at construction so
-/// each per-level dispatch feeds [`pool::balanced_spans`] instead of
-/// splitting skewed levels evenly (a hub row would otherwise serialize
-/// its whole level behind one lane while the others idle at the barrier).
-#[derive(Debug, Clone)]
-struct SweepWeights {
-    fwd: Vec<usize>,
-    bwd: Vec<usize>,
-    seg: Vec<usize>,
-}
-
-impl SweepWeights {
-    fn level_fwd(&self, l: usize) -> &[usize] {
-        &self.fwd[self.seg[l]..self.seg[l + 1]]
-    }
-
-    fn level_bwd(&self, l: usize) -> &[usize] {
-        &self.bwd[self.seg[l]..self.seg[l + 1]]
-    }
-
-    fn memory_bytes(&self) -> usize {
-        (self.fwd.len() + self.bwd.len() + self.seg.len()) * std::mem::size_of::<usize>()
-    }
 }
 
 /// Upper-triangle-by-column view of a symmetric CSR matrix.
@@ -253,13 +233,15 @@ struct RefactorCache {
 }
 
 /// Per-lane workspace of the numeric phase: the dense accumulator `y`
-/// (all-zero between column steps), the pattern stack, and the visit
-/// flags. Column markers are globally unique, so a lane's flags never
-/// collide across the columns it processes, even across levels.
+/// (all-zero between column steps), the pattern stack, the visit flags,
+/// and the lane's first failing pivot. Column markers are globally
+/// unique, so a lane's flags never collide across the columns it
+/// processes.
 struct FactorScratch {
     y: Vec<f64>,
     pattern: Vec<usize>,
     flag: Vec<i64>,
+    failed: Option<usize>,
 }
 
 impl FactorScratch {
@@ -268,53 +250,138 @@ impl FactorScratch {
             y: vec![0.0; n],
             pattern: vec![0; n],
             flag: vec![-1; n],
+            failed: None,
         }
     }
 }
 
+/// Whether a phase over `work` units runs on the lanes of a partition
+/// with shape `shape`: at least two lanes carry work, the pool grants more
+/// than one lane above the `min_work` crossover, and — under automatic
+/// sizing — the critical path (trunk plus heaviest lane) stays within
+/// [`PAR_MAX_CRITICAL_PCT`] of the total. A standing `SASS_THREADS` /
+/// [`pool::set_threads`] override skips both gates.
+fn runs_partitioned(shape: &PartitionShape, work: usize, min_work: usize) -> bool {
+    if shape.lanes < 2 {
+        return false;
+    }
+    let p = pool::Pool::global();
+    if p.workers_for(work, min_work, min_work) <= 1 {
+        return false;
+    }
+    p.is_forced()
+        || shape.critical_work().saturating_mul(100)
+            <= shape.total_work.saturating_mul(PAR_MAX_CRITICAL_PCT)
+}
+
+/// Partition weight of every column from its row (`rnz`) and column
+/// (`cnz`) entry counts in `L`: its factor entries — the forward row plus
+/// the backward column — plus the diagonal step.
+fn column_weights(rnz: &[usize], cnz: &[usize]) -> Vec<usize> {
+    rnz.iter().zip(cnz).map(|(r, c)| r + c + 1).collect()
+}
+
+/// Lanes to partition a factor for: the pool's width, or 1 when no phase
+/// of a factor this size can leave the serial loops (the widest phase, an
+/// 8-column blocked sweep, is below its crossover under automatic
+/// sizing), which skips building lanes nothing would dispatch.
+fn partition_lanes(nnz_l: usize, n: usize) -> usize {
+    let p = pool::Pool::global();
+    let widest = (nnz_l + n).saturating_mul(LDL_BLOCK_WIDTH);
+    if p.workers_for(widest, 2 * PAR_SOLVE_MIN_WORK, 1) > 1 {
+        p.threads()
+    } else {
+        1
+    }
+}
+
+/// Shadow verification of the partition invariant behind every parallel
+/// phase: a step gathering `refs` (etree descendants of `j` when `forward`
+/// — forward sweep and factorization — ancestors otherwise) may only read
+/// columns its own owner runs earlier, or columns another phase of the
+/// dispatch finalizes first: lanes before the trunk going forward, the
+/// trunk before the lanes going backward. Checked on the serial paths too
+/// — the invariant is a property of the factor, not of the lane count
+/// that happens to exercise it.
+#[cfg(feature = "race-check")]
+fn shadow_check_reads(
+    owner_of: &[u32],
+    j: usize,
+    refs: impl IntoIterator<Item = usize>,
+    forward: bool,
+    what: &str,
+) {
+    use crate::etree::TRUNK;
+    let describe = |o: u32| {
+        if o == TRUNK {
+            "trunk".to_string()
+        } else {
+            format!("lane {o}")
+        }
+    };
+    let oj = owner_of[j];
+    for i in refs {
+        let oi = owner_of[i];
+        let ok = if forward {
+            (oi == oj && i < j) || (oj == TRUNK && oi != TRUNK)
+        } else {
+            (oi == oj && i > j) || (oi == TRUNK && oj != TRUNK)
+        };
+        assert!(
+            ok,
+            "race-check: {what} step at column {j} ({}) reads column {i} ({}), \
+             which the partition does not finalize first — read-set violation",
+            describe(oj),
+            describe(oi)
+        );
+    }
+}
+
 /// Shared state of the numeric phase. `ri`/`rx`/`d` are reached through
-/// raw base pointers because one level's columns write their disjoint rows
-/// concurrently while reading finalized lower-level rows of the same
+/// raw base pointers because the lanes write their disjoint rows
+/// concurrently while reading finalized descendant rows of the same
 /// buffers.
 struct NumericCtx<'a> {
     u: &'a UpperCsc,
     parent: &'a [i64],
+    slot: &'a [u32],
     rp: &'a [usize],
     ri: pool::SendPtr<u32>,
     rx: pool::SendPtr<f64>,
     d: pool::SendPtr<f64>,
-    /// Shadow column→level map: every row/pivot a factorization step
-    /// gathers must live in a strictly lower level than the step itself,
-    /// or the per-level barriers do not actually order the read.
+    /// Shadow column→owner map: every row/pivot a factorization step
+    /// gathers must be finalized before the step by the partition order.
     #[cfg(feature = "race-check")]
-    level_of: &'a [u32],
+    owner_of: &'a [u32],
 }
 
 impl NumericCtx<'_> {
     /// Computes row `k` of `L` and the pivot `d[k]` — one up-looking step
     /// in *gather* form: the sparse solve `L c = a_k` finalizes each
     /// pattern entry by gathering the (finished) row it indexes, instead
-    /// of scattering finished entries into ancestor columns.
+    /// of scattering finished entries into ancestor columns. Returns
+    /// whether the pivot is usable (nonzero and finite).
     ///
     /// # Safety
     ///
     /// The caller must hold an exclusive claim on row `k`'s slices of
     /// `ri`/`rx` and on `d[k]`, and every row and pivot in `k`'s pattern
-    /// (all in strictly lower etree levels) must be final.
-    unsafe fn factor_column(&self, k: usize, s: &mut FactorScratch) {
+    /// (all etree descendants of `k`) must be final.
+    unsafe fn factor_column(&self, k: usize, s: &mut FactorScratch) -> bool {
         let n = self.parent.len();
         let (y, pattern, flag) = (&mut s.y[..], &mut s.pattern[..], &mut s.flag[..]);
-        let u = self.u;
-        // Scatter A's upper column k into y and build the row pattern:
-        // etree paths from each entry merged in topological order — the
-        // historical serial walk, unchanged.
+        let (u, slot) = (self.u, self.slot);
+        // Scatter A's upper column k into y (by slot) and build the row
+        // pattern (by column): etree paths from each entry merged in
+        // topological order — the historical serial walk, unchanged.
         let mut top = n;
+        let sk = slot[k] as usize;
         flag[k] = k as i64;
-        y[k] = 0.0;
+        y[sk] = 0.0;
         for p in u.ap[k]..u.ap[k + 1] {
             let i0 = u.ai[p] as usize;
             if i0 <= k {
-                y[i0] += u.ax[p];
+                y[slot[i0] as usize] += u.ax[p];
                 let mut len = 0usize;
                 let mut i = i0;
                 while flag[i] != k as i64 {
@@ -334,17 +401,19 @@ impl NumericCtx<'_> {
                 }
             }
         }
-        let mut dk = y[k];
-        y[k] = 0.0;
+        let mut dk = y[sk];
+        y[sk] = 0.0;
         #[cfg(feature = "race-check")]
-        for &i in &pattern[top..n] {
-            let (lk, li) = (self.level_of[k], self.level_of[i]);
-            assert!(
-                li < lk,
-                "race-check: factorization step at column {k} (level {lk}) reads \
-                 row/pivot {i} (level {li}), which is not strictly below — \
-                 cross-level read-set violation"
-            );
+        shadow_check_reads(
+            self.owner_of,
+            k,
+            pattern[top..n].iter().copied(),
+            true,
+            "factorization",
+        );
+        // Everything below is indexed by slot.
+        for i in &mut pattern[top..n] {
+            *i = slot[*i] as usize;
         }
         let rip = self.ri.get();
         let rxp = self.rx.get();
@@ -364,7 +433,7 @@ impl NumericCtx<'_> {
         // before ancestors — the order `ri` documents), accumulate the
         // pivot, and restore y ≡ 0 for this lane's next column.
         let dp = self.d.get();
-        let base = self.rp[k];
+        let base = self.rp[sk];
         for (idx, &i) in pattern[top..n].iter().enumerate() {
             let ci = y[i];
             y[i] = 0.0;
@@ -373,204 +442,100 @@ impl NumericCtx<'_> {
             *rip.add(base + idx) = i as u32;
             *rxp.add(base + idx) = l_ki;
         }
-        *dp.add(k) = dk;
+        *dp.add(sk) = dk;
+        dk != 0.0 && dk.is_finite()
     }
 }
 
-/// Numeric phase over the level schedule: levels ascend, each level's
-/// columns spread across the pool (weighted by row length) or run inline
-/// below the crossover.
+/// The numeric phase over the columns flagged in `mask` (all columns when
+/// `None`). Unflagged columns are skipped entirely — their rows of `L`
+/// and pivots keep their current values — so a masked run re-creates a
+/// from-scratch factorization bit for bit whenever the unflagged
+/// columns' inputs are genuinely unchanged (the partial-refactorization
+/// path).
 ///
-/// Returns `Err(k)` with the *permuted* index of the first failing pivot —
-/// the smallest failing column of the earliest failing level, which is
-/// exactly where the serial sweep stops (the caller maps it back through
-/// the permutation).
-#[allow(clippy::too_many_arguments)]
+/// Runs flat and ascending, or — when [`runs_partitioned`] says the
+/// flagged work pays — as one dispatch over the partition's lanes
+/// followed by the trunk on the calling thread. Returns `Err(k)` with the
+/// *permuted* index of the first failing pivot the flat ascending sweep
+/// would stop at: each lane stops at its own first failure, and the trunk
+/// runs only below the smallest lane failure, since every column below
+/// it depends on finalized, healthy columns only (the caller maps `k`
+/// back through the permutation).
 fn numeric_phase(
-    u: &UpperCsc,
-    parent: &[i64],
-    rnz: &[usize],
-    rp: &[usize],
-    schedule: &LevelSchedule,
-    ri: &mut [u32],
-    rx: &mut [f64],
-    d: &mut [f64],
-) -> std::result::Result<(), usize> {
-    let n = parent.len();
-    let p = pool::Pool::global();
-    let lanes = {
-        let w = p.workers_for(rx.len(), PAR_FACTOR_MIN_NNZ, PAR_FACTOR_MIN_NNZ);
-        if w > 1 && (p.is_forced() || schedule.avg_width() >= PAR_MIN_AVG_WIDTH) {
-            w.min(schedule.max_width()).max(1)
-        } else {
-            1
-        }
-    };
-    #[cfg(feature = "race-check")]
-    let level_of = level_map(schedule, n);
-    let ctx = NumericCtx {
-        u,
-        parent,
-        rp,
-        ri: pool::SendPtr::new(ri.as_mut_ptr()),
-        rx: pool::SendPtr::new(rx.as_mut_ptr()),
-        d: pool::SendPtr::new(d.as_mut_ptr()),
-        #[cfg(feature = "race-check")]
-        level_of: &level_of,
-    };
-    let mut scratches: Vec<FactorScratch> = (0..lanes).map(|_| FactorScratch::new(n)).collect();
-    let mut wprefix: Vec<usize> = Vec::with_capacity(schedule.max_width() + 1);
-    for lvl in 0..schedule.level_count() {
-        let cols = schedule.level(lvl);
-        let lanes_here = lanes.min(cols.len());
-        if lanes_here <= 1 {
-            let s = &mut scratches[0];
-            for &k in cols {
-                let k = k as usize;
-                // SAFETY: serial execution — exclusive access to every
-                // output; pattern rows live in strictly lower levels,
-                // already final.
-                let dk = unsafe {
-                    ctx.factor_column(k, s);
-                    *ctx.d.get().add(k)
-                };
-                if dk == 0.0 || !dk.is_finite() {
-                    return Err(k);
-                }
-            }
-        } else {
-            // Weighted spans: row length (plus the walk) approximates each
-            // column's numeric cost well enough to balance skewed levels.
-            wprefix.clear();
-            wprefix.push(0);
-            let mut acc = 0usize;
-            for &k in cols {
-                acc += rnz[k as usize] + 1;
-                wprefix.push(acc);
-            }
-            let spans = pool::balanced_spans(&wprefix, lanes_here);
-            p.parallel_for_with_scratch(&spans, &mut scratches, |_, (lo, hi), s| {
-                for &k in &cols[lo..hi] {
-                    // SAFETY: one level's columns are pairwise distinct, so
-                    // each claimant writes only its own rows of `L` and
-                    // entries of `d`; every read targets strictly lower
-                    // levels, finalized before this dispatch (the pool
-                    // blocks per level).
-                    unsafe { ctx.factor_column(k as usize, s) };
-                }
-            });
-            // Deferred pivot scan — ascending, so the reported failure is
-            // the level's smallest failing column, matching the serial
-            // sweep's stopping point bit for bit.
-            for &k in cols {
-                let k = k as usize;
-                // SAFETY: k < n is one of this level's columns and the
-                // dispatch above has joined, so d[k] is initialized and
-                // no claimant still writes it.
-                let dk = unsafe { *ctx.d.get().add(k) };
-                if dk == 0.0 || !dk.is_finite() {
-                    return Err(k);
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Column→level map of a schedule (shadow state for the race-check
-/// read-set verification).
-#[cfg(feature = "race-check")]
-fn level_map(schedule: &LevelSchedule, n: usize) -> Vec<u32> {
-    let mut level_of = vec![0u32; n];
-    for lvl in 0..schedule.level_count() {
-        for &k in schedule.level(lvl) {
-            level_of[k as usize] = lvl as u32;
-        }
-    }
-    level_of
-}
-
-/// [`numeric_phase`] restricted to the columns flagged in `mask` — the
-/// partial-refactorization path. Unflagged columns are skipped entirely
-/// (their rows of `L` and pivots keep their current values); flagged ones
-/// re-run the exact factorization step, so the patched factor is
-/// bit-identical to a from-scratch numeric phase whenever the unflagged
-/// columns' inputs are genuinely unchanged.
-///
-/// Returns `Err(k)` with the permuted index of the first failing pivot
-/// among the re-run columns. The caller builds the [`NumericCtx`] (and,
-/// under `race-check`, threads the factor's shadow level map through it).
-fn numeric_phase_masked(
     ctx: &NumericCtx<'_>,
-    rnz: &[usize],
-    schedule: &LevelSchedule,
-    mask: &[bool],
+    partition: &SubtreePartition,
+    mask: Option<&[bool]>,
 ) -> std::result::Result<(), usize> {
     let n = ctx.parent.len();
-    let p = pool::Pool::global();
-    // Gate lanes on the *masked* work, not the whole factor: a small
-    // ancestor closure inside a huge factor should not pay dispatch.
-    let masked_nnz: usize = (0..n).filter(|&k| mask[k]).map(|k| rnz[k] + 1).sum();
-    let lanes = {
-        let w = p.workers_for(masked_nnz, PAR_FACTOR_MIN_NNZ, PAR_FACTOR_MIN_NNZ);
-        if w > 1 && (p.is_forced() || schedule.avg_width() >= PAR_MIN_AVG_WIDTH) {
-            w.min(schedule.max_width()).max(1)
-        } else {
-            1
-        }
-    };
-    let mut scratches: Vec<FactorScratch> = (0..lanes).map(|_| FactorScratch::new(n)).collect();
-    let mut cols: Vec<u32> = Vec::new();
-    let mut wprefix: Vec<usize> = Vec::with_capacity(schedule.max_width() + 1);
-    for lvl in 0..schedule.level_count() {
-        cols.clear();
-        cols.extend(schedule.level(lvl).iter().filter(|&&k| mask[k as usize]));
-        let lanes_here = lanes.min(cols.len());
-        if lanes_here <= 1 {
-            let s = &mut scratches[0];
-            for &k in &cols {
-                let k = k as usize;
-                // SAFETY: serial execution — exclusive access to every
-                // output; pattern rows live in strictly lower levels,
-                // final whether re-run (earlier level) or untouched.
-                let dk = unsafe {
-                    ctx.factor_column(k, s);
-                    *ctx.d.get().add(k)
-                };
-                if dk == 0.0 || !dk.is_finite() {
-                    return Err(k);
-                }
-            }
-        } else {
-            wprefix.clear();
-            wprefix.push(0);
-            let mut acc = 0usize;
-            for &k in &cols {
-                acc += rnz[k as usize] + 1;
-                wprefix.push(acc);
-            }
-            let spans = pool::balanced_spans(&wprefix, lanes_here);
-            let cols = &cols[..];
-            p.parallel_for_with_scratch(&spans, &mut scratches, |_, (lo, hi), s| {
-                for &k in &cols[lo..hi] {
-                    // SAFETY: as `numeric_phase` — pairwise-distinct
-                    // columns, reads target strictly lower levels
-                    // finalized before this dispatch.
-                    unsafe { ctx.factor_column(k as usize, s) };
+    let runs = |k: usize| mask.is_none_or(|m| m[k]);
+    // The gate reads the flagged work only, weighted by row length (plus
+    // the walk): a small ancestor closure inside a huge factor should not
+    // pay dispatch.
+    let (shape, work) = match mask {
+        None => (partition.shape(), ctx.rp[n]),
+        Some(_) => {
+            let shape = partition.shape_with(|k| {
+                let q = ctx.slot[k] as usize;
+                if runs(k) {
+                    ctx.rp[q + 1] - ctx.rp[q] + 1
+                } else {
+                    0
                 }
             });
-            for &k in cols {
-                let k = k as usize;
-                // SAFETY: the dispatch above has joined; d[k] is no longer
-                // written by any claimant.
-                let dk = unsafe { *ctx.d.get().add(k) };
-                if dk == 0.0 || !dk.is_finite() {
-                    return Err(k);
-                }
+            (shape, shape.total_work)
+        }
+    };
+    if !runs_partitioned(&shape, work, PAR_FACTOR_MIN_NNZ) {
+        let mut s = FactorScratch::new(n);
+        for k in (0..n).filter(|&k| runs(k)) {
+            // SAFETY: serial ascending execution — exclusive access to
+            // every output, and k's pattern rows (descendants, all < k)
+            // are final whether re-run just now or untouched.
+            if !unsafe { ctx.factor_column(k, &mut s) } {
+                return Err(k);
             }
         }
+        return Ok(());
     }
-    Ok(())
+    let mut scratches: Vec<FactorScratch> = (0..partition.lanes())
+        .map(|_| FactorScratch::new(n))
+        .collect();
+    let order = partition.order();
+    pool::Pool::global().parallel_for_with_scratch(
+        partition.spans(),
+        &mut scratches,
+        |_, (lo, hi), s| {
+            for &k in &order[lo..hi] {
+                let k = k as usize;
+                // SAFETY: lanes own pairwise-disjoint columns, so each
+                // claimant writes only its own rows of `L` and entries of
+                // `d`; a lane column's pattern rows are its etree
+                // descendants, which live in the same lane and precede it
+                // in the lane's ascending order.
+                if runs(k) && !unsafe { ctx.factor_column(k, s) } {
+                    s.failed = Some(k);
+                    return;
+                }
+            }
+        },
+    );
+    let lane_failure = scratches.iter().filter_map(|s| s.failed).min();
+    let s = &mut scratches[0];
+    for &k in partition.trunk() {
+        let k = k as usize;
+        if lane_failure.is_some_and(|f| k > f) {
+            break;
+        }
+        // SAFETY: the dispatch has joined, so the calling thread is the
+        // only writer; a trunk column's pattern rows are trunk columns run
+        // earlier in this ascending loop or lane columns below the
+        // smallest lane failure, all finalized by the lanes.
+        if runs(k) && !unsafe { ctx.factor_column(k, s) } {
+            return Err(k);
+        }
+    }
+    lane_failure.map_or(Ok(()), Err)
 }
 
 impl LdlFactor {
@@ -636,78 +601,74 @@ impl LdlFactor {
                 }
             }
         }
-        let schedule = LevelSchedule::from_parents(&parent);
+        let nnz_l: usize = rnz.iter().sum();
+        let partition = SubtreePartition::from_parents(
+            &parent,
+            &column_weights(&rnz, &cnz),
+            partition_lanes(nnz_l, n),
+        );
+        let mut slot = vec![0u32; n];
         let mut rp = vec![0usize; n + 1];
-        for k in 0..n {
-            rp[k + 1] = rp[k] + rnz[k];
+        let mut cp = vec![0usize; n + 1];
+        for (q, &k) in partition.order().iter().enumerate() {
+            let k = k as usize;
+            slot[k] = q as u32;
+            rp[q + 1] = rp[q] + rnz[k];
+            cp[q + 1] = cp[q] + cnz[k];
         }
-        let nnz_l = rp[n];
+        #[cfg(feature = "race-check")]
+        let owner_of = partition.owners();
 
-        // Numeric phase, level-scheduled.
         let mut ri = vec![0u32; nnz_l];
         let mut rx = vec![0.0f64; nnz_l];
         let mut d = vec![0.0f64; n];
-        if let Err(k) = numeric_phase(&u, &parent, &rnz, &rp, &schedule, &mut ri, &mut rx, &mut d) {
+        let ctx = NumericCtx {
+            u: &u,
+            parent: &parent,
+            slot: &slot,
+            rp: &rp,
+            ri: pool::SendPtr::new(ri.as_mut_ptr()),
+            rx: pool::SendPtr::new(rx.as_mut_ptr()),
+            d: pool::SendPtr::new(d.as_mut_ptr()),
+            #[cfg(feature = "race-check")]
+            owner_of: &owner_of,
+        };
+        if let Err(k) = numeric_phase(&ctx, &partition, None) {
             return Err(SparseError::ZeroPivot {
                 column: perm.old_of_new()[k],
             });
         }
 
         // Derived transpose: the CSC mirror of the row-major factor. Rows
-        // ascend, so each column's entries come out row-ascending — the
-        // order the backward sweep consumes.
-        let mut cp = vec![0usize; n + 1];
-        for j in 0..n {
-            cp[j + 1] = cp[j] + cnz[j];
-        }
+        // are visited by ascending column index, so each column's entries
+        // come out row-ascending — the order the backward sweep consumes.
         let mut ci = vec![0u32; nnz_l];
         let mut cx = vec![0.0f64; nnz_l];
         let mut mirror_map = vec![0usize; nnz_l];
         let mut next = cp[..n].to_vec();
-        for k in 0..n {
-            for p in rp[k]..rp[k + 1] {
-                let j = ri[p] as usize;
-                let q = next[j];
-                next[j] += 1;
-                ci[q] = k as u32;
-                cx[q] = rx[p];
-                mirror_map[q] = p;
+        for &sk in &slot {
+            let sk = sk as usize;
+            for p in rp[sk]..rp[sk + 1] {
+                let sj = ri[p] as usize;
+                let e = next[sj];
+                next[sj] += 1;
+                ci[e] = sk as u32;
+                cx[e] = rx[p];
+                mirror_map[e] = p;
             }
         }
 
-        // Per-level sweep weights (row lengths forward, column lengths
-        // backward), segmented so each level's slice is a standalone
-        // zero-based prefix.
-        let mut sweep_weights = SweepWeights {
-            fwd: Vec::with_capacity(n + schedule.level_count()),
-            bwd: Vec::with_capacity(n + schedule.level_count()),
-            seg: Vec::with_capacity(schedule.level_count() + 1),
-        };
-        for lvl in 0..schedule.level_count() {
-            sweep_weights.seg.push(sweep_weights.fwd.len());
-            let (mut af, mut ab) = (0usize, 0usize);
-            sweep_weights.fwd.push(0);
-            sweep_weights.bwd.push(0);
-            for &j in schedule.level(lvl) {
-                let j = j as usize;
-                af += rp[j + 1] - rp[j] + 1;
-                ab += cp[j + 1] - cp[j] + 1;
-                sweep_weights.fwd.push(af);
-                sweep_weights.bwd.push(ab);
-            }
-        }
-        sweep_weights.seg.push(sweep_weights.fwd.len());
-
-        #[cfg(feature = "race-check")]
-        let level_of = level_map(&schedule, n);
         let UpperCsc {
             ap: ua_p,
             ai: ua_i,
             ax: _,
         } = u;
+        let slot_of_old = perm.new_of_old().iter().map(|&k| slot[k]).collect();
         Ok(LdlFactor {
             n,
             perm,
+            slot,
+            slot_of_old,
             rp,
             ri,
             rx,
@@ -716,15 +677,13 @@ impl LdlFactor {
             cx,
             mirror_map,
             d,
-            schedule,
-            sweep_weights,
+            partition,
             parent,
-            rnz,
             ua_p,
             ua_i,
             refactor_cache: None,
             #[cfg(feature = "race-check")]
-            level_of,
+            owner_of,
         })
     }
 
@@ -844,15 +803,15 @@ impl LdlFactor {
         let ctx = NumericCtx {
             u: &cache.u,
             parent: &self.parent,
+            slot: &self.slot,
             rp: &self.rp,
             ri: pool::SendPtr::new(self.ri.as_mut_ptr()),
             rx: pool::SendPtr::new(self.rx.as_mut_ptr()),
             d: pool::SendPtr::new(self.d.as_mut_ptr()),
             #[cfg(feature = "race-check")]
-            level_of: &self.level_of,
+            owner_of: &self.owner_of,
         };
-        let result = numeric_phase_masked(&ctx, &self.rnz, &self.schedule, &mask);
-        if let Err(k) = result {
+        if let Err(k) = numeric_phase(&ctx, &self.partition, Some(&mask)) {
             return Err(SparseError::ZeroPivot {
                 column: self.perm.old_of_new()[k],
             });
@@ -864,8 +823,9 @@ impl LdlFactor {
         // static (`mirror_map`), so the refresh touches exactly those
         // columns instead of re-scattering the whole factor.
         for (j, _) in mask.iter().enumerate().filter(|&(_, &m)| m) {
-            for q in self.cp[j]..self.cp[j + 1] {
-                self.cx[q] = self.rx[self.mirror_map[q]];
+            let q = self.slot[j] as usize;
+            for e in self.cp[q]..self.cp[q + 1] {
+                self.cx[e] = self.rx[self.mirror_map[e]];
             }
         }
 
@@ -922,39 +882,34 @@ impl LdlFactor {
         self.rx.len()
     }
 
-    /// Number of elimination-tree levels in the schedule (0 for an empty
-    /// matrix). Deep schedules relative to [`LdlFactor::n`] mean a
-    /// path-like etree with little level parallelism.
-    pub fn level_count(&self) -> usize {
-        self.schedule.level_count()
-    }
-
-    /// Width of the widest elimination-tree level — the upper bound on the
-    /// parallelism any single factorization/solve step can use.
-    pub fn max_level_width(&self) -> usize {
-        self.schedule.max_width()
+    /// Shape of the subtree-to-lane partition the parallel phases run on:
+    /// lanes, trunk size and the work split (in factor entries) that
+    /// decides whether a phase leaves the flat serial loops. The partition
+    /// is built for the pool width at factorization time; an all-trunk
+    /// shape (`lanes == 0`) means every phase runs serially.
+    pub fn partition_shape(&self) -> PartitionShape {
+        self.partition.shape()
     }
 
     /// Approximate memory footprint of the factor in bytes: row-major
     /// values and indices, row pointers, the transpose index, the
-    /// diagonal, the level schedule, the permutation, and the retained
-    /// symbolic state (etree parents, row counts, upper pattern) that
+    /// diagonal, the etree partition, the permutation, and the retained
+    /// symbolic state (etree parents, upper pattern) that
     /// [`LdlFactor::refactor_partial`] reuses.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         let base = self.rx.len() * size_of::<f64>()
             + self.ri.len() * size_of::<u32>()
+            + (self.slot.len() + self.slot_of_old.len()) * size_of::<u32>()
             + self.rp.len() * size_of::<usize>()
             + self.cx.len() * size_of::<f64>()
             + self.mirror_map.len() * size_of::<usize>()
             + self.ci.len() * size_of::<u32>()
             + self.cp.len() * size_of::<usize>()
             + self.d.len() * size_of::<f64>()
-            + self.schedule.memory_bytes()
-            + self.sweep_weights.memory_bytes()
+            + self.partition.memory_bytes()
             + self.perm.len() * 2 * size_of::<usize>()
             + self.parent.len() * size_of::<i64>()
-            + self.rnz.len() * size_of::<usize>()
             + self.ua_p.len() * size_of::<usize>()
             + self.ua_i.len() * size_of::<u32>();
         let base = base
@@ -967,7 +922,7 @@ impl LdlFactor {
                     + c.u.ax.len() * size_of::<f64>()
             });
         #[cfg(feature = "race-check")]
-        let base = base + self.level_of.len() * size_of::<u32>();
+        let base = base + self.owner_of.len() * size_of::<u32>();
         base
     }
 
@@ -980,8 +935,8 @@ impl LdlFactor {
     ///
     /// All entries are strictly positive when the input was SPD; the sign
     /// pattern is the matrix inertia.
-    pub fn d(&self) -> &[f64] {
-        &self.d
+    pub fn d(&self) -> Vec<f64> {
+        self.slot.iter().map(|&q| self.d[q as usize]).collect()
     }
 
     /// Solves `A x = b`, allocating the result.
@@ -1011,11 +966,12 @@ impl LdlFactor {
     /// repeated solves (iterative refinement, shift-invert Lanczos, PCG
     /// preconditioning) allocate nothing after the first call.
     ///
-    /// Above a work crossover — or always, under an explicit
-    /// `SASS_THREADS` / [`pool::set_threads`] override — the forward and
-    /// backward substitutions run level-parallel over the elimination
-    /// tree on the worker pool, producing results identical to the serial
-    /// sweeps at every worker count.
+    /// Above a work crossover, on a partition whose critical path pays —
+    /// or always, under an explicit `SASS_THREADS` / [`pool::set_threads`]
+    /// override — the forward and backward substitutions each make one
+    /// dispatch over the elimination-tree partition ([`crate::etree`]),
+    /// producing results identical to the serial sweeps at every worker
+    /// count.
     ///
     /// # Panics
     ///
@@ -1023,18 +979,18 @@ impl LdlFactor {
     pub fn solve_into_scratch(&self, b: &[f64], x: &mut [f64], work: &mut Vec<f64>) {
         assert_eq!(b.len(), self.n, "solve: b length mismatch");
         assert_eq!(x.len(), self.n, "solve: x length mismatch");
-        // Work in permuted coordinates: y = P b. The permutation scatter
-        // writes every entry, so stale contents need no zeroing.
-        let new_of_old = self.perm.new_of_old();
+        // Work in permuted coordinates, laid out by slot: y = P b. The
+        // permutation scatter writes every entry, so stale contents need
+        // no zeroing.
         work.resize(self.n, 0.0);
         let y = &mut work[..];
-        for (old, &new) in new_of_old.iter().enumerate() {
-            y[new] = b[old];
+        for (old, &q) in self.slot_of_old.iter().enumerate() {
+            y[q as usize] = b[old];
         }
         self.sweep_single(y);
         // Un-permute: x = Pᵀ y.
-        for (old, &new) in new_of_old.iter().enumerate() {
-            x[old] = y[new];
+        for (old, &q) in self.slot_of_old.iter().enumerate() {
+            x[old] = y[q as usize];
         }
     }
 
@@ -1092,8 +1048,8 @@ impl LdlFactor {
     /// The work buffer holds one chunk of columns in *interleaved* (row-
     /// major) layout — `w[row * k + col]` — so the triangular sweeps touch
     /// each chunk's right-hand sides contiguously per factor row. Like the
-    /// single-vector path, the sweeps go level-parallel above a work
-    /// crossover (or under a forced pool override).
+    /// single-vector path, the sweeps run on the etree partition above a
+    /// work crossover (or under a forced pool override).
     ///
     /// # Panics
     ///
@@ -1107,16 +1063,16 @@ impl LdlFactor {
         assert_eq!(b.nrows(), self.n, "solve_block: b row-count mismatch");
         assert_eq!(x.nrows(), self.n, "solve_block: x row-count mismatch");
         assert_eq!(x.ncols(), b.ncols(), "solve_block: column-count mismatch");
-        let new_of_old = self.perm.new_of_old();
         let mut start = 0;
         while start < b.ncols() {
             let k = LDL_BLOCK_WIDTH.min(b.ncols() - start);
             work.resize(self.n * k, 0.0);
-            // Pack the chunk permuted and interleaved: w[new·k + c] = b_c[old].
+            // Pack the chunk permuted, by slot, and interleaved:
+            // w[slot(old)·k + c] = b_c[old].
             for c in 0..k {
                 let col = b.col(start + c);
-                for (old, &new) in new_of_old.iter().enumerate() {
-                    work[new * k + c] = col[old];
+                for (old, &q) in self.slot_of_old.iter().enumerate() {
+                    work[q as usize * k + c] = col[old];
                 }
             }
             if k == LDL_BLOCK_WIDTH {
@@ -1127,175 +1083,149 @@ impl LdlFactor {
             // Un-permute back into the output columns.
             for c in 0..k {
                 let col = x.col_mut(start + c);
-                for (old, &new) in new_of_old.iter().enumerate() {
-                    col[old] = work[new * k + c];
+                for (old, &q) in self.slot_of_old.iter().enumerate() {
+                    col[old] = work[q as usize * k + c];
                 }
             }
             start += k;
         }
     }
 
-    /// Lane count for a triangular sweep over `ncols` right-hand sides —
-    /// 1 whenever the flat serial sweeps win: below the work crossover,
-    /// or when the etree is too deep and narrow for level scheduling to
-    /// pay (near-tree factors keep their current latency). A standing
-    /// `SASS_THREADS` / [`pool::set_threads`] override skips both gates.
-    fn solve_workers(&self, ncols: usize) -> usize {
-        let p = pool::Pool::global();
+    /// One forward sweep (`fwd(q)` per slot, ascending), the diagonal
+    /// scale (`diag(q)`) and one backward sweep (`bwd(q)`, descending) over
+    /// `ncols` right-hand sides.
+    ///
+    /// Ascending slots are a topological order of the etree (every lane's
+    /// subtrees, then the trunk), so the flat loops run each column after
+    /// the columns it reads. When [`runs_partitioned`] says the work pays,
+    /// each direction instead makes one pool dispatch: going forward the
+    /// lanes run their slot ranges ascending and the calling thread then
+    /// runs the trunk ascending; going backward the trunk runs descending
+    /// first, then the lanes descending. Each dispatch blocks until every
+    /// lane has drained, which finalizes the values the trunk reads
+    /// (forward) or that no lane reads until the trunk is done (backward).
+    ///
+    /// A range's diagonal scale runs as its own loop right before the
+    /// range's backward steps: every column still sees forward, scale,
+    /// backward in that order, and the divisions pipeline instead of
+    /// sitting on the backward sweep's dependency chain.
+    fn sweep<F, D, B>(&self, ncols: usize, fwd: F, diag: D, bwd: B)
+    where
+        F: Fn(usize) + Sync,
+        D: Fn(usize) + Sync,
+        B: Fn(usize) + Sync,
+    {
+        let back = |slots: std::ops::Range<usize>| {
+            slots.clone().for_each(&diag);
+            slots.rev().for_each(&bwd);
+        };
+        let part = &self.partition;
         let work = (self.rx.len() + self.n).saturating_mul(ncols);
-        let w = p.workers_for(work, PAR_SOLVE_MIN_WORK, PAR_SOLVE_MIN_WORK);
-        if w <= 1 {
-            return 1;
+        if !runs_partitioned(&part.shape(), work, PAR_SOLVE_MIN_WORK) {
+            (0..self.n).for_each(&fwd);
+            back(0..self.n);
+            return;
         }
-        if !p.is_forced() && self.schedule.avg_width() < PAR_MIN_AVG_WIDTH {
-            return 1;
-        }
-        w.min(self.schedule.max_width()).max(1)
-    }
-
-    /// One full forward / diagonal / backward sweep over the level
-    /// schedule with per-level pool dispatches: forward levels ascend
-    /// (each row reads etree descendants), backward levels descend (each
-    /// column reads ancestors), and every dispatch blocks until its level
-    /// has drained — the barrier that finalizes inputs for the next.
-    fn drive_levels(
-        &self,
-        workers: usize,
-        fwd: &(dyn Fn(usize) + Sync),
-        diag: &(dyn Fn(usize) + Sync),
-        bwd: &(dyn Fn(usize) + Sync),
-    ) {
         let p = pool::Pool::global();
-        for lvl in 0..self.schedule.level_count() {
-            run_level(
-                p,
-                self.schedule.level(lvl),
-                self.sweep_weights.level_fwd(lvl),
-                workers,
-                fwd,
-            );
-        }
-        let spans = pool::even_spans(self.n, workers);
-        if spans.len() <= 1 {
-            for j in 0..self.n {
-                diag(j);
-            }
-        } else {
-            p.parallel_for_spans(&spans, |_, (lo, hi)| {
-                for j in lo..hi {
-                    diag(j);
-                }
-            });
-        }
-        for lvl in (0..self.schedule.level_count()).rev() {
-            run_level(
-                p,
-                self.schedule.level(lvl),
-                self.sweep_weights.level_bwd(lvl),
-                workers,
-                bwd,
-            );
-        }
+        let trunk = part.trunk_start()..self.n;
+        p.parallel_for_spans(part.spans(), |_, (lo, hi)| (lo..hi).for_each(&fwd));
+        trunk.clone().for_each(&fwd);
+        back(trunk);
+        p.parallel_for_spans(part.spans(), |_, (lo, hi)| back(lo..hi));
     }
 
-    /// One forward-substitution row in gather form: `y_j ← y_j − Σ L_jk
-    /// y_k` over row `j` of `L`.
+    /// One forward-substitution row in gather form, for the column in
+    /// slot `q`: `y_q ← y_q − Σ L_qk y_k` over its row of `L`.
     ///
     /// # Safety
     ///
-    /// `y` must cover `n` elements; the caller must hold an exclusive
-    /// claim on `y[j]`, and every `y` entry row `j` references (strictly
-    /// lower etree levels) must be final.
-    unsafe fn forward_row(&self, j: usize, y: &pool::SendPtr<f64>) {
+    /// `y` must cover `n` elements (by slot); the caller must hold an
+    /// exclusive claim on `y[q]`, and every `y` entry the row references
+    /// (etree descendants) must be final.
+    unsafe fn forward_row(&self, q: usize, y: &pool::SendPtr<f64>) {
         #[cfg(feature = "race-check")]
-        self.shadow_check_reads(j, &self.ri[self.rp[j]..self.rp[j + 1]], true, "forward");
+        self.check_row_reads(q, "forward");
         let base = y.get();
-        let mut acc = *base.add(j);
-        for p in self.rp[j]..self.rp[j + 1] {
+        let mut acc = *base.add(q);
+        for p in self.rp[q]..self.rp[q + 1] {
             acc -= self.rx[p] * *base.add(self.ri[p] as usize);
         }
-        *base.add(j) = acc;
+        *base.add(q) = acc;
     }
 
-    /// Shadow verification of the schedule invariant behind every parallel
-    /// sweep: the entries step `j` gathers must live in strictly lower
-    /// (`below`) or strictly higher etree levels, or the per-level
-    /// barriers do not actually order the cross-level read and the
-    /// "finalized inputs" safety argument is void. Checked on the serial
-    /// paths too — the invariant is a property of the factor, not of the
-    /// lane count that happens to exercise it.
+    /// The forward reads of the row in slot `q` against the shadow owner
+    /// map.
     #[cfg(feature = "race-check")]
-    fn shadow_check_reads(&self, j: usize, refs: &[u32], below: bool, what: &str) {
-        let lj = self.level_of[j];
-        for &i in refs {
-            let li = self.level_of[i as usize];
-            let ok = if below { li < lj } else { li > lj };
-            assert!(
-                ok,
-                "race-check: {what} sweep step at column {j} (level {lj}) reads \
-                 column {i} (level {li}), which is not strictly {} — \
-                 cross-level read-set violation",
-                if below { "below" } else { "above" }
-            );
-        }
+    fn check_row_reads(&self, q: usize, what: &str) {
+        let order = self.partition.order();
+        let refs = self.ri[self.rp[q]..self.rp[q + 1]].iter();
+        let refs = refs.map(|&s| order[s as usize] as usize);
+        shadow_check_reads(&self.owner_of, order[q] as usize, refs, true, what);
     }
 
-    /// Test-only hook for the race-check canaries: overwrites column `j`'s
-    /// shadow level so a read that is actually well-ordered *looks* like a
-    /// cross-level violation, proving the tracker trips.
+    /// The backward reads of the column in slot `q` against the shadow
+    /// owner map.
+    #[cfg(feature = "race-check")]
+    fn check_col_reads(&self, q: usize, what: &str) {
+        let order = self.partition.order();
+        let refs = self.ci[self.cp[q]..self.cp[q + 1]].iter();
+        let refs = refs.map(|&s| order[s as usize] as usize);
+        shadow_check_reads(&self.owner_of, order[q] as usize, refs, false, what);
+    }
+
+    /// Test-only hook for the race-check canaries: reassigns column `j` to
+    /// `owner` (a lane index, or `u32::MAX` for the trunk) in the shadow
+    /// map only, so a read the real partition orders *looks* like a read
+    /// across lanes, proving the tracker trips.
     #[cfg(feature = "race-check")]
     #[doc(hidden)]
-    pub fn corrupt_level_for_test(&mut self, j: usize, level: u32) {
-        self.level_of[j] = level;
+    pub fn corrupt_owner_for_test(&mut self, j: usize, owner: u32) {
+        self.owner_of[j] = owner;
     }
 
-    /// One backward-substitution column in gather form, via the transpose
-    /// index: `y_j ← y_j − Σ L_kj y_k` over column `j` of `L`.
+    /// Test-only hook for the race-check canaries: points column `j`'s
+    /// first transpose entry at column `i`'s row, as a broken mirror
+    /// would, so the backward sweep's read set — which only the transpose
+    /// describes — can be shown to trip the tracker.
+    #[cfg(feature = "race-check")]
+    #[doc(hidden)]
+    pub fn corrupt_transpose_for_test(&mut self, j: usize, i: usize) {
+        let q = self.slot[j] as usize;
+        self.ci[self.cp[q]] = self.slot[i];
+    }
+
+    /// One backward-substitution column in gather form, for the column in
+    /// slot `q`, via the transpose index: `y_q ← y_q − Σ L_kq y_k` over its
+    /// column of `L`.
     ///
     /// # Safety
     ///
-    /// As [`LdlFactor::forward_row`], but the entries column `j`
-    /// references live in strictly *higher* etree levels.
-    unsafe fn backward_col(&self, j: usize, y: &pool::SendPtr<f64>) {
+    /// As [`LdlFactor::forward_row`], but the entries the column
+    /// references are etree *ancestors*.
+    unsafe fn backward_col(&self, q: usize, y: &pool::SendPtr<f64>) {
         #[cfg(feature = "race-check")]
-        self.shadow_check_reads(j, &self.ci[self.cp[j]..self.cp[j + 1]], false, "backward");
+        self.check_col_reads(q, "backward");
         let base = y.get();
-        let mut acc = *base.add(j);
-        for p in self.cp[j]..self.cp[j + 1] {
+        let mut acc = *base.add(q);
+        for p in self.cp[q]..self.cp[q + 1] {
             acc -= self.cx[p] * *base.add(self.ci[p] as usize);
         }
-        *base.add(j) = acc;
+        *base.add(q) = acc;
     }
 
     /// Forward / diagonal / backward sweeps for one right-hand side.
     fn sweep_single(&self, y: &mut [f64]) {
-        let workers = self.solve_workers(1);
         let yp = pool::SendPtr::new(y.as_mut_ptr());
-        if workers <= 1 {
-            // SAFETY: exclusive borrow of y; flat ascending (descending)
-            // order satisfies every row's (column's) dependencies.
-            unsafe {
-                for j in 0..self.n {
-                    self.forward_row(j, &yp);
-                }
-                for j in 0..self.n {
-                    *yp.get().add(j) /= self.d[j];
-                }
-                for j in (0..self.n).rev() {
-                    self.backward_col(j, &yp);
-                }
-            }
-            return;
-        }
-        // SAFETY: a level's columns are pairwise distinct (each claimant
-        // writes only its own y[j]), levels barrier between dispatches so
-        // cross-level reads see finalized values, and each y[j] runs the
-        // serial sweep's operation sequence whichever lane claims it.
-        self.drive_levels(
-            workers,
-            &|j| unsafe { self.forward_row(j, &yp) },
-            &|j| unsafe { *yp.get().add(j) /= self.d[j] },
-            &|j| unsafe { self.backward_col(j, &yp) },
+        self.sweep(
+            1,
+            // SAFETY: `y` is borrowed exclusively for the sweep; each step
+            // writes only y[q], and `sweep` runs every column after the
+            // columns it reads (see `LdlFactor::sweep`).
+            |q| unsafe { self.forward_row(q, &yp) },
+            // SAFETY: as above; the scale reads and writes y[q] alone.
+            |q| unsafe { *yp.get().add(q) /= self.d[q] },
+            // SAFETY: as above, for the backward order.
+            |q| unsafe { self.backward_col(q, &yp) },
         );
     }
 
@@ -1305,29 +1235,24 @@ impl LdlFactor {
     /// # Safety
     ///
     /// As [`LdlFactor::forward_row`], with `w` covering `n · K` elements
-    /// and the claim covering `w[j·K..(j+1)·K]`.
-    unsafe fn forward_row_block<const K: usize>(&self, j: usize, w: &pool::SendPtr<f64>) {
+    /// and the claim covering `w[q·K..(q+1)·K]` (slot `q`).
+    unsafe fn forward_row_block<const K: usize>(&self, q: usize, w: &pool::SendPtr<f64>) {
         #[cfg(feature = "race-check")]
-        self.shadow_check_reads(
-            j,
-            &self.ri[self.rp[j]..self.rp[j + 1]],
-            true,
-            "forward-block",
-        );
+        self.check_row_reads(q, "forward-block");
         let base = w.get();
         if K == LDL_BLOCK_WIDTH {
             // The full-width chunk is the hot shape; route it through the
             // 8-wide SIMD dispatcher (bit-identical to the loop below —
-            // the referenced rows sit strictly below `j`, so the in-place
+            // the referenced rows sit strictly below `q`, so the in-place
             // accumulator never aliases them).
-            let acc = std::slice::from_raw_parts_mut(base.add(j * K), K);
-            let (s, e) = (self.rp[j], self.rp[j + 1]);
+            let acc = std::slice::from_raw_parts_mut(base.add(q * K), K);
+            let (s, e) = (self.rp[q], self.rp[q + 1]);
             crate::kernel::ldl_row_update8(acc, &self.ri[s..e], &self.rx[s..e], base);
             return;
         }
         let mut acc = [0.0f64; K];
-        acc.copy_from_slice(std::slice::from_raw_parts(base.add(j * K), K));
-        for p in self.rp[j]..self.rp[j + 1] {
+        acc.copy_from_slice(std::slice::from_raw_parts(base.add(q * K), K));
+        for p in self.rp[q]..self.rp[q + 1] {
             let i = self.ri[p] as usize;
             let l = self.rx[p];
             let wi = std::slice::from_raw_parts(base.add(i * K), K);
@@ -1335,18 +1260,18 @@ impl LdlFactor {
                 acc[c] -= l * wi[c];
             }
         }
-        std::slice::from_raw_parts_mut(base.add(j * K), K).copy_from_slice(&acc);
+        std::slice::from_raw_parts_mut(base.add(q * K), K).copy_from_slice(&acc);
     }
 
-    /// Diagonal scaling of one interleaved chunk row.
+    /// Diagonal scaling of the interleaved chunk row in slot `q`.
     ///
     /// # Safety
     ///
     /// `w` must cover `n · K` elements with an exclusive claim on
-    /// `w[j·K..(j+1)·K]`.
-    unsafe fn scale_row_block<const K: usize>(&self, j: usize, w: &pool::SendPtr<f64>) {
-        let dj = self.d[j];
-        let wj = std::slice::from_raw_parts_mut(w.get().add(j * K), K);
+    /// `w[q·K..(q+1)·K]` (slot `q`).
+    unsafe fn scale_row_block<const K: usize>(&self, q: usize, w: &pool::SendPtr<f64>) {
+        let dj = self.d[q];
+        let wj = std::slice::from_raw_parts_mut(w.get().add(q * K), K);
         if K == LDL_BLOCK_WIDTH {
             // Lanewise division is correctly rounded: bit-identical.
             crate::kernel::ldl_scale_row8(wj, dj);
@@ -1362,28 +1287,23 @@ impl LdlFactor {
     ///
     /// # Safety
     ///
-    /// As [`LdlFactor::forward_row_block`], but referenced entries live in
-    /// strictly higher etree levels.
-    unsafe fn backward_col_block<const K: usize>(&self, j: usize, w: &pool::SendPtr<f64>) {
+    /// As [`LdlFactor::forward_row_block`], but referenced entries are
+    /// etree ancestors of the column in slot `q`.
+    unsafe fn backward_col_block<const K: usize>(&self, q: usize, w: &pool::SendPtr<f64>) {
         #[cfg(feature = "race-check")]
-        self.shadow_check_reads(
-            j,
-            &self.ci[self.cp[j]..self.cp[j + 1]],
-            false,
-            "backward-block",
-        );
+        self.check_col_reads(q, "backward-block");
         let base = w.get();
         if K == LDL_BLOCK_WIDTH {
             // As `forward_row_block`: the transpose index references rows
-            // strictly above `j`, never the accumulator itself.
-            let acc = std::slice::from_raw_parts_mut(base.add(j * K), K);
-            let (s, e) = (self.cp[j], self.cp[j + 1]);
+            // strictly above `q`, never the accumulator itself.
+            let acc = std::slice::from_raw_parts_mut(base.add(q * K), K);
+            let (s, e) = (self.cp[q], self.cp[q + 1]);
             crate::kernel::ldl_row_update8(acc, &self.ci[s..e], &self.cx[s..e], base);
             return;
         }
         let mut acc = [0.0f64; K];
-        acc.copy_from_slice(std::slice::from_raw_parts(base.add(j * K), K));
-        for p in self.cp[j]..self.cp[j + 1] {
+        acc.copy_from_slice(std::slice::from_raw_parts(base.add(q * K), K));
+        for p in self.cp[q]..self.cp[q + 1] {
             let i = self.ci[p] as usize;
             let l = self.cx[p];
             let wi = std::slice::from_raw_parts(base.add(i * K), K);
@@ -1391,37 +1311,22 @@ impl LdlFactor {
                 acc[c] -= l * wi[c];
             }
         }
-        std::slice::from_raw_parts_mut(base.add(j * K), K).copy_from_slice(&acc);
+        std::slice::from_raw_parts_mut(base.add(q * K), K).copy_from_slice(&acc);
     }
 
     /// Forward / diagonal / backward sweeps over one interleaved chunk of
     /// exactly `K` right-hand sides.
     fn sweep_chunk_fixed<const K: usize>(&self, w: &mut [f64]) {
-        let workers = self.solve_workers(K);
         let wp = pool::SendPtr::new(w.as_mut_ptr());
-        if workers <= 1 {
-            // SAFETY: exclusive borrow of w; flat order satisfies every
-            // dependency (see `sweep_single`).
-            unsafe {
-                for j in 0..self.n {
-                    self.forward_row_block::<K>(j, &wp);
-                }
-                for j in 0..self.n {
-                    self.scale_row_block::<K>(j, &wp);
-                }
-                for j in (0..self.n).rev() {
-                    self.backward_col_block::<K>(j, &wp);
-                }
-            }
-            return;
-        }
-        // SAFETY: as `sweep_single` — each column owns its contiguous
-        // K-wide chunk row, levels barrier between dispatches.
-        self.drive_levels(
-            workers,
-            &|j| unsafe { self.forward_row_block::<K>(j, &wp) },
-            &|j| unsafe { self.scale_row_block::<K>(j, &wp) },
-            &|j| unsafe { self.backward_col_block::<K>(j, &wp) },
+        self.sweep(
+            K,
+            // SAFETY: as `sweep_single` — `w` is borrowed exclusively and
+            // each column owns its contiguous K-wide chunk row.
+            |q| unsafe { self.forward_row_block::<K>(q, &wp) },
+            // SAFETY: as above; the scale touches chunk row q alone.
+            |q| unsafe { self.scale_row_block::<K>(q, &wp) },
+            // SAFETY: as above, for the backward order.
+            |q| unsafe { self.backward_col_block::<K>(q, &wp) },
         );
     }
 
@@ -1443,43 +1348,42 @@ impl LdlFactor {
     }
 }
 
-/// Dispatches one level's columns across the pool (or inline when the
-/// level is narrower than two lanes).
-fn run_level(
-    p: &pool::Pool,
-    cols: &[u32],
-    wprefix: &[usize],
-    workers: usize,
-    f: &(dyn Fn(usize) + Sync),
-) {
-    debug_assert_eq!(wprefix.len(), cols.len() + 1);
-    let lanes = workers.min(cols.len());
-    if lanes <= 1 {
-        for &j in cols {
-            f(j as usize);
-        }
-        return;
-    }
-    // Work-weighted split: a level mixing hub rows with singletons must
-    // not hand one lane everything while the rest idle at the barrier.
-    let spans = pool::balanced_spans(wprefix, lanes);
-    if spans.len() <= 1 {
-        for &j in cols {
-            f(j as usize);
-        }
-        return;
-    }
-    p.parallel_for_spans(&spans, |_, (lo, hi)| {
-        for &j in &cols[lo..hi] {
-            f(j as usize);
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::CooMatrix;
+
+    /// The factor's etree partitioned for `lanes` lanes, independent of the
+    /// pool width the factor was built at (other tests in this binary
+    /// force widths concurrently).
+    fn partition_for(f: &LdlFactor, lanes: usize) -> SubtreePartition {
+        let len = |ptr: &[usize], k: usize| {
+            let q = f.slot[k] as usize;
+            ptr[q + 1] - ptr[q]
+        };
+        let rnz: Vec<usize> = (0..f.n).map(|k| len(&f.rp, k)).collect();
+        let cnz: Vec<usize> = (0..f.n).map(|k| len(&f.cp, k)).collect();
+        SubtreePartition::from_parents(&f.parent, &column_weights(&rnz, &cnz), lanes)
+    }
+
+    /// Every row and every column of `L` keyed by column index, entries
+    /// as (column, value) — comparable across factors whose slot layouts
+    /// differ (each is built for the pool width of its moment, and other
+    /// tests in this binary force widths concurrently).
+    #[allow(clippy::type_complexity)]
+    fn entries_by_column(f: &LdlFactor) -> (Vec<Vec<(u32, f64)>>, Vec<Vec<(u32, f64)>>) {
+        let order = f.partition.order();
+        let gather = |ptr: &[usize], idx: &[u32], val: &[f64]| -> Vec<Vec<(u32, f64)>> {
+            (0..f.n)
+                .map(|k| {
+                    let q = f.slot[k] as usize;
+                    let range = ptr[q]..ptr[q + 1];
+                    range.map(|p| (order[idx[p] as usize], val[p])).collect()
+                })
+                .collect()
+        };
+        (gather(&f.rp, &f.ri, &f.rx), gather(&f.cp, &f.ci, &f.cx))
+    }
 
     fn spd_tridiag(n: usize) -> CsrMatrix {
         let mut coo = CooMatrix::new(n, n);
@@ -1517,9 +1421,12 @@ mod tests {
         let f = LdlFactor::new(&a, OrderingKind::Natural).unwrap();
         assert_eq!(f.nnz_l(), 0);
         assert!(f.d().iter().all(|&d| (d - 1.0).abs() < 1e-15));
-        // No dependencies at all: one level holding every column.
-        assert_eq!(f.level_count(), 1);
-        assert_eq!(f.max_level_width(), 10);
+        // No dependencies at all: every column is its own etree root, so
+        // the lanes take them all and the trunk stays empty.
+        let p = partition_for(&f, 2);
+        assert_eq!(p.lanes(), 2);
+        assert!(p.trunk().is_empty());
+        assert_eq!(f.partition_shape().total_work, 10);
     }
 
     #[test]
@@ -1593,20 +1500,27 @@ mod tests {
         assert!(f.memory_bytes() > 0);
     }
 
-    /// A natural-order tridiagonal factor has a pure path etree: n levels
-    /// of width one — the degenerate schedule the crossover guards.
+    /// A natural-order tridiagonal factor has a pure path etree: no two
+    /// columns are independent, so every lane count leaves the whole
+    /// factor in the trunk and every phase on the serial loops.
     #[test]
-    fn path_etree_level_stats() {
+    fn path_etree_partition_stats() {
         let a = spd_tridiag(12);
         let f = LdlFactor::new(&a, OrderingKind::Natural).unwrap();
-        assert_eq!(f.level_count(), 12);
-        assert_eq!(f.max_level_width(), 1);
+        for lanes in [1, 2, 8] {
+            let p = partition_for(&f, lanes);
+            assert_eq!((p.lanes(), p.trunk().len()), (0, 12), "lanes = {lanes}");
+        }
+        let shape = f.partition_shape();
+        assert_eq!((shape.lanes, shape.trunk_cols), (0, 12));
+        assert_eq!(shape.critical_fraction(), 1.0);
     }
 
-    /// A star grounded at its center, center ordered last: every leaf is
-    /// independent (one wide level) and the center depends on all of them.
+    /// A star grounded at its center, center ordered last: the leaves are
+    /// independent one-column subtrees spread over the lanes, and the
+    /// center, which depends on all of them, is the whole trunk.
     #[test]
-    fn star_etree_level_stats() {
+    fn star_etree_partition_stats() {
         let n = 9;
         let mut coo = CooMatrix::new(n, n);
         for i in 0..n - 1 {
@@ -1615,8 +1529,15 @@ mod tests {
         }
         coo.push(n - 1, n - 1, n as f64);
         let f = LdlFactor::new(&coo.to_csr(), OrderingKind::Natural).unwrap();
-        assert_eq!(f.level_count(), 2);
-        assert_eq!(f.max_level_width(), n - 1);
+        let p = partition_for(&f, 2);
+        assert_eq!(p.lanes(), 2);
+        assert_eq!(p.trunk(), &[(n - 1) as u32]);
+        assert_eq!(p.lane(0).len() + p.lane(1).len(), n - 1);
+        // Leaves weigh 2 (one column entry + diagonal), the hub 9 (eight
+        // row entries + diagonal): critical path 9 + 8 of 25.
+        let shape = p.shape();
+        assert_eq!((shape.trunk_work, shape.max_lane_work), (9, 8));
+        assert_eq!(shape.total_work, 25);
     }
 
     #[test]
@@ -1697,9 +1618,11 @@ mod tests {
             };
             assert!(stats.cols_refactored >= 1 && stats.cols_refactored <= n);
             let fresh = LdlFactor::with_permutation(&a2, f.permutation().clone()).unwrap();
-            assert_eq!(f.rx, fresh.rx, "{kind:?}: L values drifted");
-            assert_eq!(f.cx, fresh.cx, "{kind:?}: mirror values drifted");
-            assert_eq!(f.d, fresh.d, "{kind:?}: pivots drifted");
+            let ((rows, cols), (fresh_rows, fresh_cols)) =
+                (entries_by_column(&f), entries_by_column(&fresh));
+            assert_eq!(rows, fresh_rows, "{kind:?}: L values drifted");
+            assert_eq!(cols, fresh_cols, "{kind:?}: mirror values drifted");
+            assert_eq!(f.d(), fresh.d(), "{kind:?}: pivots drifted");
         }
     }
 
@@ -1730,15 +1653,15 @@ mod tests {
             })
         );
         let fresh = LdlFactor::with_permutation(&a2, f.permutation().clone()).unwrap();
-        assert_eq!(f.rx, fresh.rx);
-        assert_eq!(f.d, fresh.d);
+        assert_eq!(entries_by_column(&f), entries_by_column(&fresh));
+        assert_eq!(f.d(), fresh.d());
     }
 
     #[test]
     fn refactor_partial_detects_pattern_change() {
         let a = spd_tridiag(10);
         let mut f = LdlFactor::new(&a, OrderingKind::Natural).unwrap();
-        let d_before = f.d.clone();
+        let d_before = f.d();
         // Add an off-diagonal entry: new pattern.
         let mut coo = CooMatrix::new(10, 10);
         for i in 0..10 {
@@ -1750,7 +1673,7 @@ mod tests {
         coo.push_sym(0, 9, -0.5);
         let out = f.refactor_partial(&coo.to_csr(), &[0, 9], 0.9).unwrap();
         assert_eq!(out, RefactorOutcome::PatternChanged);
-        assert_eq!(f.d, d_before, "factor must be untouched");
+        assert_eq!(f.d(), d_before, "factor must be untouched");
     }
 
     #[test]
@@ -1804,7 +1727,7 @@ mod tests {
     fn memory_bytes_counts_retained_symbolic_state() {
         let a = spd_tridiag(16);
         let f = LdlFactor::new(&a, OrderingKind::Rcm).unwrap();
-        // parent (i64) + rnz (usize) alone add 16 bytes per column.
+        // parent (i64) + row pointers (usize) alone add 16 bytes per column.
         assert!(f.memory_bytes() >= f.n() * 16);
     }
 

@@ -36,8 +36,8 @@
 //!   (CSparse/LDL style) with elimination-tree symbolic analysis, including
 //!   blocked multi-right-hand-side solves over [`DenseBlock`] multivectors
 //!   (one factor sweep per [`LDL_BLOCK_WIDTH`] columns); the numeric phase
-//!   and both triangular sweeps run level-parallel over the elimination
-//!   tree ([`etree`]) on the worker pool,
+//!   and both triangular sweeps run on a subtree-to-lane partition of the
+//!   elimination tree ([`etree`]), one pool dispatch per phase,
 //! - [`DenseBlock`]: a column-major dense multivector, the carrier type for
 //!   every batched-RHS API in the workspace,
 //! - fill-reducing orderings ([`ordering`]): reverse Cuthill–McKee,

@@ -208,6 +208,9 @@ pub struct Pool {
     default_override: usize,
     /// Automatic lane count (`available_parallelism` at construction).
     auto_threads: usize,
+    /// Fan-outs published to the workers so far (see
+    /// [`Pool::dispatch_count`]).
+    dispatches: AtomicUsize,
 }
 
 impl std::fmt::Debug for Pool {
@@ -252,6 +255,7 @@ impl Pool {
             override_threads: AtomicUsize::new(threads),
             default_override: threads,
             auto_threads: std::thread::available_parallelism().map_or(1, |p| p.get()),
+            dispatches: AtomicUsize::new(0),
         }
     }
 
@@ -298,6 +302,15 @@ impl Pool {
     /// [`Pool::set_threads`]) is active.
     pub fn is_forced(&self) -> bool {
         self.override_threads.load(Ordering::Relaxed) != 0
+    }
+
+    /// Number of fan-outs this pool has published to its workers: one per
+    /// dispatch that ran on more than one lane. Dispatches that ran inline
+    /// (one lane, or at most one item) are not counted — they never wake a
+    /// worker. The count is monotone; diff it around a call to see how
+    /// many condvar wake-ups the call paid for.
+    pub fn dispatch_count(&self) -> usize {
+        self.dispatches.load(Ordering::Relaxed)
     }
 
     /// Number of OS worker threads spawned so far.
@@ -364,6 +377,7 @@ impl Pool {
             return;
         }
         self.ensure_spawned(lanes - 1);
+        self.dispatches.fetch_add(1, Ordering::Relaxed);
         // SAFETY: lifetime erasure — `job.f` escapes `f`'s lifetime, but
         // this frame blocks below until `done == n_items`, i.e. until the
         // last closure call has returned; afterwards the claim counter is
@@ -509,13 +523,13 @@ impl Pool {
 
     /// Runs `f(span_index, span, &mut scratch[span_index])` for every span
     /// — the dispatch shape for kernels whose per-lane state is too big to
-    /// rebuild per call (the level-scheduled LDLᵀ numeric phase hands each
-    /// span an `O(n)` workspace of dense accumulators and visit flags).
+    /// rebuild per call (the partitioned LDLᵀ numeric phase hands each
+    /// lane an `O(n)` workspace of dense accumulators and visit flags).
     ///
     /// Each span index claims exactly one scratch slot, so slots are
     /// exclusive per claimant; `scratch` may be longer than `spans` (extra
     /// slots are untouched, letting callers size it once for the widest
-    /// dispatch and reuse it across levels).
+    /// dispatch and reuse it across dispatches).
     ///
     /// # Panics
     ///
@@ -694,7 +708,7 @@ mod shadow {
 
 /// Raw base pointer that may cross threads; soundness comes from access
 /// disjointness, argued at each use site. Crate-visible so kernels with
-/// scattered (non-contiguous) per-claimant writes — the level-scheduled
+/// scattered (non-contiguous) per-claimant writes — the partitioned
 /// LDLᵀ sweeps — can make the same argument [`Pool::parallel_for_disjoint_mut`]
 /// makes for contiguous chunks.
 pub(crate) struct SendPtr<T>(*mut T);
@@ -1046,6 +1060,21 @@ mod tests {
         auto.set_threads(5);
         auto.set_threads(0);
         assert!(!auto.is_forced(), "0 on an auto pool restores auto sizing");
+    }
+
+    #[cfg(feature = "parallel")]
+    #[test]
+    fn dispatch_count_tracks_fan_outs_only() {
+        let pool = Pool::with_threads(2);
+        assert_eq!(pool.dispatch_count(), 0);
+        pool.parallel_for_spans(&even_spans(8, 2), |_, _| {});
+        pool.parallel_for_spans(&even_spans(8, 2), |_, _| {});
+        assert_eq!(pool.dispatch_count(), 2);
+        // One item, or one lane, runs inline and wakes nobody.
+        pool.parallel_for_spans(&[(0, 8)], |_, _| {});
+        pool.set_threads(1);
+        pool.parallel_for_spans(&even_spans(8, 2), |_, _| {});
+        assert_eq!(pool.dispatch_count(), 2);
     }
 
     #[test]

@@ -1,16 +1,17 @@
-//! Cross-worker-count parity for the level-scheduled LDLᵀ kernels.
+//! Cross-worker-count parity for the partitioned LDLᵀ kernels.
 //!
 //! The numeric factorization and both triangular-solve shapes (single
 //! vector and interleaved block) must produce **bit-for-bit identical**
 //! results at any worker count: every column's output is computed by the
-//! same operation sequence reading the same level-finalized inputs,
-//! whichever pool lane runs it. `pool::set_threads` is a standing
-//! override that skips the nnz/level-width crossovers, so even the small
-//! matrices generated here go through real multi-lane level dispatch.
+//! same operation sequence reading the same finalized inputs, whichever
+//! pool lane runs it. `pool::set_threads` is a standing override that
+//! skips the work and critical-path gates, so even the small matrices
+//! generated here run on real multi-lane subtree partitions.
 //!
-//! Pathological elimination trees ride along: a path etree (no level
-//! parallelism), a star (one wide level), singleton and empty matrices,
-//! and a mid-factorization `ZeroPivot` under forced fan-out.
+//! Pathological elimination trees ride along: a path etree (no
+//! independent subtrees), a star (independent leaves under one hub),
+//! singleton and empty matrices, and mid-factorization `ZeroPivot`s under
+//! forced fan-out.
 
 use proptest::prelude::*;
 use sass_sparse::ordering::OrderingKind;
@@ -29,8 +30,8 @@ fn pool_guard() -> std::sync::MutexGuard<'static, ()> {
 
 /// Runs `f` once serially and once per forced worker count (repo
 /// convention: 1/2/3/8), asserting every forced result equals the serial
-/// reference bit for bit.
-fn assert_parity_across_workers<T: PartialEq + std::fmt::Debug>(f: impl Fn() -> T) {
+/// reference bit for bit; returns the serial reference.
+fn assert_parity_across_workers<T: PartialEq + std::fmt::Debug>(f: impl Fn() -> T) -> T {
     let _guard = pool_guard();
     pool::set_threads(1);
     let serial = f();
@@ -41,6 +42,7 @@ fn assert_parity_across_workers<T: PartialEq + std::fmt::Debug>(f: impl Fn() -> 
         assert_eq!(got, serial, "workers = {workers}");
     }
     pool::set_threads(0);
+    serial
 }
 
 /// Everything a factorization computes, extracted through the public API
@@ -59,7 +61,7 @@ fn factor_fingerprint(a: &CsrMatrix, kind: OrderingKind) -> (Vec<f64>, Vec<f64>,
         })
         .collect();
     let blocked = f.solve_block(&DenseBlock::from_columns(&cols));
-    (f.d().to_vec(), x, blocked.into_columns())
+    (f.d(), x, blocked.into_columns())
 }
 
 /// Random sparse SPD matrix (diagonally dominant), `n in [2, 40]`.
@@ -105,9 +107,9 @@ proptest! {
     }
 }
 
-/// Path etree: a natural-order tridiagonal factor has width-1 levels
-/// everywhere, so there is no level parallelism to exploit — forced
-/// fan-out must degrade gracefully to the serial result.
+/// Path etree: in a natural-order tridiagonal factor every column depends
+/// on the one before, so the partition is all trunk and the phases run
+/// serially at every forced width.
 #[test]
 fn path_etree_parity() {
     let n = 60;
@@ -119,16 +121,17 @@ fn path_etree_parity() {
         }
     }
     let a = coo.to_csr();
-    {
-        let f = LdlFactor::new(&a, OrderingKind::Natural).unwrap();
-        assert_eq!(f.level_count(), n);
-        assert_eq!(f.max_level_width(), 1);
-    }
-    assert_parity_across_workers(|| factor_fingerprint(&a, OrderingKind::Natural));
+    assert_parity_across_workers(|| {
+        let shape = LdlFactor::new(&a, OrderingKind::Natural)
+            .unwrap()
+            .partition_shape();
+        assert_eq!((shape.lanes, shape.trunk_cols), (0, n));
+        factor_fingerprint(&a, OrderingKind::Natural)
+    });
 }
 
-/// Star etree with the hub ordered last: one maximally wide level of
-/// leaves followed by a single dense hub column.
+/// Star etree with the hub ordered last: the leaves are independent
+/// subtrees the lanes share, and the dense hub column is the trunk.
 #[test]
 fn star_etree_parity() {
     let n = 40;
@@ -139,12 +142,15 @@ fn star_etree_parity() {
     }
     coo.push(n - 1, n - 1, n as f64);
     let a = coo.to_csr();
-    {
-        let f = LdlFactor::new(&a, OrderingKind::Natural).unwrap();
-        assert_eq!(f.level_count(), 2);
-        assert_eq!(f.max_level_width(), n - 1);
-    }
-    assert_parity_across_workers(|| factor_fingerprint(&a, OrderingKind::Natural));
+    assert_parity_across_workers(|| {
+        let shape = LdlFactor::new(&a, OrderingKind::Natural)
+            .unwrap()
+            .partition_shape();
+        let lanes = pool::threads().min(n - 1);
+        let want = if lanes < 2 { (0, n) } else { (lanes, 1) };
+        assert_eq!((shape.lanes, shape.trunk_cols), want);
+        factor_fingerprint(&a, OrderingKind::Natural)
+    });
 }
 
 /// Degenerate shapes must survive forced fan-out: a singleton system and
@@ -156,14 +162,14 @@ fn singleton_and_empty_parity() {
     let one = coo.to_csr();
     assert_parity_across_workers(|| {
         let f = LdlFactor::new(&one, OrderingKind::Natural).unwrap();
-        (f.d().to_vec(), f.solve(&[6.0]), f.level_count())
+        (f.d(), f.solve(&[6.0]), f.partition_shape().lanes)
     });
 
     let empty = CooMatrix::new(0, 0).to_csr();
     assert_parity_across_workers(|| {
         let f = LdlFactor::new(&empty, OrderingKind::Natural).unwrap();
-        assert_eq!(f.level_count(), 0);
-        assert_eq!(f.max_level_width(), 0);
+        let shape = f.partition_shape();
+        assert_eq!((shape.lanes, shape.trunk_cols, shape.total_work), (0, 0, 0));
         let x = f.solve(&[]);
         let bx = f.solve_block(&DenseBlock::zeros(0, 3));
         (x, bx)
@@ -173,7 +179,7 @@ fn singleton_and_empty_parity() {
 /// A pivot breakdown in the middle of the elimination sequence must
 /// surface as a clean `ZeroPivot` (no hang, no panic) at every forced
 /// worker count, reporting the same original column everywhere: the
-/// smallest failing column of the earliest failing level.
+/// column the flat serial sweep stops at.
 #[test]
 fn zero_pivot_mid_factorization_under_fan_out() {
     // A healthy tridiagonal block [0, 20), a singular 2-vertex Laplacian
@@ -203,4 +209,43 @@ fn zero_pivot_mid_factorization_under_fan_out() {
             other => panic!("expected ZeroPivot, got {other:?}"),
         }
     });
+}
+
+/// Several singular blocks at once: lanes that hit a breakdown stop at
+/// their own first failure, and the trunk runs only below the smallest
+/// one, so every width reports the flat serial sweep's stop column — the
+/// first failing block's — not whichever lane failed first in time.
+#[test]
+fn zero_pivot_reports_flat_stop_column_across_lanes() {
+    // Healthy tridiagonal runs separated by singular 2-vertex Laplacians
+    // at {9, 10}, {25, 26} and {41, 42}, all joined by a dense last column
+    // so the failures sit in different subtrees below one trunk.
+    let n = 50;
+    let singular = [9usize, 25, 41];
+    let mut coo = CooMatrix::new(n, n);
+    let mut i = 0;
+    while i < n - 1 {
+        if singular.contains(&i) {
+            coo.push(i, i, 1.0);
+            coo.push(i + 1, i + 1, 1.0);
+            coo.push_sym(i, i + 1, -1.0);
+            i += 2;
+            continue;
+        }
+        coo.push(i, i, 4.0);
+        if i + 1 < n - 1 && !singular.contains(&(i + 1)) {
+            coo.push_sym(i, i + 1, -1.0);
+        }
+        coo.push_sym(i, n - 1, -0.01);
+        i += 1;
+    }
+    coo.push(n - 1, n - 1, 4.0);
+    let a = coo.to_csr();
+    let column = assert_parity_across_workers(|| {
+        match LdlFactor::new(&a, OrderingKind::Natural).unwrap_err() {
+            SparseError::ZeroPivot { column } => column,
+            other => panic!("expected ZeroPivot, got {other:?}"),
+        }
+    });
+    assert_eq!(column, 10, "the first singular block's second column");
 }

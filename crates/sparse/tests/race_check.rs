@@ -73,52 +73,72 @@ fn contained_span_trips_the_tracker() {
     pool.parallel_for_spans(&[(0, 10), (3, 4)], |_, _| {});
 }
 
-/// The cross-level read-set canary: the LDLᵀ sweeps' safety argument is
-/// that every entry a step gathers was finalized by an earlier level's
-/// barrier. The shadow `level_of` map verifies exactly that; corrupting
-/// one column's recorded level makes a well-ordered read look like a
-/// same-level read, and the tracker must trip.
-#[test]
-#[should_panic(expected = "cross-level read-set violation")]
-fn corrupted_level_map_trips_the_read_tracker() {
-    use sass_sparse::{ordering::OrderingKind, CooMatrix, LdlFactor};
-    let n = 16;
-    let mut coo = CooMatrix::new(n, n);
+/// A natural-order tridiagonal system: its etree is a path, so every
+/// column sits in the trunk and each step reads its predecessor (forward)
+/// or successor (backward).
+fn path_system(n: usize, d5: f64) -> sass_sparse::CsrMatrix {
+    let mut coo = sass_sparse::CooMatrix::new(n, n);
     for i in 0..n {
-        coo.push(i, i, 4.0);
+        coo.push(i, i, if i == 5 { d5 } else { 4.0 });
         if i + 1 < n {
             coo.push_sym(i, i + 1, -1.0);
         }
     }
-    let mut f = LdlFactor::new(&coo.to_csr(), OrderingKind::Natural).unwrap();
-    // A natural tridiagonal etree is a path: row 5 reads row 4, one level
-    // below. Lift row 4's recorded level above row 5's and the forward
-    // sweep's read is no longer "strictly below".
-    f.corrupt_level_for_test(4, 9);
+    coo.to_csr()
+}
+
+/// The forward read-set canary: the LDLᵀ sweeps' safety argument is that
+/// every entry a step gathers is finalized first by the partition order —
+/// earlier in the step's own lane or trunk, or by the lanes' dispatch
+/// before the trunk runs. The shadow owner map verifies exactly that;
+/// moving one trunk column into a lane makes its read of a trunk column
+/// look unordered, and the tracker must trip.
+#[test]
+#[should_panic(expected = "forward step at column 5 (lane 0) reads column 4 (trunk)")]
+fn corrupted_owner_map_trips_the_forward_read_tracker() {
+    use sass_sparse::{ordering::OrderingKind, LdlFactor};
+    let n = 16;
+    let mut f = LdlFactor::new(&path_system(n, 4.0), OrderingKind::Natural).unwrap();
+    f.corrupt_owner_for_test(5, 0);
     let _ = f.solve(&vec![1.0; n]);
 }
 
 /// The factorization's read set is verified too: a partial refactor
-/// gathers rows in strictly lower levels, and a corrupted level map must
-/// trip it through `refactor_partial`'s masked numeric phase.
+/// gathers descendant rows, and a corrupted owner map must trip it
+/// through `refactor_partial`'s masked numeric phase.
 #[test]
-#[should_panic(expected = "cross-level read-set violation")]
-fn corrupted_level_map_trips_the_factor_read_tracker() {
-    use sass_sparse::{ordering::OrderingKind, CooMatrix, LdlFactor};
+#[should_panic(expected = "factorization step at column 5 (lane 0) reads column 4 (trunk)")]
+fn corrupted_owner_map_trips_the_factor_read_tracker() {
+    use sass_sparse::{ordering::OrderingKind, LdlFactor};
     let n = 16;
-    let build = |d5: f64| {
-        let mut coo = CooMatrix::new(n, n);
-        for i in 0..n {
-            coo.push(i, i, if i == 5 { d5 } else { 4.0 });
-            if i + 1 < n {
-                coo.push_sym(i, i + 1, -1.0);
-            }
-        }
-        coo.to_csr()
-    };
-    let mut f = LdlFactor::new(&build(4.0), OrderingKind::Natural).unwrap();
-    f.corrupt_level_for_test(4, 9);
-    let _ = f.refactor_partial(&build(5.0), &[5], 1.0);
+    let mut f = LdlFactor::new(&path_system(n, 4.0), OrderingKind::Natural).unwrap();
+    f.corrupt_owner_for_test(5, 0);
+    let _ = f.refactor_partial(&path_system(n, 5.0), &[5], 1.0);
+}
+
+/// The backward sweep reads through the derived transpose, which the
+/// forward sweep never touches. A mirror entry that points column 4 at
+/// its descendant 3 — a value the descending sweep has not reached yet —
+/// must trip the tracker in the backward sweep.
+#[test]
+#[should_panic(expected = "backward step at column 4 (trunk) reads column 3 (trunk)")]
+fn corrupted_transpose_trips_the_backward_read_tracker() {
+    use sass_sparse::{ordering::OrderingKind, LdlFactor};
+    let n = 16;
+    let mut f = LdlFactor::new(&path_system(n, 4.0), OrderingKind::Natural).unwrap();
+    f.corrupt_transpose_for_test(4, 3);
+    let _ = f.solve(&vec![1.0; n]);
+}
+
+/// The same corruption trips the blocked sweep's backward check.
+#[test]
+#[should_panic(expected = "backward-block step at column 4 (trunk) reads column 3 (trunk)")]
+fn corrupted_transpose_trips_the_blocked_backward_read_tracker() {
+    use sass_sparse::{ordering::OrderingKind, DenseBlock, LdlFactor};
+    let n = 16;
+    let mut f = LdlFactor::new(&path_system(n, 4.0), OrderingKind::Natural).unwrap();
+    f.corrupt_transpose_for_test(4, 3);
+    let _ = f.solve_block(&DenseBlock::from_columns(&vec![vec![1.0; n]; 8]));
 }
 
 /// Disjoint dispatches of every shape stay silent at every width.

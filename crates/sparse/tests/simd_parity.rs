@@ -149,7 +149,7 @@ fn ldl_fingerprint(a: &CsrMatrix) -> (Vec<f64>, Vec<f64>, Vec<Vec<f64>>) {
         })
         .collect();
     let blocked = f.solve_block(&DenseBlock::from_columns(&cols));
-    (f.d().to_vec(), x, blocked.into_columns())
+    (f.d(), x, blocked.into_columns())
 }
 
 proptest! {

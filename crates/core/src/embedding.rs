@@ -18,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sass_graph::Graph;
 use sass_solver::{GroundedScratch, GroundedSolver};
-use sass_sparse::{dense, kernel, pool, DenseBlock, SparseBackend};
+use sass_sparse::{dense, kernel, pool, CsrMatrix, DenseBlock};
 
 /// Below this many off-tree edges the heat accumulation stays serial
 /// under automatic pool sizing (see [`sass_sparse::pool::Pool::workers_for`]).
@@ -53,13 +53,10 @@ impl OffTreeHeat {
 /// Computes the Joule heat of each off-tree edge by `t`-step generalized
 /// power iterations with `r` random probe vectors.
 ///
-/// `lg` must be the Laplacian of `g` — in any storage backend with `f64`
-/// scalars ([`SparseBackend`]): the power-step products are bit-identical
-/// across CSR/CSC/BCSR, so the backend choice is a pure bandwidth knob —
-/// and `solver_p` a grounded factorization of the current sparsifier's
-/// Laplacian. Iterates are normalized per step for floating-point safety,
-/// which rescales all heats of one probe uniformly and leaves normalized
-/// heats unchanged.
+/// `lg` must be the Laplacian of `g` and `solver_p` a grounded
+/// factorization of the current sparsifier's Laplacian. Iterates are
+/// normalized per step for floating-point safety, which rescales all
+/// heats of one probe uniformly and leaves normalized heats unchanged.
 ///
 /// All `r` probes advance together as one [`DenseBlock`]: each power step
 /// applies `L_G` per column and then performs one *blocked* grounded solve
@@ -102,10 +99,10 @@ impl OffTreeHeat {
 /// # Ok(())
 /// # }
 /// ```
-pub fn off_tree_heat<B: SparseBackend<Scalar = f64>>(
+pub fn off_tree_heat(
     g: &Graph,
     off_tree: &[u32],
-    lg: &B,
+    lg: &CsrMatrix,
     solver_p: &GroundedSolver,
     t: usize,
     r: usize,
@@ -130,8 +127,8 @@ pub fn off_tree_heat<B: SparseBackend<Scalar = f64>>(
 /// # Panics
 ///
 /// Panics if `solver_p.n() != lg.nrows()`.
-pub fn probe_embedding<B: SparseBackend<Scalar = f64>>(
-    lg: &B,
+pub fn probe_embedding(
+    lg: &CsrMatrix,
     solver_p: &GroundedSolver,
     t: usize,
     r: usize,
@@ -300,23 +297,6 @@ mod tests {
             "top-heat edge stretch {} below decile {decile}",
             stretches[top_heat_idx]
         );
-    }
-
-    /// The power steps only see the Laplacian through the backend trait,
-    /// and the f64 backends are bit-identical — so heats must be too.
-    #[test]
-    fn heats_identical_across_storage_backends() {
-        use sass_sparse::{BcsrMatrix, CscMatrix};
-        let (g, off, baseline, _) = setup(8, 8, 5);
-        let tree_ids = spanning::max_weight_spanning_tree(&g).unwrap();
-        let p = g.subgraph_with_edges(tree_ids);
-        let solver = GroundedSolver::new(&p.laplacian(), OrderingKind::MinDegree).unwrap();
-        let csc: CscMatrix = g.laplacian_in();
-        let bcsr: BcsrMatrix = g.laplacian_in();
-        let via_csc = off_tree_heat(&g, &off, &csc, &solver, 2, 6, 42);
-        let via_bcsr = off_tree_heat(&g, &off, &bcsr, &solver, 2, 6, 42);
-        assert_eq!(via_csc.heat, baseline.heat);
-        assert_eq!(via_bcsr.heat, baseline.heat);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 use crate::{GraphError, Result};
-use sass_sparse::{CooMatrix, CsrMatrix, SparseBackend};
+use sass_sparse::{CooMatrix, CsrMatrix};
 
 /// A weighted undirected edge with canonical endpoint order `u < v`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -436,40 +436,6 @@ impl Graph {
             coo.push(e.v as usize, e.u as usize, w);
         }
         coo.to_csr()
-    }
-
-    /// The graph Laplacian in any storage backend: `g.laplacian_in::<B>()`
-    /// assembles the canonical `f64` CSR Laplacian and converts it once
-    /// ([`SparseBackend::from_csr_f64`] — for `f32` backends that
-    /// conversion is the single rounding step).
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use sass_graph::Graph;
-    /// use sass_sparse::{BcsrMatrix, CscMatrix, SparseBackend};
-    ///
-    /// # fn main() -> Result<(), sass_graph::GraphError> {
-    /// let g = Graph::from_edges(3, &[(0, 1, 1.0), (1, 2, 2.0)])?;
-    /// let csc: CscMatrix = g.laplacian_in();
-    /// let bcsr: BcsrMatrix = g.laplacian_in();
-    /// // All backends produce bit-identical products in f64.
-    /// let x = [1.0, -0.5, 2.0];
-    /// assert_eq!(csc.mul_vec(&x), g.laplacian().mul_vec(&x));
-    /// assert_eq!(bcsr.mul_vec(&x), g.laplacian().mul_vec(&x));
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn laplacian_in<B: SparseBackend>(&self) -> B {
-        B::from_csr_f64(&self.laplacian())
-    }
-
-    /// The weighted adjacency matrix `W` in any storage backend — the
-    /// backend-generic sibling of [`Graph::adjacency_matrix`], converting
-    /// through the canonical `f64` CSR assembly like
-    /// [`Graph::laplacian_in`].
-    pub fn adjacency_matrix_in<B: SparseBackend>(&self) -> B {
-        B::from_csr_f64(&self.adjacency_matrix())
     }
 
     /// The weighted adjacency matrix `W` as a CSR matrix.

@@ -131,11 +131,8 @@ impl ChebyshevFilter {
     ///
     /// `op` must have spectrum within `[0, lambda_max]` (use a safe upper
     /// bound such as twice the maximum weighted degree). Any
-    /// [`LinearOperator`] works — a [`sass_sparse::CsrMatrix`], either of the other
-    /// storage backends ([`sass_sparse::CscMatrix`] /
-    /// [`sass_sparse::BcsrMatrix`], bit-identical in `f64`), or their
-    /// `f32` variants when ranking precision suffices (the `storage-f32`
-    /// feature).
+    /// [`LinearOperator`] works — a [`sass_sparse::CsrMatrix`] or a
+    /// matrix-free operator.
     ///
     /// # Panics
     ///
@@ -210,23 +207,6 @@ mod tests {
             "rel diff {}",
             dense::rel_diff(&approx, &exact)
         );
-    }
-
-    /// The filter consumes any `LinearOperator`; the f64 storage
-    /// backends apply bit-identically, so the filtered signals match
-    /// exactly.
-    #[test]
-    fn backends_filter_identically() {
-        use sass_sparse::{BcsrMatrix, CscMatrix};
-        let g = grid2d(6, 6, WeightModel::Uniform { lo: 0.5, hi: 2.0 }, 4);
-        let l = g.laplacian();
-        let filter = ChebyshevFilter::heat_kernel(lmax_bound(&g), 0.5, 24);
-        let x: Vec<f64> = (0..g.n()).map(|i| ((i * 11 % 17) as f64) - 8.0).collect();
-        let want = filter.apply(&l, &x);
-        let csc: CscMatrix = g.laplacian_in();
-        let bcsr: BcsrMatrix = g.laplacian_in();
-        assert_eq!(filter.apply(&csc, &x), want);
-        assert_eq!(filter.apply(&bcsr, &x), want);
     }
 
     #[test]

@@ -215,8 +215,7 @@ impl Partition {
 
     /// Splits `g` into (at least) `k` interior domains plus one vertex
     /// separator with a stable renumbering — the decomposition behind
-    /// sharded substructured solves ([`sass_solver::substructure`]) and
-    /// the sharded storage backend ([`sass_sparse::ShardedBackend`]).
+    /// sharded substructured solves ([`sass_solver::substructure`]).
     ///
     /// No edge of `g` connects two distinct domains; every cross-domain
     /// path runs through the separator. Built on the same BFS level-set

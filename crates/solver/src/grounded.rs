@@ -1,6 +1,6 @@
 use crate::{Result, SolverError};
 use sass_sparse::ordering::OrderingKind;
-use sass_sparse::{dense, pool, CsrMatrix, DenseBlock, LdlFactor, SparseBackend, SparseError};
+use sass_sparse::{dense, pool, CsrMatrix, DenseBlock, LdlFactor, SparseError};
 
 /// Minimum `n × ncols` work before the blocked solve's per-column
 /// centering/mean-zero passes go parallel under automatic pool sizing (an
@@ -75,23 +75,6 @@ impl GroundedSolver {
     /// disconnected.
     pub fn new(l: &CsrMatrix, ordering: OrderingKind) -> Result<Self> {
         Self::with_ground(l, 0, ordering)
-    }
-
-    /// Factorizes a Laplacian held in any `f64` storage backend
-    /// ([`SparseBackend`]), grounded at vertex 0.
-    ///
-    /// The factorization itself always runs on row-major `f64` storage —
-    /// LDLᵀ needs full precision and row sweeps — so non-CSR backends are
-    /// converted once up front; the factor's cost dwarfs that copy.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`GroundedSolver::new`].
-    pub fn from_backend<B: SparseBackend<Scalar = f64>>(
-        l: &B,
-        ordering: OrderingKind,
-    ) -> Result<Self> {
-        Self::new(&l.to_csr(), ordering)
     }
 
     /// Factorizes the Laplacian grounded at a chosen vertex.
@@ -588,27 +571,6 @@ mod tests {
         dense::center(&mut b);
         let x = s.solve(&b);
         assert!(l.residual_norm(&x, &b) < 1e-10);
-    }
-
-    /// Any `f64` storage backend factorizes to the same solver: CSC and
-    /// BCSR round-trip through CSR exactly, so solutions are identical to
-    /// the CSR-constructed solver, not merely close.
-    #[test]
-    fn from_backend_matches_csr_construction_exactly() {
-        use sass_sparse::{BcsrMatrix, CscMatrix};
-        let g = grid2d(6, 5, WeightModel::Uniform { lo: 0.5, hi: 2.0 }, 11);
-        let l = g.laplacian();
-        let want_solver = GroundedSolver::new(&l, OrderingKind::MinDegree).unwrap();
-        let mut b: Vec<f64> = (0..g.n()).map(|i| ((i * 5 % 11) as f64) - 5.0).collect();
-        dense::center(&mut b);
-        let want = want_solver.solve(&b);
-        let csc: CscMatrix = g.laplacian_in();
-        let bcsr: BcsrMatrix = g.laplacian_in();
-        let via_csc = GroundedSolver::from_backend(&csc, OrderingKind::MinDegree).unwrap();
-        let via_bcsr = GroundedSolver::from_backend(&bcsr, OrderingKind::MinDegree).unwrap();
-        assert_eq!(via_csc.solve(&b), want);
-        assert_eq!(via_bcsr.solve(&b), want);
-        assert_eq!(via_csc.n(), g.n());
     }
 
     #[test]

@@ -255,9 +255,9 @@ impl ShardedSolver {
         keep[0] = false;
         let (reduced, _) = l.principal_submatrix(&keep);
         let k = if opts.domains == 0 {
-            // Mirror the sharded backend's heuristic: one domain per
-            // ~64k reduced rows, at least 2 so small systems still
-            // exercise the substructured path.
+            // One domain per ~64k reduced rows, at least 2 so small
+            // systems still exercise the substructured path, at most 16
+            // so huge ones keep domains near cache size.
             (rn / 65_536).clamp(2, 16)
         } else {
             opts.domains

@@ -1,20 +1,15 @@
 // Sparse kernels index multiple parallel arrays; explicit loops are clearer.
 #![allow(clippy::needless_range_loop)]
 
-use crate::{dense, CooMatrix, Permutation, Result, Scalar, SparseError};
+use crate::{dense, kernel, CooMatrix, Permutation, Result, SparseError};
 
-/// Compressed sparse row matrix with [`Scalar`] values (`f64` unless
-/// named otherwise) and `u32` column indices.
+/// Compressed sparse row matrix with `f64` values and `u32` column
+/// indices.
 ///
-/// This is the workhorse format of the workspace: graph Laplacians,
-/// adjacency matrices and preconditioner operators are all stored as
-/// `CsrMatrix`. Symmetric matrices store both triangles (full storage),
-/// which keeps `y = A·x` a single forward sweep. The scalar parameter
-/// defaults to `f64`, so `CsrMatrix` written anywhere in the workspace
-/// still names the full-precision matrix; `CsrMatrix<f32>` (behind the
-/// `storage-f32` feature) halves value storage for ranking-precision
-/// workloads — see the [`crate::backend`] module for when that trade
-/// makes sense.
+/// This is the one sparse storage format of the workspace: graph
+/// Laplacians, adjacency matrices and preconditioner operators are all
+/// stored as `CsrMatrix`. Symmetric matrices store both triangles (full
+/// storage), which keeps `y = A·x` a single forward sweep.
 ///
 /// # Example
 ///
@@ -30,22 +25,22 @@ use crate::{dense, CooMatrix, Permutation, Result, Scalar, SparseError};
 /// assert_eq!(y, vec![2.0, -2.0]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct CsrMatrix<S: Scalar = f64> {
+pub struct CsrMatrix {
     nrows: usize,
     ncols: usize,
     indptr: Vec<usize>,
     indices: Vec<u32>,
-    data: Vec<S>,
+    data: Vec<f64>,
 }
 
-impl<S: Scalar> CsrMatrix<S> {
+impl CsrMatrix {
     /// Builds a CSR matrix from raw parts.
     ///
     /// # Panics
     ///
     /// Panics if the arrays are structurally inconsistent (wrong `indptr`
-    /// length, non-monotone `indptr`, index/data length mismatch, or a
-    /// column index out of range). Rows need not be column-sorted, but all
+    /// length, `indptr[0] != 0`, non-monotone `indptr`, index/data length
+    /// mismatch, or a column index out of range). Rows need not be column-sorted, but all
     /// constructors in this crate produce sorted rows and several kernels
     /// ([`CsrMatrix::get`]) rely on it.
     pub fn from_raw_parts(
@@ -53,9 +48,10 @@ impl<S: Scalar> CsrMatrix<S> {
         ncols: usize,
         indptr: Vec<usize>,
         indices: Vec<u32>,
-        data: Vec<S>,
+        data: Vec<f64>,
     ) -> Self {
         assert_eq!(indptr.len(), nrows + 1, "indptr length must be nrows + 1");
+        assert_eq!(indptr[0], 0, "indptr must start at 0");
         assert_eq!(indices.len(), data.len(), "indices/data length mismatch");
         assert_eq!(indptr[nrows], indices.len(), "indptr end mismatch");
         assert!(
@@ -73,13 +69,6 @@ impl<S: Scalar> CsrMatrix<S> {
             indices,
             data,
         }
-    }
-
-    /// Disassembles the matrix into `(nrows, ncols, indptr, indices, data)`
-    /// — the inverse of [`CsrMatrix::from_raw_parts`], used by the other
-    /// storage backends to steal CSR arrays without copying.
-    pub fn into_raw_parts(self) -> (usize, usize, Vec<usize>, Vec<u32>, Vec<S>) {
-        (self.nrows, self.ncols, self.indptr, self.indices, self.data)
     }
 
     /// Number of rows.
@@ -108,12 +97,12 @@ impl<S: Scalar> CsrMatrix<S> {
     }
 
     /// Stored values, row by row.
-    pub fn data(&self) -> &[S] {
+    pub fn data(&self) -> &[f64] {
         &self.data
     }
 
     /// Mutable access to the stored values (pattern is immutable).
-    pub fn data_mut(&mut self) -> &mut [S] {
+    pub fn data_mut(&mut self) -> &mut [f64] {
         &mut self.data
     }
 
@@ -121,7 +110,7 @@ impl<S: Scalar> CsrMatrix<S> {
     pub fn memory_bytes(&self) -> usize {
         self.indptr.len() * std::mem::size_of::<usize>()
             + self.indices.len() * std::mem::size_of::<u32>()
-            + self.data.len() * S::BYTES
+            + self.data.len() * std::mem::size_of::<f64>()
     }
 
     /// The `(columns, values)` pair for row `i`.
@@ -129,7 +118,7 @@ impl<S: Scalar> CsrMatrix<S> {
     /// # Panics
     ///
     /// Panics if `i >= nrows`.
-    pub fn row(&self, i: usize) -> (&[u32], &[S]) {
+    pub fn row(&self, i: usize) -> (&[u32], &[f64]) {
         let lo = self.indptr[i];
         let hi = self.indptr[i + 1];
         (&self.indices[lo..hi], &self.data[lo..hi])
@@ -143,11 +132,11 @@ impl<S: Scalar> CsrMatrix<S> {
     /// # Panics
     ///
     /// Panics if `i >= nrows`.
-    pub fn get(&self, i: usize, j: usize) -> S {
+    pub fn get(&self, i: usize, j: usize) -> f64 {
         let (cols, vals) = self.row(i);
         match cols.binary_search(&(j as u32)) {
             Ok(p) => vals[p],
-            Err(_) => S::ZERO,
+            Err(_) => 0.0,
         }
     }
 
@@ -156,23 +145,22 @@ impl<S: Scalar> CsrMatrix<S> {
     /// # Panics
     ///
     /// Panics if `x.len() != ncols`.
-    pub fn mul_vec(&self, x: &[S]) -> Vec<S> {
-        let mut y = vec![S::ZERO; self.nrows];
+    pub fn mul_vec(&self, x: &[f64]) -> Vec<f64> {
+        let mut y = vec![0.0; self.nrows];
         self.mul_vec_into(x, &mut y);
         y
     }
 
     /// Matrix-vector product into a caller-provided buffer: `y = A·x`,
-    /// routed through the width-matched [`crate::kernel`] SpMV dispatcher
-    /// (scalar fallback when SIMD is unavailable or disabled).
+    /// routed through the [`crate::kernel`] SpMV dispatcher.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != ncols` or `y.len() != nrows`.
-    pub fn mul_vec_into(&self, x: &[S], y: &mut [S]) {
+    pub fn mul_vec_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.ncols, "mul_vec: x length mismatch");
         assert_eq!(y.len(), self.nrows, "mul_vec: y length mismatch");
-        S::spmv_range(&self.indptr, &self.indices, &self.data, x, y, 0, self.nrows);
+        kernel::spmv_range_f64(&self.indptr, &self.indices, &self.data, x, y, 0, self.nrows);
     }
 
     /// Matrix-vector product into a caller-provided buffer, using the
@@ -188,7 +176,7 @@ impl<S: Scalar> CsrMatrix<S> {
     ///
     /// Panics if `x.len() != ncols` or `y.len() != nrows`.
     #[cfg(feature = "parallel")]
-    pub fn par_mul_vec_into(&self, x: &[S], y: &mut [S]) {
+    pub fn par_mul_vec_into(&self, x: &[f64], y: &mut [f64]) {
         crate::parallel::par_spmv(self, x, y);
     }
 
@@ -198,19 +186,14 @@ impl<S: Scalar> CsrMatrix<S> {
     ///
     /// Panics if `x.len() != ncols`.
     #[cfg(feature = "parallel")]
-    pub fn par_mul_vec(&self, x: &[S]) -> Vec<S> {
-        let mut y = vec![S::ZERO; self.nrows];
+    pub fn par_mul_vec(&self, x: &[f64]) -> Vec<f64> {
+        let mut y = vec![0.0; self.nrows];
         self.par_mul_vec_into(x, &mut y);
         y
     }
 
     /// The transpose `Aᵀ` as a new CSR matrix (rows come out column-sorted).
-    ///
-    /// This counting-sort pass is the crate's transpose-mirror machinery:
-    /// [`crate::CscMatrix`] uses it verbatim (the CSR arrays of `Aᵀ` *are*
-    /// the CSC arrays of `A`), and the LDLᵀ factor derives its backward-
-    /// sweep mirror the same way.
-    pub fn transpose(&self) -> CsrMatrix<S> {
+    pub fn transpose(&self) -> CsrMatrix {
         let mut counts = vec![0usize; self.ncols + 1];
         for &c in &self.indices {
             counts[c as usize + 1] += 1;
@@ -220,7 +203,7 @@ impl<S: Scalar> CsrMatrix<S> {
         }
         let indptr = counts.clone();
         let mut indices = vec![0u32; self.nnz()];
-        let mut data = vec![S::ZERO; self.nnz()];
+        let mut data = vec![0.0; self.nnz()];
         let mut next = counts;
         for i in 0..self.nrows {
             for p in self.indptr[i]..self.indptr[i + 1] {
@@ -234,23 +217,9 @@ impl<S: Scalar> CsrMatrix<S> {
         CsrMatrix::from_raw_parts(self.ncols, self.nrows, indptr, indices, data)
     }
 
-    /// Converts the stored values to another scalar width, keeping the
-    /// pattern byte-identical. `f64 → f64` and `f32 → f64` are exact;
-    /// `f64 → f32` rounds each value to nearest once (the crate's single
-    /// lossy conversion point — see [`Scalar::from_f64`]).
-    pub fn to_scalar<T: Scalar>(&self) -> CsrMatrix<T> {
-        CsrMatrix {
-            nrows: self.nrows,
-            ncols: self.ncols,
-            indptr: self.indptr.clone(),
-            indices: self.indices.clone(),
-            data: self.data.iter().map(|v| T::from_f64(v.to_f64())).collect(),
-        }
-    }
-
     /// Dense representation, for tests and tiny matrices only.
-    pub fn to_dense(&self) -> Vec<Vec<S>> {
-        let mut out = vec![vec![S::ZERO; self.ncols]; self.nrows];
+    pub fn to_dense(&self) -> Vec<Vec<f64>> {
+        let mut out = vec![vec![0.0; self.ncols]; self.nrows];
         for i in 0..self.nrows {
             let (cols, vals) = self.row(i);
             for (c, v) in cols.iter().zip(vals) {
@@ -259,12 +228,7 @@ impl<S: Scalar> CsrMatrix<S> {
         }
         out
     }
-}
 
-/// Full-precision (`f64`) conveniences: everything that interacts with the
-/// assembly ([`CooMatrix`]), the dense helpers, or the factorization stack
-/// — all of which compute in `f64` on purpose.
-impl CsrMatrix {
     /// The `n × n` identity matrix.
     pub fn identity(n: usize) -> Self {
         CsrMatrix {
@@ -574,35 +538,28 @@ mod tests {
     #[test]
     fn raw_parts_round_trip() {
         let a = laplacian_path3();
-        let (nr, nc, ip, ix, d) = a.clone().into_raw_parts();
-        let b = CsrMatrix::from_raw_parts(nr, nc, ip, ix, d);
+        let b = CsrMatrix::from_raw_parts(
+            a.nrows(),
+            a.ncols(),
+            a.indptr().to_vec(),
+            a.indices().to_vec(),
+            a.data().to_vec(),
+        );
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn to_scalar_identity_is_exact() {
-        let a = laplacian_path3();
-        let b: CsrMatrix<f64> = a.to_scalar();
-        assert_eq!(a, b);
-    }
-
-    #[cfg(feature = "storage-f32")]
-    #[test]
-    fn to_scalar_f32_keeps_pattern_and_rounds_values() {
-        let a = laplacian_path3();
-        let b: CsrMatrix<f32> = a.to_scalar();
-        assert_eq!(a.indptr(), b.indptr());
-        assert_eq!(a.indices(), b.indices());
-        for (wide, narrow) in a.data().iter().zip(b.data()) {
-            assert_eq!(*narrow as f64, *wide); // these values are exact in f32
-        }
-        let back: CsrMatrix<f64> = b.to_scalar();
-        assert_eq!(a, back, "f32 -> f64 widening is exact");
     }
 
     #[test]
     #[should_panic(expected = "indptr length")]
     fn bad_raw_parts_panic() {
         let _ = CsrMatrix::from_raw_parts(2, 2, vec![0, 1], vec![0], vec![1.0]);
+    }
+
+    /// A row pointer starting past 0 would hand row 0 fewer entries than
+    /// `nnz()` counts, and `transpose` would then invent entries that no
+    /// row owns.
+    #[test]
+    #[should_panic(expected = "indptr must start at 0")]
+    fn raw_parts_with_offset_indptr_panic() {
+        let _ = CsrMatrix::from_raw_parts(1, 2, vec![1, 2], vec![0, 1], vec![5.0, 7.0]);
     }
 }

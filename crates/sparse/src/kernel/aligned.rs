@@ -2,18 +2,17 @@
 //!
 //! `Vec<f64>` only guarantees 8-byte alignment, so a vector register load
 //! from it can straddle a cache line anywhere in the stream. [`AlignedVec`]
-//! allocates at [`ALIGNMENT`]-byte (cache-line) boundaries, which makes
-//! every BCSR tile start 32-byte aligned (a 2×2 `f64` tile is 32 bytes, a
-//! 4×4 tile 128 bytes) and keeps [`crate::DenseBlock`] columns from
-//! splitting their first vector load across lines. The SIMD kernels still
-//! issue unaligned load *instructions* — their other operands (`x`, solve
-//! work buffers) are caller-owned slices with no alignment contract — but
-//! on aligned addresses those execute at full speed; what the allocation
-//! guarantee removes is the split-line penalty on the big streamed arrays.
+//! allocates at [`ALIGNMENT`]-byte (cache-line) boundaries, which keeps
+//! [`crate::DenseBlock`] columns from splitting their first vector load
+//! across lines. The SIMD kernels still issue unaligned load
+//! *instructions* — their other operands (solve work buffers) are
+//! caller-owned slices with no alignment contract — but on aligned
+//! addresses those execute at full speed; what the allocation guarantee
+//! removes is the split-line penalty on the big streamed arrays.
 //!
-//! The element type is constrained to `Copy` (the kernels store `f64` /
-//! `f32` / small index types), which keeps drop handling trivial: freeing
-//! the buffer never needs to run element destructors.
+//! The element type is constrained to `Copy` (plain numbers and small
+//! index types), which keeps drop handling trivial: freeing the buffer
+//! never needs to run element destructors.
 
 use std::alloc::{self, Layout};
 use std::ops::{Deref, DerefMut};

@@ -1,6 +1,5 @@
-//! Explicit SIMD microkernels for the stored-scalar hot paths, with
-//! runtime dispatch and the scalar loops as always-on fallback and parity
-//! oracle.
+//! Explicit SIMD microkernels for the `f64` hot paths, with runtime
+//! dispatch and the scalar loops as always-on fallback and parity oracle.
 //!
 //! # Dispatch model
 //!
@@ -20,13 +19,11 @@
 //!
 //! # Parity contract
 //!
-//! `f64` kernels are **bit-identical** to the scalar oracles in
+//! Every kernel is **bit-identical** to its scalar oracle in
 //! `kernel::scalar` — the per-lane accumulation order is preserved and no
 //! FMA contraction or reassociation is permitted (see `x86.rs` for the
-//! per-kernel argument). `f32` kernels may reassociate row sums and are
-//! held to the per-row `(nnz + 2)·ε_f32` tolerance established by
-//! `tests/backend_parity.rs`. Both contracts are pinned by
-//! `tests/simd_parity.rs` at forced worker counts 1/2/3/8.
+//! per-kernel argument). `tests/simd_parity.rs` pins the contract at
+//! every compiled tier and at forced worker counts 1/2/3/8.
 
 mod aligned;
 mod scalar;
@@ -210,19 +207,15 @@ const GATHER_MAX: usize = i32::MAX as usize;
 /// out-of-order hardware already overlaps with the scalar multiplies.
 /// The only vector formulation that preserves the order — pre-forming
 /// products through a stack buffer, then reducing serially — benched
-/// ~30% *slower* than this loop on the `backends` workloads, so it was
-/// removed (see `x86.rs` module docs). The f32 overload below is where
-/// SpMV vectorization pays.
+/// ~30% *slower* than this loop on mesh, scale-free and circuit-grid
+/// Laplacians, so it was removed (see `x86.rs` module docs).
 ///
 /// # Panics
 ///
-/// Panics if the CSR arrays are inconsistent (a row extent past
-/// `indices`/`data`, a column index past `x`) or `y` is shorter than
-/// `hi - lo` — via safe indexing on the scalar/SSE2/NEON tiers, via
-/// per-row validation on the AVX2 gather tier, so the contract is
-/// identical at every level. A non-monotone (empty-range) row
-/// contributes 0, as in the original scalar loop.
-#[allow(clippy::too_many_arguments)]
+/// Panics (via safe indexing) if the CSR arrays are inconsistent (a row
+/// extent past `indices`/`data`, a column index past `x`) or `y` is
+/// shorter than `hi - lo`. A non-monotone (empty-range) row contributes
+/// 0.
 pub fn spmv_range_f64(
     indptr: &[usize],
     indices: &[u32],
@@ -233,124 +226,6 @@ pub fn spmv_range_f64(
     hi: usize,
 ) {
     scalar::spmv_range(indptr, indices, data, x, y, lo, hi)
-}
-
-/// CSR row-gather SpMV over rows `lo..hi` of an f32 matrix. SIMD tiers
-/// may reassociate each row sum within the per-row `(nnz + 2)·ε_f32`
-/// parity tolerance.
-///
-/// # Panics
-///
-/// As [`spmv_range_f64`].
-#[cfg(feature = "storage-f32")]
-#[allow(clippy::too_many_arguments, clippy::match_single_binding)]
-pub fn spmv_range_f32(
-    indptr: &[usize],
-    indices: &[u32],
-    data: &[f32],
-    x: &[f32],
-    y: &mut [f32],
-    lo: usize,
-    hi: usize,
-) {
-    match lvl() {
-        // SAFETY: as `spmv_range_f64`.
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        SimdLevel::Avx2 if x.len() <= GATHER_MAX => unsafe {
-            x86::spmv_range_f32_avx2(indptr, indices, data, x, y, lo, hi)
-        },
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        SimdLevel::Sse2 | SimdLevel::Avx2 => unsafe {
-            x86::spmv_range_f32_sse2(indptr, indices, data, x, y, lo, hi)
-        },
-        // SAFETY: NEON is architectural on AArch64.
-        #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-        SimdLevel::Neon => unsafe {
-            neon::spmv_range_f32_neon(indptr, indices, data, x, y, lo, hi)
-        },
-        _ => scalar::spmv_range(indptr, indices, data, x, y, lo, hi),
-    }
-}
-
-/// BCSR block-row product over block rows `[ib_lo, ib_hi)` of an f64
-/// matrix with `b × b` blocks (`b` ∈ {2, 4}), writing into `y` offset by
-/// `ib_lo·b` scalar rows. Bit-identical to the scalar tile loop at every
-/// level.
-///
-/// # Panics
-///
-/// Panics if `b` is not 2 or 4, or on inconsistent arrays.
-#[allow(clippy::too_many_arguments, clippy::match_single_binding)]
-pub fn bcsr_rows_f64(
-    b: usize,
-    nrows: usize,
-    ncols: usize,
-    indptr: &[usize],
-    indices: &[u32],
-    data: &[f64],
-    x: &[f64],
-    y: &mut [f64],
-    ib_lo: usize,
-    ib_hi: usize,
-) {
-    match (lvl(), b) {
-        // SAFETY: slices bound-check the block structure; the AVX2 arm
-        // runs only after runtime detection.
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        (SimdLevel::Sse2 | SimdLevel::Avx2, 2) => unsafe {
-            x86::bcsr2_f64_sse2(nrows, ncols, indptr, indices, data, x, y, ib_lo, ib_hi)
-        },
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        (SimdLevel::Avx2, 4) => unsafe {
-            x86::bcsr4_f64_avx2(nrows, ncols, indptr, indices, data, x, y, ib_lo, ib_hi)
-        },
-        (_, 2) => {
-            scalar::bcsr_rows::<f64, 2>(nrows, ncols, indptr, indices, data, x, y, ib_lo, ib_hi)
-        }
-        (_, 4) => {
-            scalar::bcsr_rows::<f64, 4>(nrows, ncols, indptr, indices, data, x, y, ib_lo, ib_hi)
-        }
-        _ => panic!("unsupported BCSR block size {b}"),
-    }
-}
-
-/// BCSR block-row product over block rows `[ib_lo, ib_hi)` of an f32
-/// matrix (`b` ∈ {2, 4}). The 4×4 SSE tile kernel happens to preserve the
-/// scalar order exactly; 2×2 stays scalar (a 64-bit row is too narrow to
-/// pay for lane shuffling).
-///
-/// # Panics
-///
-/// As [`bcsr_rows_f64`].
-#[cfg(feature = "storage-f32")]
-#[allow(clippy::too_many_arguments, clippy::match_single_binding)]
-pub fn bcsr_rows_f32(
-    b: usize,
-    nrows: usize,
-    ncols: usize,
-    indptr: &[usize],
-    indices: &[u32],
-    data: &[f32],
-    x: &[f32],
-    y: &mut [f32],
-    ib_lo: usize,
-    ib_hi: usize,
-) {
-    match (lvl(), b) {
-        // SAFETY: slices bound-check the block structure; SSE2 is the
-        // x86-64 baseline.
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        (SimdLevel::Sse2 | SimdLevel::Avx2, 4) => unsafe {
-            x86::bcsr4_f32_sse2(nrows, ncols, indptr, indices, data, x, y, ib_lo, ib_hi)
-        },
-        (_, 2) => {
-            scalar::bcsr_rows::<f32, 2>(nrows, ncols, indptr, indices, data, x, y, ib_lo, ib_hi)
-        }
-        (_, 4) => {
-            scalar::bcsr_rows::<f32, 4>(nrows, ncols, indptr, indices, data, x, y, ib_lo, ib_hi)
-        }
-        _ => panic!("unsupported BCSR block size {b}"),
-    }
 }
 
 /// One 8-wide interleaved LDLᵀ sweep update: `acc[c] -= rx[p]·w[ri[p]·8 + c]`
@@ -529,42 +404,6 @@ mod tests {
             "level {:?}",
             active()
         );
-    }
-
-    #[test]
-    fn bcsr_dispatch_matches_scalar_bitwise() {
-        // 7×7 with b = 2 and b = 4 exercises ragged row and column tails.
-        for b in [2usize, 4] {
-            let block_cols = 7usize.div_ceil(b);
-            let block_rows = 7usize.div_ceil(b);
-            // Dense block pattern for simplicity.
-            let mut indptr = vec![0usize];
-            let mut indices = Vec::new();
-            for _ in 0..block_rows {
-                for c in 0..block_cols {
-                    indices.push(c as u32);
-                }
-                indptr.push(indices.len());
-            }
-            let data: Vec<f64> = (0..indices.len() * b * b)
-                .map(|k| (k as f64 * 0.13).cos())
-                .collect();
-            let x: Vec<f64> = (0..7).map(|i| 1.0 + i as f64 * 0.4).collect();
-            let mut want = vec![0.0; 7];
-            match b {
-                2 => scalar::bcsr_rows::<f64, 2>(
-                    7, 7, &indptr, &indices, &data, &x, &mut want, 0, block_rows,
-                ),
-                _ => scalar::bcsr_rows::<f64, 4>(
-                    7, 7, &indptr, &indices, &data, &x, &mut want, 0, block_rows,
-                ),
-            }
-            let mut got = vec![0.0; 7];
-            bcsr_rows_f64(
-                b, 7, 7, &indptr, &indices, &data, &x, &mut got, 0, block_rows,
-            );
-            assert_eq!(got, want, "b={b} level {:?}", active());
-        }
     }
 
     #[test]

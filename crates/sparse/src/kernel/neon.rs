@@ -2,75 +2,18 @@
 //! need no runtime detection — the dispatcher maps every AArch64 build to
 //! [`super::SimdLevel::Neon`] unless `SASS_NO_SIMD` forces scalar.
 //!
-//! The NEON surface is deliberately smaller than x86: f32 SpMV (4-wide,
-//! toleranced) and the 8-wide LDLᵀ sweep kernels. f64 SpMV stays scalar
-//! for the same measured reason as on x86 (see `x86.rs` module docs):
-//! bit-exactness pins the row sum to a serial add chain, so a vector
-//! front end only adds a buffering pass. NEON has no gather, so the BCSR
-//! tile kernels and the heat scan also stay on the scalar oracle, where
-//! the autovectorizer already does respectably on fixed-shape tiles. The
-//! f64 bit-exactness argument for the LDLᵀ kernels is the same as on
-//! x86: independent lanes, mul-then-sub per lane, no FMA contraction.
+//! The NEON surface is deliberately smaller than x86: only the 8-wide
+//! LDLᵀ sweep kernels. SpMV stays scalar for the same measured reason as
+//! on x86 (see `x86.rs` module docs): bit-exactness pins the row sum to a
+//! serial add chain, so a vector front end only adds a buffering pass.
+//! NEON has no gather, so the Joule-heat kernel and the heat scan also
+//! stay on the scalar oracle. The bit-exactness argument for the LDLᵀ
+//! kernels is the same as on x86: independent lanes, mul-then-sub per
+//! lane, no FMA contraction.
 
 #![allow(clippy::needless_range_loop)]
 
 use core::arch::aarch64::*;
-
-/// NEON f32 SpMV over rows `lo..hi`: 4-wide accumulation with a scalar
-/// tail (toleranced; reassociates the row sum).
-///
-/// # Safety
-///
-/// Nothing beyond the dispatcher contract: NEON is architectural on
-/// AArch64, gathers index `x` through bounds-checked slices, and the raw
-/// row loads are guarded by the `t + 4 <= nnz` loop bound over the row's
-/// own sub-slice — malformed inputs panic exactly like the scalar
-/// oracle. The `unsafe` marker only keeps one signature across the
-/// kernel tiers.
-#[cfg(feature = "storage-f32")]
-#[allow(clippy::too_many_arguments)]
-pub(super) unsafe fn spmv_range_f32_neon(
-    indptr: &[usize],
-    indices: &[u32],
-    data: &[f32],
-    x: &[f32],
-    y: &mut [f32],
-    lo: usize,
-    hi: usize,
-) {
-    for i in lo..hi {
-        let (s, e) = (indptr[i], indptr[i + 1]);
-        // Scalar-oracle semantics: an empty (or non-monotone, hence
-        // empty-range) row contributes 0 instead of panicking on the
-        // reversed slice.
-        if s >= e {
-            y[i - lo] = 0.0;
-            continue;
-        }
-        let row_idx = &indices[s..e];
-        let row_val = &data[s..e];
-        let nnz = row_val.len();
-        let mut acc = vdupq_n_f32(0.0);
-        let mut t = 0;
-        while t + 4 <= nnz {
-            let v = vld1q_f32(row_val.as_ptr().add(t));
-            let xg = [
-                x[row_idx[t] as usize],
-                x[row_idx[t + 1] as usize],
-                x[row_idx[t + 2] as usize],
-                x[row_idx[t + 3] as usize],
-            ];
-            let xv = vld1q_f32(xg.as_ptr());
-            acc = vaddq_f32(acc, vmulq_f32(v, xv));
-            t += 4;
-        }
-        let mut total = vaddvq_f32(acc);
-        for tt in t..nnz {
-            total += row_val[tt] * x[row_idx[tt] as usize];
-        }
-        y[i - lo] = total;
-    }
-}
 
 /// NEON 8-wide LDLᵀ row update (bit-exact: rounded multiply then rounded
 /// subtract per lane, no FMA).

@@ -11,76 +11,23 @@
 // Sparse kernels index multiple parallel arrays; explicit loops are clearer.
 #![allow(clippy::needless_range_loop)]
 
-use crate::Scalar;
-
 /// CSR row gather over rows `lo..hi`: `y[i - lo] = Σ_p data[p]·x[col(p)]`,
 /// accumulated in ascending stored order.
-#[allow(clippy::too_many_arguments)]
-pub(super) fn spmv_range<S: Scalar>(
+pub(super) fn spmv_range(
     indptr: &[usize],
     indices: &[u32],
-    data: &[S],
-    x: &[S],
-    y: &mut [S],
+    data: &[f64],
+    x: &[f64],
+    y: &mut [f64],
     lo: usize,
     hi: usize,
 ) {
     for i in lo..hi {
-        let mut acc = S::ZERO;
+        let mut acc = 0.0;
         for p in indptr[i]..indptr[i + 1] {
             acc += data[p] * x[indices[p] as usize];
         }
         y[i - lo] = acc;
-    }
-}
-
-/// BCSR block-row kernel over block rows `[ib_lo, ib_hi)` with `y` offset
-/// by `ib_lo · b` scalar rows: the register-blocked tile loop, ragged last
-/// block column and ragged last row group included.
-#[allow(clippy::too_many_arguments)]
-pub(super) fn bcsr_rows<S: Scalar, const B: usize>(
-    nrows: usize,
-    ncols: usize,
-    indptr: &[usize],
-    indices: &[u32],
-    data: &[S],
-    x: &[S],
-    y: &mut [S],
-    ib_lo: usize,
-    ib_hi: usize,
-) {
-    let y_base = ib_lo * B;
-    for ib in ib_lo..ib_hi {
-        let r0 = ib * B;
-        let r_end = (r0 + B).min(nrows);
-        let mut acc = [S::ZERO; B];
-        for blk in indptr[ib]..indptr[ib + 1] {
-            let c0 = indices[blk] as usize * B;
-            let base = blk * B * B;
-            if c0 + B <= ncols {
-                let xt: &[S] = &x[c0..c0 + B];
-                for (br, a) in acc.iter_mut().enumerate() {
-                    let tile = &data[base + br * B..base + br * B + B];
-                    for bc in 0..B {
-                        *a += tile[bc] * xt[bc];
-                    }
-                }
-            } else {
-                // Ragged last block column: only the in-range columns
-                // exist; their padded partners hold structural zeros
-                // for *every* row, so skipping them is exact.
-                let width = ncols - c0;
-                for (br, a) in acc.iter_mut().enumerate() {
-                    let tile = &data[base + br * B..base + br * B + width];
-                    for bc in 0..width {
-                        *a += tile[bc] * x[c0 + bc];
-                    }
-                }
-            }
-        }
-        for (k, i) in (r0..r_end).enumerate() {
-            y[i - y_base] = acc[k];
-        }
     }
 }
 

@@ -1,25 +1,19 @@
 //! x86-64 SIMD kernels: SSE2 (baseline, always available on x86-64) and
 //! AVX2 (runtime-detected) variants of the scalar oracles.
 //!
-//! # Bit-exactness strategy (f64)
+//! # Bit-exactness strategy
 //!
-//! Every f64 kernel here reproduces the scalar accumulation order exactly:
+//! Every kernel here reproduces the scalar accumulation order exactly:
 //!
-//! - **SpMV has no f64 variant by measurement, not omission.** A
+//! - **SpMV has no vector variant by measurement, not omission.** A
 //!   bit-exact row gather must sum each row serially in stored order, so
 //!   the floating-point add chain — the actual latency bound, which
 //!   out-of-order hardware already overlaps with the scalar multiplies —
 //!   cannot be widened; all a vector version can do is pre-form the
 //!   products through a stack buffer, and that extra pass measured ~30%
-//!   *slower* than the scalar loop on the `backends` bench workloads
-//!   (`csr_f64` mesh row: ≈120µs buffered vs ≈90µs scalar). The f64
-//!   dispatcher therefore resolves to the scalar kernel at every tier;
-//!   the f32 path (reassociation allowed under the documented tolerance)
-//!   is where the SpMV speedup lives.
-//! - **BCSR tiles** are register-transposed (`unpacklo/hi`, and
-//!   `permute2f128` for 4×4) so the accumulator lane for output row `br`
-//!   adds tile columns in ascending-column order — the exact scalar
-//!   sequence `acc[br] += t[br][0]·x0; acc[br] += t[br][1]·x1; …`.
+//!   *slower* than the scalar loop (mesh Laplacian: ≈120µs buffered vs
+//!   ≈90µs scalar). The SpMV dispatcher therefore resolves to the scalar
+//!   kernel at every tier.
 //! - **LDLᵀ 8-wide sweeps** keep each of the 8 interleaved right-hand
 //!   sides in its own lane; `acc -= l·w` is one correctly-rounded multiply
 //!   followed by one correctly-rounded subtract per lane, same as scalar.
@@ -29,379 +23,20 @@
 //! - Lanewise division (`ldl_scale_row8`) is correctly rounded, hence
 //!   trivially bit-exact.
 //!
-//! f32 kernels are only required to meet the per-row `(nnz+2)·ε_f32`
-//! tolerance from `backend_parity.rs`, so they use wide in-register
-//! accumulators and (on AVX2) masked tail loads — mesh-like rows carry
-//! only 7–9 stored entries, so a kernel that needs `nnz ≥ 8` to engage
-//! would never run; `maskload`/masked-gather handling of the ragged tail
-//! is what makes the wide path reachable on the workloads we care about.
-//!
 //! # Safety conventions
 //!
 //! All functions take slices and bound-check through them before issuing
 //! raw loads; AVX2 functions carry `#[target_feature(enable = "avx2")]`
 //! and must only be called after `is_x86_feature_detected!("avx2")`
 //! (enforced by the dispatchers in [`super`]). Gather index math assumes
-//! column/node indices fit in `i32`, which the dispatchers guarantee by
-//! falling back to scalar for absurdly wide operands.
+//! node indices fit in `i32`, which the dispatchers guarantee by falling
+//! back to scalar for absurdly wide operands.
 
 // Kernels index several parallel arrays in lockstep; explicit indices
 // keep the lane bookkeeping auditable against the scalar oracle.
 #![allow(clippy::needless_range_loop)]
 
 use core::arch::x86_64::*;
-
-// ---------------------------------------------------------------------------
-// CSR row-gather SpMV (f32 only — see the module docs for why f64 SpMV
-// deliberately has no vector variant)
-// ---------------------------------------------------------------------------
-
-/// SSE2 f32 SpMV over rows `lo..hi`: 4-wide dual accumulators with a
-/// scalar tail (toleranced; reassociates the row sum).
-///
-/// # Safety
-///
-/// Nothing beyond the dispatcher contract: SSE2 is the x86-64 baseline,
-/// gathers index `x` through bounds-checked slices, and the raw row
-/// loads are guarded by the `t + width <= nnz` loop bounds over the
-/// row's own sub-slice — malformed inputs panic exactly like the scalar
-/// oracle. The `unsafe` marker only keeps one signature across the
-/// kernel tiers.
-#[cfg(feature = "storage-f32")]
-#[allow(clippy::too_many_arguments)]
-pub(super) unsafe fn spmv_range_f32_sse2(
-    indptr: &[usize],
-    indices: &[u32],
-    data: &[f32],
-    x: &[f32],
-    y: &mut [f32],
-    lo: usize,
-    hi: usize,
-) {
-    for i in lo..hi {
-        let (s, e) = (indptr[i], indptr[i + 1]);
-        // Scalar-oracle semantics: an empty (or non-monotone, hence
-        // empty-range) row contributes 0 instead of panicking on the
-        // reversed slice.
-        if s >= e {
-            y[i - lo] = 0.0;
-            continue;
-        }
-        let row_idx = &indices[s..e];
-        let row_val = &data[s..e];
-        let nnz = row_val.len();
-        let mut acc0 = _mm_setzero_ps();
-        let mut acc1 = _mm_setzero_ps();
-        let mut t = 0;
-        while t + 8 <= nnz {
-            let v0 = _mm_loadu_ps(row_val.as_ptr().add(t));
-            let x0 = _mm_set_ps(
-                x[row_idx[t + 3] as usize],
-                x[row_idx[t + 2] as usize],
-                x[row_idx[t + 1] as usize],
-                x[row_idx[t] as usize],
-            );
-            acc0 = _mm_add_ps(acc0, _mm_mul_ps(v0, x0));
-            let v1 = _mm_loadu_ps(row_val.as_ptr().add(t + 4));
-            let x1 = _mm_set_ps(
-                x[row_idx[t + 7] as usize],
-                x[row_idx[t + 6] as usize],
-                x[row_idx[t + 5] as usize],
-                x[row_idx[t + 4] as usize],
-            );
-            acc1 = _mm_add_ps(acc1, _mm_mul_ps(v1, x1));
-            t += 8;
-        }
-        if t + 4 <= nnz {
-            let v0 = _mm_loadu_ps(row_val.as_ptr().add(t));
-            let x0 = _mm_set_ps(
-                x[row_idx[t + 3] as usize],
-                x[row_idx[t + 2] as usize],
-                x[row_idx[t + 1] as usize],
-                x[row_idx[t] as usize],
-            );
-            acc0 = _mm_add_ps(acc0, _mm_mul_ps(v0, x0));
-            t += 4;
-        }
-        let s4 = _mm_add_ps(acc0, acc1);
-        let s2 = _mm_add_ps(s4, _mm_movehl_ps(s4, s4));
-        let s1 = _mm_add_ss(s2, _mm_shuffle_ps::<1>(s2, s2));
-        let mut total = _mm_cvtss_f32(s1);
-        for tt in t..nnz {
-            total += row_val[tt] * x[row_idx[tt] as usize];
-        }
-        y[i - lo] = total;
-    }
-}
-
-/// AVX2 f32 SpMV over rows `lo..hi`: 8-wide gathered accumulation with a
-/// **masked** ragged tail, so even 7–9-entry mesh rows run vectorized
-/// (toleranced; reassociates the row sum).
-///
-/// The gather path reads through raw pointers, so the whole row range is
-/// validated in one hoisted prescan (monotone `indptr` with extents
-/// inside `indices`/`data`, every touched column index inside `x` — both
-/// checks autovectorize, so the hot loop itself carries no per-row
-/// validation cost). Anything malformed is routed to the scalar oracle
-/// instead, which reproduces the safe tiers' exact semantics — panic via
-/// indexing, or empty-range rows contributing 0 — so the dispatcher's
-/// safe-API contract is identical at every tier.
-///
-/// # Safety
-///
-/// AVX2 must be runtime-detected (the dispatcher's `SimdLevel::Avx2` arm
-/// guarantees it), and the caller must run the hoisted prescan described
-/// above before entering — the raw gathers stay in bounds only for
-/// validated `indptr`/`indices` against `data`/`x` extents.
-#[cfg(feature = "storage-f32")]
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx2")]
-pub(super) unsafe fn spmv_range_f32_avx2(
-    indptr: &[usize],
-    indices: &[u32],
-    data: &[f32],
-    x: &[f32],
-    y: &mut [f32],
-    lo: usize,
-    hi: usize,
-) {
-    if lo >= hi {
-        return;
-    }
-    // For monotone indptr the union of row ranges is exactly
-    // [indptr[lo], indptr[hi]), so the max-reduction below checks
-    // precisely the gather indices the hot loop will touch.
-    let valid = hi < indptr.len()
-        && indptr[lo..=hi].windows(2).all(|w| w[0] <= w[1])
-        && indptr[hi] <= indices.len()
-        && indptr[hi] <= data.len()
-        && {
-            let mut max_c = 0u32;
-            for &c in &indices[indptr[lo]..indptr[hi]] {
-                max_c = max_c.max(c);
-            }
-            (max_c as usize) < x.len() || indptr[lo] == indptr[hi]
-        };
-    if !valid {
-        return super::scalar::spmv_range(indptr, indices, data, x, y, lo, hi);
-    }
-    let zero = _mm256_setzero_ps();
-    let lane_ids = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-    for i in lo..hi {
-        let (s, e) = (indptr[i], indptr[i + 1]);
-        let nnz = e - s;
-        let mut acc = _mm256_setzero_ps();
-        let mut t = 0;
-        while t + 8 <= nnz {
-            let idx = _mm256_loadu_si256(indices.as_ptr().add(s + t).cast::<__m256i>());
-            let xv = _mm256_i32gather_ps::<4>(x.as_ptr(), idx);
-            let v = _mm256_loadu_ps(data.as_ptr().add(s + t));
-            acc = _mm256_add_ps(acc, _mm256_mul_ps(v, xv));
-            t += 8;
-        }
-        if t < nnz {
-            // Masked tail: inactive lanes load index 0 / value 0.0 and are
-            // excluded from the gather, contributing an exact +0.0 (masked
-            // lanes of maskload/gather never touch memory, so the loads
-            // stay confined to the validated range).
-            let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32((nnz - t) as i32), lane_ids);
-            let idx = _mm256_maskload_epi32(indices.as_ptr().add(s + t).cast::<i32>(), mask);
-            let v = _mm256_maskload_ps(data.as_ptr().add(s + t), mask);
-            let xv =
-                _mm256_mask_i32gather_ps::<4>(zero, x.as_ptr(), idx, _mm256_castsi256_ps(mask));
-            acc = _mm256_add_ps(acc, _mm256_mul_ps(v, xv));
-        }
-        let q = _mm_add_ps(_mm256_castps256_ps128(acc), _mm256_extractf128_ps::<1>(acc));
-        let d = _mm_add_ps(q, _mm_movehl_ps(q, q));
-        let s1 = _mm_add_ss(d, _mm_shuffle_ps::<1>(d, d));
-        y[i - lo] = _mm_cvtss_f32(s1);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// BCSR tile kernels
-// ---------------------------------------------------------------------------
-
-/// SSE2 f64 2×2 BCSR block-row kernel: tiles register-transposed so each
-/// accumulator lane adds columns in the scalar order (bit-exact).
-///
-/// # Safety
-///
-/// Nothing beyond the dispatcher contract: SSE2 is the x86-64 baseline
-/// and the block structure is walked through bounds-checked slices, so
-/// inconsistent arrays panic as in the scalar tile loop.
-#[allow(clippy::too_many_arguments)]
-pub(super) unsafe fn bcsr2_f64_sse2(
-    nrows: usize,
-    ncols: usize,
-    indptr: &[usize],
-    indices: &[u32],
-    data: &[f64],
-    x: &[f64],
-    y: &mut [f64],
-    ib_lo: usize,
-    ib_hi: usize,
-) {
-    let y_base = ib_lo * 2;
-    for ib in ib_lo..ib_hi {
-        let r0 = ib * 2;
-        let r_end = (r0 + 2).min(nrows);
-        let mut acc = _mm_setzero_pd();
-        for blk in indptr[ib]..indptr[ib + 1] {
-            let c0 = indices[blk] as usize * 2;
-            let base = blk * 4;
-            let tile = &data[base..base + 4];
-            if c0 + 2 <= ncols {
-                let row0 = _mm_loadu_pd(tile.as_ptr());
-                let row1 = _mm_loadu_pd(tile.as_ptr().add(2));
-                let col0 = _mm_unpacklo_pd(row0, row1);
-                let col1 = _mm_unpackhi_pd(row0, row1);
-                acc = _mm_add_pd(acc, _mm_mul_pd(col0, _mm_set1_pd(x[c0])));
-                acc = _mm_add_pd(acc, _mm_mul_pd(col1, _mm_set1_pd(x[c0 + 1])));
-            } else {
-                // Ragged last block column: one real column survives.
-                let col0 = _mm_set_pd(tile[2], tile[0]);
-                acc = _mm_add_pd(acc, _mm_mul_pd(col0, _mm_set1_pd(x[c0])));
-            }
-        }
-        let mut out = [0.0f64; 2];
-        _mm_storeu_pd(out.as_mut_ptr(), acc);
-        for (k, i) in (r0..r_end).enumerate() {
-            y[i - y_base] = out[k];
-        }
-    }
-}
-
-/// AVX2 f64 4×4 BCSR block-row kernel: tiles transposed with
-/// `unpacklo/hi_pd` + `permute2f128_pd` (bit-exact).
-///
-/// # Safety
-///
-/// AVX2 must be runtime-detected (the dispatcher's `SimdLevel::Avx2` arm
-/// guarantees it); the block structure itself is walked through
-/// bounds-checked slices, so inconsistent arrays panic as in the scalar
-/// tile loop.
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx2")]
-pub(super) unsafe fn bcsr4_f64_avx2(
-    nrows: usize,
-    ncols: usize,
-    indptr: &[usize],
-    indices: &[u32],
-    data: &[f64],
-    x: &[f64],
-    y: &mut [f64],
-    ib_lo: usize,
-    ib_hi: usize,
-) {
-    let y_base = ib_lo * 4;
-    for ib in ib_lo..ib_hi {
-        let r0 = ib * 4;
-        let r_end = (r0 + 4).min(nrows);
-        let mut acc = _mm256_setzero_pd();
-        for blk in indptr[ib]..indptr[ib + 1] {
-            let c0 = indices[blk] as usize * 4;
-            let base = blk * 16;
-            let tile = &data[base..base + 16];
-            if c0 + 4 <= ncols {
-                let r0v = _mm256_loadu_pd(tile.as_ptr());
-                let r1v = _mm256_loadu_pd(tile.as_ptr().add(4));
-                let r2v = _mm256_loadu_pd(tile.as_ptr().add(8));
-                let r3v = _mm256_loadu_pd(tile.as_ptr().add(12));
-                let t0 = _mm256_unpacklo_pd(r0v, r1v);
-                let t1 = _mm256_unpackhi_pd(r0v, r1v);
-                let t2 = _mm256_unpacklo_pd(r2v, r3v);
-                let t3 = _mm256_unpackhi_pd(r2v, r3v);
-                let col0 = _mm256_permute2f128_pd::<0x20>(t0, t2);
-                let col1 = _mm256_permute2f128_pd::<0x20>(t1, t3);
-                let col2 = _mm256_permute2f128_pd::<0x31>(t0, t2);
-                let col3 = _mm256_permute2f128_pd::<0x31>(t1, t3);
-                acc = _mm256_add_pd(acc, _mm256_mul_pd(col0, _mm256_set1_pd(x[c0])));
-                acc = _mm256_add_pd(acc, _mm256_mul_pd(col1, _mm256_set1_pd(x[c0 + 1])));
-                acc = _mm256_add_pd(acc, _mm256_mul_pd(col2, _mm256_set1_pd(x[c0 + 2])));
-                acc = _mm256_add_pd(acc, _mm256_mul_pd(col3, _mm256_set1_pd(x[c0 + 3])));
-            } else {
-                // Ragged last block column: strided column loads keep the
-                // ascending-column add order without assuming the ragged
-                // block sits last in the block row.
-                let width = ncols - c0;
-                for c in 0..width {
-                    let col = _mm256_set_pd(tile[12 + c], tile[8 + c], tile[4 + c], tile[c]);
-                    acc = _mm256_add_pd(acc, _mm256_mul_pd(col, _mm256_set1_pd(x[c0 + c])));
-                }
-            }
-        }
-        let mut out = [0.0f64; 4];
-        _mm256_storeu_pd(out.as_mut_ptr(), acc);
-        for (k, i) in (r0..r_end).enumerate() {
-            y[i - y_base] = out[k];
-        }
-    }
-}
-
-/// SSE f32 4×4 BCSR block-row kernel. A 4×4 f32 tile row is one 128-bit
-/// register, so the transposed form adds columns in the exact scalar
-/// order — this f32 kernel happens to be bit-exact too.
-///
-/// # Safety
-///
-/// Nothing beyond the dispatcher contract: SSE2 is the x86-64 baseline
-/// and the block structure is walked through bounds-checked slices, so
-/// inconsistent arrays panic as in the scalar tile loop.
-#[cfg(feature = "storage-f32")]
-#[allow(clippy::too_many_arguments)]
-pub(super) unsafe fn bcsr4_f32_sse2(
-    nrows: usize,
-    ncols: usize,
-    indptr: &[usize],
-    indices: &[u32],
-    data: &[f32],
-    x: &[f32],
-    y: &mut [f32],
-    ib_lo: usize,
-    ib_hi: usize,
-) {
-    let y_base = ib_lo * 4;
-    for ib in ib_lo..ib_hi {
-        let r0 = ib * 4;
-        let r_end = (r0 + 4).min(nrows);
-        let mut acc = _mm_setzero_ps();
-        for blk in indptr[ib]..indptr[ib + 1] {
-            let c0 = indices[blk] as usize * 4;
-            let base = blk * 16;
-            let tile = &data[base..base + 16];
-            if c0 + 4 <= ncols {
-                let r0v = _mm_loadu_ps(tile.as_ptr());
-                let r1v = _mm_loadu_ps(tile.as_ptr().add(4));
-                let r2v = _mm_loadu_ps(tile.as_ptr().add(8));
-                let r3v = _mm_loadu_ps(tile.as_ptr().add(12));
-                let t0 = _mm_unpacklo_ps(r0v, r1v);
-                let t1 = _mm_unpacklo_ps(r2v, r3v);
-                let t2 = _mm_unpackhi_ps(r0v, r1v);
-                let t3 = _mm_unpackhi_ps(r2v, r3v);
-                let col0 = _mm_movelh_ps(t0, t1);
-                let col1 = _mm_movehl_ps(t1, t0);
-                let col2 = _mm_movelh_ps(t2, t3);
-                let col3 = _mm_movehl_ps(t3, t2);
-                acc = _mm_add_ps(acc, _mm_mul_ps(col0, _mm_set1_ps(x[c0])));
-                acc = _mm_add_ps(acc, _mm_mul_ps(col1, _mm_set1_ps(x[c0 + 1])));
-                acc = _mm_add_ps(acc, _mm_mul_ps(col2, _mm_set1_ps(x[c0 + 2])));
-                acc = _mm_add_ps(acc, _mm_mul_ps(col3, _mm_set1_ps(x[c0 + 3])));
-            } else {
-                let width = ncols - c0;
-                for c in 0..width {
-                    let col = _mm_set_ps(tile[12 + c], tile[8 + c], tile[4 + c], tile[c]);
-                    acc = _mm_add_ps(acc, _mm_mul_ps(col, _mm_set1_ps(x[c0 + c])));
-                }
-            }
-        }
-        let mut out = [0.0f32; 4];
-        _mm_storeu_ps(out.as_mut_ptr(), acc);
-        for (k, i) in (r0..r_end).enumerate() {
-            y[i - y_base] = out[k];
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // 8-wide blocked LDLᵀ sweep kernels

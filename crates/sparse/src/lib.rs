@@ -7,24 +7,19 @@
 //! - [`CsrMatrix`]: compressed sparse row storage with matrix-vector kernels
 //!   (threaded above a size crossover when the default `parallel` feature is
 //!   on — see [`CsrMatrix::par_mul_vec_into`]),
-//! - [`backend`]: the [`SparseBackend`] abstraction over storage layouts —
-//!   [`CsrMatrix`] (row-major), [`CscMatrix`] (column-major with a
-//!   transpose mirror), [`BcsrMatrix`] (register-blocked rows) — each
-//!   generic over the sealed [`Scalar`] trait (`f64` default, `f32` behind
-//!   the `storage-f32` feature), with bit-identical `f64` products across
-//!   layouts and worker counts,
-//! - [`ShardedBackend`]: a domain-decomposed backend — k per-domain
-//!   blocks (separated by a vertex separator from
-//!   [`ordering::vertex_separator`]) plus separator couplings, with an
-//!   out-of-core mode that spills domain matrices through [`mmio`] and
-//!   keeps at most one non-resident domain loaded at a time,
+//! - [`extract_blocks`]: the block-arrow pieces of a symmetric matrix
+//!   under a vertex separator ([`ordering::vertex_separator`]) — per-domain
+//!   diagonal blocks, domain↔separator couplings and the separator rows —
+//!   plus [`SpillStore`], which spills domain matrices through [`mmio`] to
+//!   a self-cleaning directory; the substructured solver in `sass-solver`
+//!   is built from both,
 //! - [`kernel`]: explicit SIMD microkernels (SSE2/AVX2/NEON behind runtime
-//!   dispatch, `simd` feature, `SASS_NO_SIMD` escape hatch) for the
-//!   stored-scalar hot paths — CSR/BCSR SpMV, the 8-wide LDLᵀ sweeps, the
-//!   Joule-heat and heat-scan loops — with the scalar loops as always-on
-//!   fallback and parity oracle, plus the [`kernel::AlignedVec`]
-//!   cache-line-aligned buffer used for BCSR tiles and [`DenseBlock`]
-//!   storage,
+//!   dispatch, `simd` feature, `SASS_NO_SIMD` escape hatch) for the hot
+//!   paths — the 8-wide LDLᵀ sweeps, the Joule-heat and heat-scan loops,
+//!   and the CSR SpMV entry point (scalar at every tier, by measurement)
+//!   — with the scalar loops as always-on fallback and parity oracle,
+//!   plus the [`kernel::AlignedVec`] cache-line-aligned buffer behind
+//!   [`DenseBlock`] storage,
 //! - [`pool`]: the persistent worker pool every parallel kernel in the
 //!   workspace dispatches through — parked OS threads woken per dispatch
 //!   (no per-call spawn), with deterministic span-ordered reduction and a
@@ -70,12 +65,9 @@
 
 #![deny(missing_docs)]
 
-pub mod backend;
-mod bcsr;
 mod block;
 pub mod config;
 mod coo;
-mod csc;
 mod csr;
 mod error;
 mod ldl;
@@ -83,7 +75,6 @@ mod operator;
 #[cfg(feature = "parallel")]
 mod parallel;
 mod perm;
-mod scalar;
 mod sharded;
 
 pub mod dense;
@@ -93,18 +84,14 @@ pub mod mmio;
 pub mod ordering;
 pub mod pool;
 
-pub use backend::SparseBackend;
-pub use bcsr::BcsrMatrix;
 pub use block::DenseBlock;
 pub use coo::CooMatrix;
-pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
 pub use error::SparseError;
 pub use ldl::{LdlFactor, RefactorOutcome, RefactorStats, LDL_BLOCK_WIDTH};
 pub use operator::LinearOperator;
 pub use perm::Permutation;
-pub use scalar::Scalar;
-pub use sharded::{extract_blocks, ShardOptions, ShardedBackend, ShardedBlocks, SpillStore};
+pub use sharded::{extract_blocks, ShardOptions, ShardedBlocks, SpillStore};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, SparseError>;

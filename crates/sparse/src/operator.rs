@@ -8,7 +8,7 @@
 //! the trait here, in the lowest-level crate, lets every layer name it
 //! without depending on the solver stack.
 
-use crate::{BcsrMatrix, CscMatrix, CsrMatrix};
+use crate::CsrMatrix;
 
 /// A symmetric linear operator `y = A x`, the abstraction consumed by
 /// `pcg` and the eigensolvers in `sass-eigen`.
@@ -52,89 +52,6 @@ impl LinearOperator for CsrMatrix {
     }
 }
 
-impl LinearOperator for CscMatrix {
-    fn dim(&self) -> usize {
-        self.nrows()
-    }
-
-    /// Bit-for-bit identical to the [`CsrMatrix`] operator on the same
-    /// matrix (see the CSC module docs), so any backend can stand in for
-    /// any other inside the iterative methods without perturbing
-    /// convergence histories.
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
-        #[cfg(feature = "parallel")]
-        self.par_mul_vec_into(x, y);
-        #[cfg(not(feature = "parallel"))]
-        self.mul_vec_into(x, y);
-    }
-}
-
-impl LinearOperator for BcsrMatrix {
-    fn dim(&self) -> usize {
-        self.nrows()
-    }
-
-    /// Bit-for-bit identical to the [`CsrMatrix`] operator for finite
-    /// inputs (see the BCSR module docs on padding zeros).
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
-        #[cfg(feature = "parallel")]
-        self.par_mul_vec_into(x, y);
-        #[cfg(not(feature = "parallel"))]
-        self.mul_vec_into(x, y);
-    }
-}
-
-#[cfg(feature = "storage-f32")]
-std::thread_local! {
-    /// Per-thread narrow/widen buffers for the `f32` casting operators,
-    /// so repeated applies (every step of a Chebyshev recurrence or power
-    /// iteration) allocate nothing after the first — the same
-    /// thread-local-scratch pattern the LDLᵀ solve entry points use.
-    static CAST_SCRATCH: std::cell::RefCell<(Vec<f32>, Vec<f32>)> =
-        const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
-}
-
-/// `f32` backends participate in the `f64` pipeline by casting at the
-/// operator boundary: narrow `x`, run the single-precision kernel, widen
-/// `y` (widening is exact — [`crate::Scalar::to_f64`]). The narrow
-/// buffers live in thread-local scratch, so steady-state applies are
-/// allocation-free; these operators are meant for the ranking-precision
-/// paths (heat scoring, gsp filtering), not for inner solver loops.
-#[cfg(feature = "storage-f32")]
-macro_rules! impl_casting_operator {
-    ($backend:ty) => {
-        impl LinearOperator for $backend {
-            fn dim(&self) -> usize {
-                self.nrows()
-            }
-
-            fn apply(&self, x: &[f64], y: &mut [f64]) {
-                CAST_SCRATCH.with(|cell| {
-                    let (xs, ys) = &mut *cell.borrow_mut();
-                    xs.clear();
-                    xs.extend(x.iter().map(|&v| v as f32));
-                    ys.clear();
-                    ys.resize(y.len(), 0.0f32);
-                    #[cfg(feature = "parallel")]
-                    self.par_mul_vec_into(xs, ys);
-                    #[cfg(not(feature = "parallel"))]
-                    self.mul_vec_into(xs, ys);
-                    for (wide, narrow) in y.iter_mut().zip(ys.iter()) {
-                        *wide = f64::from(*narrow);
-                    }
-                });
-            }
-        }
-    };
-}
-
-#[cfg(feature = "storage-f32")]
-impl_casting_operator!(CsrMatrix<f32>);
-#[cfg(feature = "storage-f32")]
-impl_casting_operator!(CscMatrix<f32>);
-#[cfg(feature = "storage-f32")]
-impl_casting_operator!(BcsrMatrix<f32>);
-
 impl<T: LinearOperator + ?Sized> LinearOperator for &T {
     fn dim(&self) -> usize {
         (**self).dim()
@@ -159,45 +76,6 @@ mod tests {
         let y = a.apply_vec(&[1.0, 1.0]);
         assert_eq!(y, vec![2.0, 3.0]);
         assert_eq!(LinearOperator::dim(&a), 2);
-    }
-
-    #[test]
-    fn every_backend_is_an_operator_with_identical_results() {
-        let mut coo = CooMatrix::new(4, 4);
-        for i in 0..4 {
-            coo.push(i, i, 3.0);
-        }
-        coo.push_sym(0, 2, -1.5);
-        coo.push_sym(1, 3, 0.25);
-        let a = coo.to_csr();
-        let x = [1.0, -2.0, 0.5, 4.0];
-        let want = a.apply_vec(&x);
-        let csc = CscMatrix::from_csr(&a);
-        let bcsr = BcsrMatrix::from_csr(&a, 2);
-        assert_eq!(csc.apply_vec(&x), want);
-        assert_eq!(bcsr.apply_vec(&x), want);
-        assert_eq!(LinearOperator::dim(&csc), 4);
-        assert_eq!(LinearOperator::dim(&bcsr), 4);
-    }
-
-    #[cfg(feature = "storage-f32")]
-    #[test]
-    fn f32_operators_cast_at_the_boundary() {
-        let mut coo = CooMatrix::new(3, 3);
-        coo.push(0, 0, 2.0);
-        coo.push(1, 1, -4.0);
-        coo.push(2, 2, 0.5);
-        let a = coo.to_csr();
-        let x = [1.0, 2.0, -8.0];
-        let want = a.apply_vec(&x);
-        let narrow: CsrMatrix<f32> = a.to_scalar();
-        let got = narrow.apply_vec(&x);
-        // These values are exact in f32, so even the cast path is exact.
-        assert_eq!(got, want);
-        let csc32 = CscMatrix::from_csr(&narrow);
-        let bcsr32 = BcsrMatrix::from_csr(&narrow, 2);
-        assert_eq!(csc32.apply_vec(&x), want);
-        assert_eq!(bcsr32.apply_vec(&x), want);
     }
 
     #[test]

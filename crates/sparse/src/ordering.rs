@@ -419,9 +419,8 @@ fn nested_dissection_order(a: &CsrMatrix) -> Vec<usize> {
 /// pattern: interior *domains* that share no edge with one another, plus
 /// one *separator* carrying every cross-domain coupling.
 ///
-/// Produced by [`vertex_separator`]; consumed by the sharded storage
-/// backend ([`crate::ShardedBackend`]) and the substructured solver in
-/// `sass-solver`. The decomposition is purely structural — matrix values
+/// Produced by [`vertex_separator`]; consumed by [`crate::extract_blocks`]
+/// and the substructured solver in `sass-solver`. The decomposition is purely structural — matrix values
 /// never influence it — and deterministic for a given pattern.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SeparatorParts {

@@ -11,8 +11,8 @@
 //! worker count (a property the sparse proptests pin down at forced
 //! counts 1/2/3/8).
 //!
-//! The old backend spawned fresh `std::thread::scope` threads on every
-//! call, which put the profitable-size crossover at 8,192 rows / 100k
+//! The first threaded SpMV spawned fresh `std::thread::scope` threads on
+//! every call, which put the profitable-size crossover at 8,192 rows / 100k
 //! stored entries — high enough that most pipeline stages never went
 //! parallel. Pool dispatch is a wake of parked threads, not a spawn
 //! (`BENCH_POOL.json` records the difference), so the crossover now sits
@@ -20,23 +20,18 @@
 //! override skips the crossover entirely (forcing or denying the threaded
 //! path), which is how single-core CI exercises real fan-out.
 
-use crate::{pool, CsrMatrix, Scalar};
+use crate::{kernel, pool, CsrMatrix};
 
 /// Below this many rows the serial kernel wins under automatic sizing.
-pub(crate) const MIN_PAR_ROWS: usize = 1_024;
+const MIN_PAR_ROWS: usize = 1_024;
 /// Below this many stored entries the serial kernel wins.
-pub(crate) const MIN_PAR_NNZ: usize = 10_000;
+const MIN_PAR_NNZ: usize = 10_000;
 /// Stored entries per pool lane; caps lane count for matrices barely
 /// above the crossover.
-pub(crate) const NNZ_PER_WORKER: usize = 4_096;
+const NNZ_PER_WORKER: usize = 4_096;
 
 /// Number of lanes to use for a matrix, `1` meaning "stay serial".
-///
-/// `nnz` is the number of **stored scalars** — for blocked storage the
-/// caller passes block count × block area, not block count, so the
-/// crossover keeps measuring real memory traffic (see
-/// [`crate::BcsrMatrix`]).
-pub(crate) fn worker_count(nrows: usize, nnz: usize) -> usize {
+fn worker_count(nrows: usize, nnz: usize) -> usize {
     let p = pool::Pool::global();
     if nrows < MIN_PAR_ROWS && !p.is_forced() {
         return 1;
@@ -44,7 +39,7 @@ pub(crate) fn worker_count(nrows: usize, nnz: usize) -> usize {
     p.workers_for(nnz, MIN_PAR_NNZ, NNZ_PER_WORKER).min(nrows)
 }
 
-pub(crate) fn par_spmv<S: Scalar>(a: &CsrMatrix<S>, x: &[S], y: &mut [S]) {
+pub(crate) fn par_spmv(a: &CsrMatrix, x: &[f64], y: &mut [f64]) {
     let workers = worker_count(a.nrows(), a.nnz());
     par_spmv_on(pool::Pool::global(), a, x, y, workers);
 }
@@ -53,7 +48,7 @@ pub(crate) fn par_spmv<S: Scalar>(a: &CsrMatrix<S>, x: &[S], y: &mut [S]) {
 /// in a `Pool::with_threads(workers)` instance so multi-worker execution
 /// is pinned with *real* thread fan-out even where the global pool sizes
 /// to one lane (single-core CI).
-fn par_spmv_on<S: Scalar>(p: &pool::Pool, a: &CsrMatrix<S>, x: &[S], y: &mut [S], workers: usize) {
+fn par_spmv_on(p: &pool::Pool, a: &CsrMatrix, x: &[f64], y: &mut [f64], workers: usize) {
     assert_eq!(x.len(), a.ncols(), "mul_vec: x length mismatch");
     assert_eq!(y.len(), a.nrows(), "mul_vec: y length mismatch");
     if workers <= 1 {
@@ -68,7 +63,7 @@ fn par_spmv_on<S: Scalar>(p: &pool::Pool, a: &CsrMatrix<S>, x: &[S], y: &mut [S]
         let (lo, hi) = spans[s];
         // Same kernel dispatcher as the serial path, per span — parallel
         // stays bit-identical to serial at every SIMD level.
-        S::spmv_range(indptr, indices, data, x, chunk, lo, hi);
+        kernel::spmv_range_f64(indptr, indices, data, x, chunk, lo, hi);
     });
 }
 

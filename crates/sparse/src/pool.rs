@@ -207,6 +207,7 @@ pub struct Pool {
     /// sizing, so a temporary test override cannot erase the env setting.
     default_override: usize,
     /// Automatic lane count (`available_parallelism` at construction).
+    #[cfg(feature = "parallel")]
     auto_threads: usize,
     /// Fan-outs published to the workers so far (see
     /// [`Pool::dispatch_count`]).
@@ -254,6 +255,7 @@ impl Pool {
             handles: Mutex::new(Vec::new()),
             override_threads: AtomicUsize::new(threads),
             default_override: threads,
+            #[cfg(feature = "parallel")]
             auto_threads: std::thread::available_parallelism().map_or(1, |p| p.get()),
             dispatches: AtomicUsize::new(0),
         }
@@ -867,17 +869,15 @@ mod tests {
         assert_eq!(spans.iter().map(|&(lo, hi)| hi - lo).sum::<usize>(), 5);
     }
 
-    /// Regression (blocked-row weight accounting): spans over BCSR block
-    /// rows must balance by scalar nnz — the block-count prefix, which for
-    /// a fixed block area is proportional to stored scalars — not by
-    /// block-row count. A hub-heavy distribution split evenly by block-row
-    /// count would hand lane 0 the hub *and* a fair share of the tail;
-    /// weighted balancing isolates the hub.
+    /// Regression (weighted balancing): spans over a hub-heavy work
+    /// prefix must balance by weight, not by item count. A hub-heavy
+    /// distribution split evenly by item count would hand lane 0 the hub
+    /// *and* a fair share of the tail; weighted balancing isolates the
+    /// hub.
     #[test]
     fn balanced_spans_isolate_hub_block_row() {
-        // Block row 0 holds 500 blocks, 7 tail rows hold 2 each — with
-        // 4×4 blocks the hub carries 500·16 = 8000 of 8224 scalars (the
-        // same 500/514 share the block counts carry).
+        // Item 0 weighs 500, 7 tail items weigh 2 each (a scale-free hub
+        // row against ordinary rows).
         let mut prefix = vec![0usize, 500];
         for i in 0..7 {
             prefix.push(500 + 2 * (i + 1));
@@ -888,8 +888,8 @@ mod tests {
         for w in spans.windows(2) {
             assert_eq!(w[0].1, w[1].0);
         }
-        // An even block-row split would give lane 0 a quarter of the tail
-        // on top of the hub.
+        // An even item-count split would give lane 0 a quarter of the
+        // tail on top of the hub.
         assert_eq!(even_spans(8, 4)[0], (0, 2));
     }
 

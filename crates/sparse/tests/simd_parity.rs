@@ -2,15 +2,12 @@
 //! [`sass_sparse::kernel`].
 //!
 //! Every level the running CPU supports is forced in turn through
-//! [`kernel::set_level`] and held to the module's parity contract:
-//!
-//! - **`f64` kernels are bit-identical to the scalar oracle** — CSR/CSC/
-//!   BCSR products (serial and threaded at forced worker counts 1/2/3/8),
-//!   the LDLᵀ factorization and both solve shapes, Joule-heat scoring and
-//!   the heat-filter scan all `assert_eq!` against the `Scalar` level.
-//! - **`f32` kernels are toleranced** — held to the per-row
-//!   `(nnz + 2)·ε_f32` bound established by `tests/backend_parity.rs`
-//!   (SIMD tiers may reassociate row sums).
+//! [`kernel::set_level`] and held to the module's parity contract,
+//! **bit-identity with the scalar oracle**: CSR products (serial and,
+//! with the `parallel` feature, threaded at forced worker counts
+//! 1/2/3/8), the LDLᵀ factorization and both solve shapes, Joule-heat
+//! scoring and the heat-filter scan all `assert_eq!` against the
+//! `Scalar` level.
 //!
 //! Ragged tails (`nnz % lane width ≠ 0`) and empty rows are pinned by a
 //! deterministic matrix whose row lengths sweep `0..=17`, on top of the
@@ -20,14 +17,7 @@
 use proptest::prelude::*;
 use sass_sparse::kernel::{self, SimdLevel};
 use sass_sparse::ordering::OrderingKind;
-// Without `parallel`, the inherent `par_mul_vec_into` methods don't
-// exist; the `SparseBackend` trait supplies an inline serial fallback, so
-// the worker sweeps compile in the `--no-default-features` CI lanes too.
-// (With `parallel` on, the inherent methods shadow the trait and the
-// import would be unused.)
-#[cfg(not(feature = "parallel"))]
-use sass_sparse::SparseBackend;
-use sass_sparse::{pool, BcsrMatrix, CooMatrix, CscMatrix, CsrMatrix, DenseBlock, LdlFactor};
+use sass_sparse::{pool, CooMatrix, CsrMatrix, DenseBlock, LdlFactor};
 
 /// Serializes tests that override the global SIMD level or the global
 /// pool's lane count. (`unwrap_or_else` keeps the guard usable after a
@@ -66,8 +56,7 @@ fn at_level<T>(level: SimdLevel, f: impl FnOnce() -> T) -> T {
 }
 
 /// Strategy: a random symmetric matrix of size `n in [1, 48]` whose
-/// stored values are all nonzero (same construction as
-/// `tests/backend_parity.rs`, so the two suites pin the same population).
+/// stored values are all nonzero.
 fn symmetric_matrix() -> impl Strategy<Value = CsrMatrix> {
     (1usize..48).prop_flat_map(|n| {
         let entries = proptest::collection::vec((0usize..n, 0usize..n, 0.1f64..2.0), 0..(4 * n));
@@ -155,38 +144,28 @@ fn ldl_fingerprint(a: &CsrMatrix) -> (Vec<f64>, Vec<f64>, Vec<Vec<f64>>) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Every SIMD tier reproduces the scalar f64 product bit for bit, on
-    /// every backend, serial and threaded at forced worker counts
-    /// 1/2/3/8.
+    /// Every SIMD tier reproduces the scalar f64 product bit for bit,
+    /// serial and (with the `parallel` feature) threaded at forced worker
+    /// counts 1/2/3/8.
     #[test]
     fn f64_products_bitwise_across_levels_and_workers(a in symmetric_matrix()) {
         let _guard = state_guard();
         let x = probe(a.ncols());
         pool::set_threads(1);
         let want = at_level(SimdLevel::Scalar, || a.mul_vec(&x));
-
-        let csc = CscMatrix::from_csr(&a);
-        let bcsr2 = BcsrMatrix::from_csr(&a, 2);
-        let bcsr4 = BcsrMatrix::from_csr(&a, 4);
-        let mut y = vec![0.0; a.nrows()];
         for level in levels() {
             kernel::set_level(Some(level));
-            prop_assert_eq!(&a.mul_vec(&x), &want, "csr serial, {:?}", level);
-            prop_assert_eq!(&csc.mul_vec(&x), &want, "csc serial, {:?}", level);
-            prop_assert_eq!(&bcsr2.mul_vec(&x), &want, "bcsr2 serial, {:?}", level);
-            prop_assert_eq!(&bcsr4.mul_vec(&x), &want, "bcsr4 serial, {:?}", level);
-            for workers in [1usize, 2, 3, 8] {
-                pool::set_threads(workers);
-                a.par_mul_vec_into(&x, &mut y);
-                prop_assert_eq!(&y, &want, "csr par, {:?}, workers {}", level, workers);
-                csc.par_mul_vec_into(&x, &mut y);
-                prop_assert_eq!(&y, &want, "csc par, {:?}, workers {}", level, workers);
-                bcsr2.par_mul_vec_into(&x, &mut y);
-                prop_assert_eq!(&y, &want, "bcsr2 par, {:?}, workers {}", level, workers);
-                bcsr4.par_mul_vec_into(&x, &mut y);
-                prop_assert_eq!(&y, &want, "bcsr4 par, {:?}, workers {}", level, workers);
+            prop_assert_eq!(&a.mul_vec(&x), &want, "serial, {:?}", level);
+            #[cfg(feature = "parallel")]
+            {
+                let mut y = vec![0.0; a.nrows()];
+                for workers in [1usize, 2, 3, 8] {
+                    pool::set_threads(workers);
+                    a.par_mul_vec_into(&x, &mut y);
+                    prop_assert_eq!(&y, &want, "par, {:?}, workers {}", level, workers);
+                }
+                pool::set_threads(1);
             }
-            pool::set_threads(1);
         }
         kernel::set_level(None);
         pool::set_threads(0);
@@ -281,14 +260,6 @@ fn ragged_and_empty_rows_bitwise_across_levels() {
         assert_eq!(part, want[5..12], "{level:?} subrange");
         kernel::set_level(None);
     }
-    // The BCSR tiers see the same ragged pattern through block padding.
-    for b in [2usize, 4] {
-        let blocked = BcsrMatrix::from_csr(&a, b);
-        for level in levels() {
-            let got = at_level(level, || blocked.mul_vec(&x));
-            assert_eq!(got, want, "bcsr{b} {level:?}");
-        }
-    }
 }
 
 /// The `SASS_NO_SIMD` escape hatch (and the `simd` feature gate) pin the
@@ -312,111 +283,4 @@ fn sass_no_simd_env_is_respected() {
     // other tests installed before this one took the guard.
     let _guard = state_guard();
     assert!(kernel::active() <= kernel::detected());
-}
-
-#[cfg(feature = "storage-f32")]
-mod f32_tolerance {
-    use super::*;
-    // `from_csr_f64` is a `SparseBackend` method, needed here regardless
-    // of the `parallel`-gated import above.
-    use sass_sparse::{Scalar, SparseBackend};
-
-    /// Per-row single-precision check: `got` tracks the f64 reference
-    /// within `(nnz_row + 2)·ε_f32` of the row's accumulated absolute
-    /// magnitude — the bound `tests/backend_parity.rs` establishes for
-    /// the scalar f32 path, unchanged for the SIMD tiers.
-    fn assert_rows_close(a: &CsrMatrix, xs: &[f32], got: &[f32], want: &[f64], tag: &str) {
-        for (i, (g, w)) in got.iter().zip(want).enumerate() {
-            let (cols, vals) = a.row(i);
-            let scale: f64 = cols
-                .iter()
-                .zip(vals)
-                .map(|(&c, &v)| (v * xs[c as usize].to_f64()).abs())
-                .sum::<f64>()
-                .max(1e-30);
-            let eps = (vals.len() as f64 + 2.0) * f32::EPSILON as f64;
-            assert!(
-                (g.to_f64() - w).abs() <= eps * scale,
-                "{tag} row {i}: {g} vs {w} (scale {scale})"
-            );
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-
-        /// f32 products stay within single precision of the f64 result at
-        /// every tier, on every backend, serial and threaded; and the
-        /// threaded CSR product is bit-identical to its serial form at
-        /// the same tier (chunking never changes a row's sum).
-        #[test]
-        fn f32_products_toleranced_across_levels_and_workers(a in symmetric_matrix()) {
-            let _guard = state_guard();
-            let x = probe(a.ncols());
-            let want = a.mul_vec(&x);
-            let xs: Vec<f32> = x.iter().map(|&v| v as f32).collect();
-
-            let csr = CsrMatrix::<f32>::from_csr_f64(&a);
-            let csc = CscMatrix::<f32>::from_csr_f64(&a);
-            let bcsr4 = BcsrMatrix::<f32>::from_csr_f64(&a);
-            let mut y = vec![0.0f32; a.nrows()];
-            for level in levels() {
-                kernel::set_level(Some(level));
-                let serial = csr.mul_vec(&xs);
-                assert_rows_close(&a, &xs, &serial, &want, &format!("csr {level:?}"));
-                assert_rows_close(&a, &xs, &csc.mul_vec(&xs), &want, &format!("csc {level:?}"));
-                assert_rows_close(&a, &xs, &bcsr4.mul_vec(&xs), &want, &format!("bcsr {level:?}"));
-                for workers in [1usize, 2, 3, 8] {
-                    pool::set_threads(workers);
-                    csr.par_mul_vec_into(&xs, &mut y);
-                    prop_assert_eq!(&y, &serial, "csr par, {:?}, workers {}", level, workers);
-                    pool::set_threads(0);
-                }
-            }
-            kernel::set_level(None);
-        }
-    }
-
-    /// Inconsistent CSR arrays behave identically at every tier — the
-    /// gather tier validates per row, the others panic via safe indexing
-    /// — so no level turns a malformed matrix into out-of-bounds reads:
-    /// a non-monotone (empty-range) row contributes 0 like the scalar
-    /// loop, and extents/columns out of range panic.
-    #[test]
-    fn f32_spmv_inconsistent_inputs_match_scalar_at_every_level() {
-        let _guard = state_guard();
-        for level in levels() {
-            kernel::set_level(Some(level));
-            let mut y = vec![-1.0f32; 2];
-            kernel::spmv_range_f32(&[4, 0, 4], &[0; 4], &[1.0; 4], &[1.0; 4], &mut y, 0, 2);
-            assert_eq!(y, [0.0, 4.0], "{level:?} non-monotone row is empty");
-            let extent = std::panic::catch_unwind(|| {
-                let mut y = vec![0.0f32; 1];
-                kernel::spmv_range_f32(&[0, 9], &[0, 1], &[1.0; 2], &[1.0; 4], &mut y, 0, 1);
-            });
-            assert!(extent.is_err(), "{level:?} indptr past indices/data");
-            let column = std::panic::catch_unwind(|| {
-                let mut y = vec![0.0f32; 1];
-                kernel::spmv_range_f32(&[0, 2], &[0, 9], &[1.0; 2], &[1.0; 2], &mut y, 0, 1);
-            });
-            assert!(column.is_err(), "{level:?} column index past x");
-            kernel::set_level(None);
-        }
-    }
-
-    /// The f32 ragged/empty-row sweep at every tier (masked AVX2 tails,
-    /// SSE2 remainders, scalar tails all hit every residue).
-    #[test]
-    fn f32_ragged_rows_toleranced_across_levels() {
-        let _guard = state_guard();
-        let a = ragged_matrix();
-        let x = probe(a.ncols());
-        let want = a.mul_vec(&x);
-        let xs: Vec<f32> = x.iter().map(|&v| v as f32).collect();
-        let csr = CsrMatrix::<f32>::from_csr_f64(&a);
-        for level in levels() {
-            let got = at_level(level, || csr.mul_vec(&xs));
-            assert_rows_close(&a, &xs, &got, &want, &format!("ragged {level:?}"));
-        }
-    }
 }

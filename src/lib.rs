@@ -11,7 +11,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`sparse`] | `sass-sparse` | storage backends (CSR/CSC/BCSR × `f64`/`f32`), COO assembly, sparse LDLᵀ, orderings, Matrix Market |
+//! | [`sparse`] | `sass-sparse` | CSR storage, COO assembly, sparse LDLᵀ, orderings, Matrix Market |
 //! | [`graph`] | `sass-graph` | graphs, spanning trees (AKPW/Kruskal/Wilson), LCA, stretch, generators |
 //! | [`solver`] | `sass-solver` | PCG, preconditioners, grounded & tree solvers |
 //! | [`eigen`] | `sass-eigen` | Lanczos, power iterations, Jacobi, pencils, Fiedler |

@@ -1,5 +1,5 @@
-//! Subtree-partitioned LDLᵀ: numeric factorization and triangular-solve
-//! latency, serial vs forced pool widths.
+//! Subtree-partitioned LDLᵀ: ordering, numeric factorization and
+//! triangular-solve latency, serial vs forced pool widths.
 //!
 //! Three workload shapes, chosen for their elimination-tree profiles:
 //!
@@ -12,8 +12,10 @@
 //!   (σ² = 200 on a circuit grid) — deep etree, light trunk, many small
 //!   subtrees for the lanes.
 //!
-//! Three kernels per workload — `numeric` ([`LdlFactor::with_permutation`]
-//! with a precomputed ordering), `solve` (single RHS,
+//! One serial `order` row per workload times the fill-reducing ordering
+//! alone ([`ordering::compute`], approximate minimum degree). Then three
+//! kernels per workload — `numeric` ([`LdlFactor::with_permutation`]
+//! with that precomputed ordering), `solve` (single RHS,
 //! [`LdlFactor::solve_into_scratch`]) and `solve_block8` (one full
 //! 8-column chunk) — each at `serial` (`set_threads(1)`), `w2` and `w4`
 //! forced pool widths, and each once per SIMD dispatch mode (the
@@ -23,17 +25,19 @@
 //! regardless of the gates (one dispatch per phase); on a single-core
 //! host they measure pure dispatch overhead (the speedup needs real
 //! cores), so every record carries `available_parallelism`. Record the
-//! baseline with
+//! baseline from the repository root with (cargo runs benches from
+//! `crates/bench`, so the path must be absolute; records are appended,
+//! so delete the old file first)
 //!
 //! ```text
-//! CRITERION_JSON=BENCH_FACTOR.json cargo bench -p sass-bench --bench factor
+//! CRITERION_JSON=$PWD/BENCH_FACTOR.json cargo bench -p sass-bench --bench factor
 //! ```
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use sass_bench::{record_simd_provenance, simd_modes};
 use sass_core::{sparsify, SparsifyConfig};
 use sass_graph::generators::{barabasi_albert, circuit_grid, grid2d, WeightModel};
-use sass_sparse::ordering::OrderingKind;
+use sass_sparse::ordering::{self, OrderingKind};
 use sass_sparse::{kernel, pool, CsrMatrix, DenseBlock, LdlFactor, LDL_BLOCK_WIDTH};
 
 /// Grounded (SPD) principal submatrix of a Laplacian, vertex 0 deleted.
@@ -63,12 +67,13 @@ fn bench_factor(c: &mut Criterion) {
     let mut group = c.benchmark_group("factor");
     group.sample_size(10);
     for (name, a) in workloads() {
-        // Precompute the ordering so the numeric rows measure the
-        // symbolic + numeric phases, not min-degree.
-        let perm = LdlFactor::new(&a, OrderingKind::MinDegree)
-            .unwrap()
-            .permutation()
-            .clone();
+        // The ordering is serial and SIMD-free: one row. The numeric rows
+        // below reuse its result, so they measure the symbolic + numeric
+        // phases alone.
+        group.bench_with_input(BenchmarkId::new("order", &name), &(), |bch, ()| {
+            bch.iter(|| black_box(ordering::compute(&a, OrderingKind::MinDegree).unwrap()))
+        });
+        let perm = ordering::compute(&a, OrderingKind::MinDegree).unwrap();
         let n = a.nrows();
         let shape = LdlFactor::with_permutation(&a, perm.clone())
             .unwrap()

@@ -1,5 +1,6 @@
 use crate::similarity::SimilarityPolicy;
 use crate::solve::SolveStrategy;
+use crate::{CoreError, Result};
 use sass_graph::spanning::TreeKind;
 use sass_sparse::ordering::OrderingKind;
 
@@ -41,7 +42,12 @@ pub struct SparsifyConfig {
     pub tree: TreeKind,
     /// Redundant-edge pruning policy (paper step 6).
     pub similarity: SimilarityPolicy,
-    /// Fill-reducing ordering for the sparsifier factorization.
+    /// Fill-reducing ordering for the sparsifier factorization, done
+    /// once per densification round; the last round's factor is the one
+    /// [`Sparsifier::build_solver`](crate::Sparsifier::build_solver)
+    /// returns. The default, approximate minimum degree, orders a
+    /// near-tree sparsifier in a fraction of its numeric factorization
+    /// time.
     pub ordering: OrderingKind,
     /// Generalized power iterations used to estimate `λmax` (fewer than ten
     /// suffice, paper §3.6.1).
@@ -127,6 +133,37 @@ impl SparsifyConfig {
     pub fn with_solve_strategy(mut self, strategy: SolveStrategy) -> Self {
         self.solve_strategy = strategy;
         self
+    }
+
+    /// Rejects knobs under which the pipeline cannot certify `σ²`:
+    /// `σ² ≤ 1` (or not finite), `t_steps == 0`, `max_add_frac ≤ 0`, a
+    /// zero-step `λmax` estimate (the Rayleigh quotient of a random
+    /// start vector, which can certify a bare spanning tree) and
+    /// `max_rounds == 0` (no round measures the result).
+    pub(crate) fn validate(&self) -> Result<()> {
+        let invalid = |context: String| Err(CoreError::InvalidConfig { context });
+        // Negated comparisons deliberately reject NaN as well.
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        if !(self.sigma2 > 1.0) || !self.sigma2.is_finite() {
+            return invalid(format!(
+                "sigma2 must be a finite value above 1, got {}",
+                self.sigma2
+            ));
+        }
+        if self.t_steps == 0 {
+            return invalid("t_steps must be at least 1".to_string());
+        }
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        if !(self.max_add_frac > 0.0) {
+            return invalid("max_add_frac must be positive".to_string());
+        }
+        if self.lambda_max_iters == 0 {
+            return invalid("lambda_max_iters must be at least 1".to_string());
+        }
+        if self.max_rounds == 0 {
+            return invalid("max_rounds must be at least 1".to_string());
+        }
+        Ok(())
     }
 
     /// Resolved probe-vector count for a graph with `n` vertices.

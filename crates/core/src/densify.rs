@@ -9,7 +9,7 @@ use crate::embedding::off_tree_heat;
 use crate::extremes::{estimate_lambda_max, estimate_lambda_min};
 use crate::filter::{heat_threshold, select_edges};
 use crate::similarity::filter_similar;
-use crate::{CoreError, Result, RoundStats, Sparsifier, SparsifyConfig};
+use crate::{Result, RoundStats, Sparsifier, SparsifyConfig};
 use sass_graph::{spanning, Graph, LcaIndex, RootedTree};
 use sass_solver::GroundedSolver;
 use sass_sparse::{CooMatrix, CsrMatrix};
@@ -44,9 +44,13 @@ fn laplacian_of_edges(g: &Graph, edge_ids: &[u32]) -> CsrMatrix {
 ///
 /// # Errors
 ///
-/// - [`CoreError::InvalidConfig`] if `σ² ≤ 1` or other nonsensical knobs,
-/// - [`CoreError::Graph`] if `g` is disconnected (no spanning tree),
-/// - [`CoreError::Solver`] on factorization failure.
+/// - [`CoreError::InvalidConfig`](crate::CoreError::InvalidConfig) if
+///   `σ² ≤ 1`, `max_add_frac ≤ 0`, or `t_steps`, `lambda_max_iters` or
+///   `max_rounds` is zero,
+/// - [`CoreError::Graph`](crate::CoreError::Graph) if `g` is disconnected
+///   (no spanning tree),
+/// - [`CoreError::Solver`](crate::CoreError::Solver) on factorization
+///   failure.
 ///
 /// # Example
 ///
@@ -63,28 +67,7 @@ fn laplacian_of_edges(g: &Graph, edge_ids: &[u32]) -> CsrMatrix {
 /// # }
 /// ```
 pub fn sparsify(g: &Graph, config: &SparsifyConfig) -> Result<Sparsifier> {
-    // Negated comparison deliberately rejects NaN as well.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    if !(config.sigma2 > 1.0) || !config.sigma2.is_finite() {
-        return Err(CoreError::InvalidConfig {
-            context: format!(
-                "sigma2 must be a finite value above 1, got {}",
-                config.sigma2
-            ),
-        });
-    }
-    if config.t_steps == 0 {
-        return Err(CoreError::InvalidConfig {
-            context: "t_steps must be at least 1".to_string(),
-        });
-    }
-    // Negated comparison deliberately rejects NaN too.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    if !(config.max_add_frac > 0.0) {
-        return Err(CoreError::InvalidConfig {
-            context: "max_add_frac must be positive".to_string(),
-        });
-    }
+    config.validate()?;
     let n = g.n();
     if n <= 1 {
         return Ok(Sparsifier {
@@ -94,6 +77,7 @@ pub fn sparsify(g: &Graph, config: &SparsifyConfig) -> Result<Sparsifier> {
             rounds: Vec::new(),
             converged: true,
             config: config.clone(),
+            solver: None,
         });
     }
 
@@ -118,6 +102,9 @@ pub fn sparsify(g: &Graph, config: &SparsifyConfig) -> Result<Sparsifier> {
     let budget = ((config.max_add_frac * n as f64).ceil() as usize).max(1);
     let mut rounds: Vec<RoundStats> = Vec::new();
     let mut converged = false;
+    // The factor of the final edge set, kept for `build_solver`: every
+    // exit below measures that set and leaves its solver here.
+    let mut final_solver = None;
 
     for round in 1..=config.max_rounds {
         let lp = laplacian_of_edges(g, &current);
@@ -144,6 +131,7 @@ pub fn sparsify(g: &Graph, config: &SparsifyConfig) -> Result<Sparsifier> {
                 candidates: 0,
                 added: 0,
             });
+            final_solver = Some(solver);
             break;
         }
 
@@ -175,6 +163,7 @@ pub fn sparsify(g: &Graph, config: &SparsifyConfig) -> Result<Sparsifier> {
             // Cannot happen while off-tree edges remain (the max-heat edge
             // always passes and the first candidate is always accepted),
             // but guard against stalling anyway.
+            final_solver = Some(solver);
             break;
         }
         for &id in &accepted {
@@ -210,6 +199,7 @@ pub fn sparsify(g: &Graph, config: &SparsifyConfig) -> Result<Sparsifier> {
                 candidates: 0,
                 added: 0,
             });
+            final_solver = Some(solver);
         }
     }
 
@@ -229,13 +219,14 @@ pub fn sparsify(g: &Graph, config: &SparsifyConfig) -> Result<Sparsifier> {
         rounds,
         converged,
         config: config.clone(),
+        solver: final_solver,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SimilarityPolicy;
+    use crate::{CoreError, SimilarityPolicy};
     use sass_eigen::pencil::dense_generalized_eigenvalues;
     use sass_graph::generators::{circuit_grid, fem_mesh2d, grid2d, WeightModel};
 
@@ -308,12 +299,56 @@ mod tests {
         ));
     }
 
+    /// With zero power steps `λmax` would be the Rayleigh quotient of the
+    /// random start vector, which certifies the bare spanning tree
+    /// (κ ≈ 1.21) here; with zero rounds nothing is measured at all.
+    #[test]
+    fn rejects_unmeasured_configs() {
+        let g = circuit_grid(12, 12, 0.2, 4);
+        let mut zero_steps = SparsifyConfig::new(20.0);
+        zero_steps.lambda_max_iters = 0;
+        assert!(matches!(
+            sparsify(&g, &zero_steps),
+            Err(CoreError::InvalidConfig { .. })
+        ));
+        assert!(matches!(
+            sparsify(&g, &SparsifyConfig::new(20.0).with_max_rounds(0)),
+            Err(CoreError::InvalidConfig { .. })
+        ));
+    }
+
+    #[test]
+    fn every_exit_carries_the_final_factor() {
+        let g = circuit_grid(12, 12, 0.2, 4);
+        for config in [
+            SparsifyConfig::new(20.0),                    // converges
+            SparsifyConfig::new(1e9),                     // the tree suffices
+            SparsifyConfig::new(1.05).with_max_rounds(1), // capped: re-measured
+        ] {
+            let sp = sparsify(&g, &config).unwrap();
+            let solver = sp.grounded_solver().expect("a factor for n > 1");
+            assert_eq!(solver.n(), g.n());
+        }
+    }
+
+    #[test]
+    fn factor_bench_sparsifier_fill_stays_near_exact_minimum_degree() {
+        // 6,741 is this sparsifier's nnz(L) under an exact minimum degree
+        // ordering; approximate degrees may cost at most 10% more fill.
+        let g = circuit_grid(48, 48, 0.1, 9);
+        let sp = sparsify(&g, &SparsifyConfig::new(200.0).with_seed(1)).unwrap();
+        let solver = GroundedSolver::new(&sp.graph().laplacian(), sp.config().ordering).unwrap();
+        let nnz = solver.nnz_factor();
+        assert!(nnz as f64 <= 1.10 * 6741.0, "nnz(L) = {nnz}");
+    }
+
     #[test]
     fn trivial_graphs() {
         let single = Graph::from_edges(1, &[]).unwrap();
         let sp = sparsify(&single, &SparsifyConfig::new(10.0)).unwrap();
         assert!(sp.converged());
         assert_eq!(sp.edge_count(), 0);
+        assert!(sp.grounded_solver().is_none());
     }
 
     #[test]

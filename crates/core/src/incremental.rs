@@ -143,27 +143,7 @@ impl IncrementalSparsifier {
     /// with fewer than two vertices, [`CoreError::Graph`] if `g` is
     /// disconnected, [`CoreError::Solver`] on factorization failure.
     pub fn new(g: &Graph, config: &SparsifyConfig) -> Result<Self> {
-        // Negated comparisons deliberately reject NaN as well.
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        if !(config.sigma2 > 1.0) || !config.sigma2.is_finite() {
-            return Err(CoreError::InvalidConfig {
-                context: format!(
-                    "sigma2 must be a finite value above 1, got {}",
-                    config.sigma2
-                ),
-            });
-        }
-        if config.t_steps == 0 {
-            return Err(CoreError::InvalidConfig {
-                context: "t_steps must be at least 1".to_string(),
-            });
-        }
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        if !(config.max_add_frac > 0.0) {
-            return Err(CoreError::InvalidConfig {
-                context: "max_add_frac must be positive".to_string(),
-            });
-        }
+        config.validate()?;
         let n = g.n();
         if n < 2 {
             return Err(CoreError::InvalidConfig {
@@ -806,6 +786,18 @@ mod tests {
         let g = grid2d(4, 4, WeightModel::Unit, 0);
         assert!(matches!(
             IncrementalSparsifier::new(&g, &SparsifyConfig::new(0.5)),
+            Err(CoreError::InvalidConfig { .. })
+        ));
+        // The same validation as `sparsify`: a zero-step λmax estimate
+        // sets θ from a random Rayleigh quotient.
+        let mut zero_steps = SparsifyConfig::new(50.0);
+        zero_steps.lambda_max_iters = 0;
+        assert!(matches!(
+            IncrementalSparsifier::new(&g, &zero_steps),
+            Err(CoreError::InvalidConfig { .. })
+        ));
+        assert!(matches!(
+            IncrementalSparsifier::new(&g, &SparsifyConfig::new(50.0).with_max_rounds(0)),
             Err(CoreError::InvalidConfig { .. })
         ));
     }

@@ -18,6 +18,14 @@
 //! ([`with_solve_strategy`](crate::SparsifyConfig::with_solve_strategy)),
 //! and [`Sparsifier::build_solver`](crate::Sparsifier::build_solver)
 //! materializes the chosen solver for a finished sparsifier.
+//!
+//! The monolithic solver comes for free: the last densification round
+//! already factored the final `L_P` to measure it, and the
+//! [`Sparsifier`] carries that factor
+//! ([`grounded_solver`](crate::Sparsifier::grounded_solver)), so
+//! `build_solver` clones it instead of ordering and factoring again. It
+//! is the factor of `L_P` as the round assembled it, whose diagonal can
+//! differ from `graph().laplacian()`'s in the last bits.
 
 use crate::{Result, Sparsifier, SparsifyConfig};
 use sass_solver::{GroundedSolver, ShardOptions, ShardedSolver};
@@ -141,6 +149,13 @@ impl Sparsifier {
     /// honoring the configuration's
     /// [`solve_strategy`](SparsifyConfig::solve_strategy).
     ///
+    /// Under [`SolveStrategy::Monolithic`] this clones the factor the
+    /// sparsifier carries ([`Sparsifier::grounded_solver`]): it factors
+    /// `L_P` as the last densification round assembled it, so solves
+    /// agree with a fresh factor of `graph().laplacian()` to rounding,
+    /// not bit for bit. The sharded strategy, and a sparsifier of at most
+    /// one vertex, build a solver from `graph().laplacian()`.
+    ///
     /// # Errors
     ///
     /// Propagates solver construction failures (see
@@ -167,7 +182,12 @@ impl Sparsifier {
     /// # }
     /// ```
     pub fn build_solver(&self) -> Result<SparsifierSolver> {
-        SparsifierSolver::build(&self.graph.laplacian(), &self.config)
+        match (&self.solver, self.config.solve_strategy) {
+            (Some(solver), SolveStrategy::Monolithic) => {
+                Ok(SparsifierSolver::Grounded(Box::new(solver.clone())))
+            }
+            _ => SparsifierSolver::build(&self.graph.laplacian(), &self.config),
+        }
     }
 }
 
@@ -175,7 +195,7 @@ impl Sparsifier {
 mod tests {
     use super::*;
     use crate::sparsify;
-    use sass_graph::generators::{grid2d, WeightModel};
+    use sass_graph::generators::{circuit_grid, grid2d, WeightModel};
     use sass_sparse::dense;
 
     #[test]
@@ -222,6 +242,45 @@ mod tests {
         dense::center(&mut b);
         let x = solver.solve(&b);
         assert!(sp.graph().laplacian().residual_norm(&x, &b) < 1e-8);
+    }
+
+    /// `build_solver` hands out the factor the last round built. It must
+    /// solve as a fresh factor of `graph().laplacian()` does, up to the
+    /// rounding of the diagonal's summation order, with the same fill.
+    fn assert_carried_factor_matches_fresh(sp: &Sparsifier) {
+        let SparsifierSolver::Grounded(carried) = sp.build_solver().unwrap() else {
+            panic!("expected the monolithic solver");
+        };
+        let fresh = GroundedSolver::new(&sp.graph().laplacian(), sp.config().ordering).unwrap();
+        assert_eq!(carried.nnz_factor(), fresh.nnz_factor());
+        let mut b: Vec<f64> = (0..sp.graph().n())
+            .map(|i| ((i * 7 % 23) as f64 * 0.37).sin())
+            .collect();
+        dense::center(&mut b);
+        let diff = dense::rel_diff(&carried.solve(&b), &fresh.solve(&b));
+        assert!(diff < 1e-12, "relative difference {diff:e}");
+    }
+
+    #[test]
+    fn build_solver_reuses_the_converged_factor() {
+        let g = circuit_grid(20, 20, 0.15, 11);
+        let sp = sparsify(&g, &SparsifyConfig::new(30.0)).unwrap();
+        assert!(sp.converged());
+        assert_carried_factor_matches_fresh(&sp);
+    }
+
+    #[test]
+    fn build_solver_reuses_the_remeasured_factor() {
+        // One round cannot reach σ² here: the loop adds its edges and
+        // re-measures, and that factor is the one carried.
+        let g = grid2d(24, 24, WeightModel::Unit, 2);
+        let config = SparsifyConfig::new(30.0)
+            .with_max_add_frac(0.05)
+            .with_max_rounds(1);
+        let sp = sparsify(&g, &config).unwrap();
+        assert_eq!(sp.rounds().len(), 2);
+        assert!(sp.rounds()[1].edges > sp.rounds()[0].edges);
+        assert_carried_factor_matches_fresh(&sp);
     }
 
     #[test]

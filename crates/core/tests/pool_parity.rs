@@ -10,7 +10,8 @@
 use proptest::prelude::*;
 use sass_core::embedding::off_tree_heat;
 use sass_core::filter::select_edges;
-use sass_graph::generators::{grid2d, WeightModel};
+use sass_core::{sparsify, SparsifierSolver, SparsifyConfig};
+use sass_graph::generators::{circuit_grid, grid2d, WeightModel};
 use sass_graph::{spanning, Graph, RootedTree};
 use sass_solver::GroundedSolver;
 use sass_sparse::ordering::OrderingKind;
@@ -74,6 +75,33 @@ fn grounded_solve_block_bit_identical_across_worker_counts() {
         let b = DenseBlock::from_columns(&cols);
         assert_parity_across_workers(|| solver.solve_block(&b));
     }
+}
+
+/// The factor a sparsifier carries out of densification, and the solves
+/// `build_solver` serves from it, do not depend on the pool width.
+#[test]
+fn carried_factor_solves_bit_identical_across_worker_counts() {
+    let g = circuit_grid(16, 16, 0.15, 3);
+    let cols: Vec<Vec<f64>> = (0..3)
+        .map(|c| {
+            let mut b: Vec<f64> = (0..g.n())
+                .map(|i| ((i * (2 * c + 3)) as f64 * 0.19).sin())
+                .collect();
+            sass_sparse::dense::center(&mut b);
+            b
+        })
+        .collect();
+    assert_parity_across_workers(|| {
+        let sp = sparsify(&g, &SparsifyConfig::new(40.0)).unwrap();
+        let SparsifierSolver::Grounded(solver) = sp.build_solver().unwrap() else {
+            panic!("expected the monolithic solver");
+        };
+        (
+            sp.edge_ids(),
+            solver.solve(&cols[0]),
+            solver.solve_many(&cols),
+        )
+    });
 }
 
 proptest! {

@@ -278,8 +278,11 @@ pub fn partition(g: &Graph, opts: &PartitionOptions) -> Result<Partition> {
         Backend::Sparsified { config, pcg } => {
             let t0 = Instant::now();
             let sp = sparsify(g, config)?;
-            let lp = sp.graph().laplacian();
-            let solver = GroundedSolver::new(&lp, config.ordering)?;
+            // The last densification round already factored L_P.
+            let solver = sp
+                .grounded_solver()
+                .expect("sparsify factors every graph of two or more vertices")
+                .clone();
             let setup = t0.elapsed();
             let memory = solver.memory_bytes();
             let prec = LaplacianPrec::new(solver);

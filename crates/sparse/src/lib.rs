@@ -36,7 +36,7 @@
 //! - [`DenseBlock`]: a column-major dense multivector, the carrier type for
 //!   every batched-RHS API in the workspace,
 //! - fill-reducing orderings ([`ordering`]): reverse Cuthill–McKee,
-//!   quotient-graph minimum degree, and BFS-separator nested dissection,
+//!   approximate minimum degree, and BFS-separator nested dissection,
 //! - [`Permutation`]: composable row/column permutations,
 //! - [`mmio`]: Matrix Market coordinate-format reading and writing,
 //! - [`dense`]: the handful of dense vector kernels (dot, axpy, norms,

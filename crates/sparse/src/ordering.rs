@@ -4,15 +4,34 @@
 //!
 //! - **Reverse Cuthill–McKee** (`Rcm`): breadth-first profile reduction,
 //!   good for banded/mesh matrices,
-//! - **Minimum degree** (`MinDegree`): quotient-graph elimination with
-//!   element absorption, excellent for the tree-plus-a-few-edges
-//!   sparsifiers this workspace factorizes in its inner loop,
+//! - **Approximate minimum degree** (`MinDegree`): quotient-graph AMD
+//!   (Amestoy, Davis & Duff 1996), excellent for the
+//!   tree-plus-a-few-edges sparsifiers this workspace factorizes in its
+//!   inner loop,
 //! - **Nested dissection** (`NestedDissection`): recursive BFS level-set
 //!   separators, the right choice for 2-D/3-D mesh Laplacians used as
 //!   direct-solver baselines.
 //!
-//! All orderings operate on the sparsity pattern only and return a
-//! [`Permutation`] in new-of-old form.
+//! All orderings operate on the sparsity pattern only, are serial and
+//! deterministic, and return a [`Permutation`] in new-of-old form.
+//!
+//! # Minimum degree without a postorder
+//!
+//! `MinDegree` follows Davis, *Direct Methods for Sparse Linear Systems*
+//! (SIAM 2006) §7.1: approximate external degrees bounded by `|Le \ Lk|`,
+//! supervariables found by hashing, mass elimination, element and
+//! aggressive absorption, and rows of degree above `max(16, 10√n)` taken
+//! out as dense and ordered last. Approximate degrees cost a scan of each
+//! element once per pivot instead of a union per neighbour, which is what
+//! makes the ordering cheap next to the numeric factorization.
+//!
+//! The textbook routine ends by postordering the assembly tree. This one
+//! returns the pivots in the order it eliminated them. On the near-tree
+//! factors the pipeline builds, a postorder puts most columns directly
+//! before their elimination-tree parent, so in the forward and backward
+//! sweeps each row waits on the row just written. The elimination order
+//! has the same fill and sweeps as fast as an exact minimum degree
+//! ordering.
 
 use crate::{CsrMatrix, Permutation, Result};
 
@@ -24,7 +43,9 @@ pub enum OrderingKind {
     Natural,
     /// Reverse Cuthill–McKee.
     Rcm,
-    /// Quotient-graph minimum degree (default; best for near-tree graphs).
+    /// Approximate minimum degree in elimination order, without a
+    /// postorder (default; best for near-tree graphs). See the
+    /// [module docs](self).
     #[default]
     MinDegree,
     /// BFS level-set nested dissection (best for mesh-like graphs).
@@ -45,7 +66,7 @@ pub fn compute(a: &CsrMatrix, kind: OrderingKind) -> Result<Permutation> {
     let order = match kind {
         OrderingKind::Natural => (0..n).collect(),
         OrderingKind::Rcm => rcm_order(a),
-        OrderingKind::MinDegree => min_degree_order(a),
+        OrderingKind::MinDegree => amd_order(a),
         OrderingKind::NestedDissection => nested_dissection_order(a),
     };
     Permutation::from_old_of_new(order)
@@ -184,125 +205,371 @@ fn rcm_order(a: &CsrMatrix) -> Vec<usize> {
     order
 }
 
-/// Quotient-graph minimum-degree ordering with element absorption.
-fn min_degree_order(a: &CsrMatrix) -> Vec<usize> {
+/// `-i - 2`: marks a node or element as absorbed into `i` (an involution,
+/// so `flip(flip(i)) == i`, and `flip(i) < 0` for every `i >= 0`).
+fn flip(i: isize) -> isize {
+    -i - 2
+}
+
+/// Returns `mark`, or resets every live `w` entry to 1 and returns 2 once
+/// `mark + lemax` would overflow: either way each live entry stays below
+/// the mark returned.
+fn wclear(mark: isize, lemax: isize, w: &mut [isize]) -> isize {
+    if mark.checked_add(lemax).is_some() {
+        return mark;
+    }
+    for x in w.iter_mut().filter(|x| **x != 0) {
+        *x = 1;
+    }
+    2
+}
+
+/// Appends the supervariable chain that starts at `i` to `order`.
+fn emit_chain(i: usize, chain: &[usize], order: &mut Vec<usize>) {
+    let mut v = i;
+    while v != usize::MAX {
+        order.push(v);
+        v = chain[v];
+    }
+}
+
+/// Approximate minimum degree (Amestoy, Davis & Duff 1996) in the form of
+/// Davis, *Direct Methods for Sparse Linear Systems* §7.1: approximate
+/// external degrees from `|Le \ Lk|`, supervariables detected by hashing,
+/// mass elimination, element and aggressive absorption, and rows denser
+/// than `max(16, 10√n)` ordered last. One garbage-collected workspace
+/// `ci` holds every node and element list.
+///
+/// Returns the pivots in the order they were eliminated (each pivot
+/// followed by the nodes of its supervariable and the nodes mass-
+/// eliminated with it), not a postorder of the assembly tree: see the
+/// [module docs](self).
+fn amd_order(a: &CsrMatrix) -> Vec<usize> {
     let n = a.nrows();
-    if n == 0 {
-        return Vec::new();
+    let ni = n as isize;
+    // Off-diagonal pattern, with elbow room for the new elements.
+    let mut cp: Vec<isize> = Vec::with_capacity(n);
+    let mut ci: Vec<isize> = Vec::new();
+    let mut len = vec![0isize; n];
+    for (i, l) in len.iter_mut().enumerate() {
+        cp.push(ci.len() as isize);
+        let (cols, _) = a.row(i);
+        ci.extend(
+            cols.iter()
+                .filter(|&&c| c as usize != i)
+                .map(|&c| c as isize),
+        );
+        *l = ci.len() as isize - cp[i];
     }
-    // Node neighbor lists (nodes only) and element membership.
-    let mut nbr: Vec<Vec<u32>> = (0..n)
-        .map(|i| {
-            let (cols, _) = a.row(i);
-            cols.iter().copied().filter(|&c| c as usize != i).collect()
-        })
-        .collect();
-    let mut elems: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut bound: Vec<Vec<u32>> = Vec::new(); // element boundaries
-    let mut elem_alive: Vec<bool> = Vec::new();
-    let mut alive = vec![true; n];
-    let mut degree: Vec<usize> = nbr.iter().map(Vec::len).collect();
+    let mut cnz = ci.len();
+    ci.resize(cnz + cnz / 5 + 2 * n, 0);
+    let nzmax = ci.len();
 
-    // Bucket queue keyed by degree with lazy invalidation.
-    let max_deg = degree.iter().copied().max().unwrap_or(0);
-    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); max_deg + 2];
-    for v in 0..n {
-        buckets[degree[v]].push(v as u32);
-    }
-    let mut cursor = 0usize;
-    let mut mark = vec![0u32; n];
-    let mut stamp = 0u32;
+    // Per node: supervariable size (`nv`, negated while in Lk, 0 once
+    // dead), degree-list or hash-bucket links, |Ei| (`elen`: -1 for a
+    // dead node, -2 for an element), approximate degree, and the marks
+    // `w` (0 for a dead element).
+    let mut nv = vec![1isize; n];
+    let mut next = vec![-1isize; n];
+    let mut last = vec![-1isize; n];
+    let mut head = vec![-1isize; n];
+    let mut hhead = vec![-1isize; n];
+    let mut elen = vec![0isize; n];
+    let mut degree = len.clone();
+    let mut w = vec![1isize; n];
+    let mut mark: isize = 2;
+    // Supervariable member chains, `usize::MAX`-terminated.
+    let mut chain = vec![usize::MAX; n];
+    let mut chain_tail: Vec<usize> = (0..n).collect();
+    let dense = ((10.0 * (n as f64).sqrt()) as isize).max(16).min(ni - 2);
+
     let mut order = Vec::with_capacity(n);
-    let mut scratch: Vec<u32> = Vec::new();
+    let mut dense_rows = Vec::new();
+    let mut nel: isize = 0;
+    let mut lemax: isize = 0;
+    let mut mindeg = 0usize;
+    for i in 0..n {
+        let d = degree[i];
+        if d == 0 {
+            // An isolated node: eliminated first, creating no fill.
+            elen[i] = -2;
+            nel += 1;
+            cp[i] = -1;
+            w[i] = 0;
+            order.push(i);
+        } else if d > dense {
+            // Dense: taken out of the quotient graph, ordered last.
+            nv[i] = 0;
+            elen[i] = -1;
+            nel += 1;
+            cp[i] = -1;
+            dense_rows.push(i);
+        } else {
+            let d = d as usize;
+            if head[d] != -1 {
+                last[head[d] as usize] = i as isize;
+            }
+            next[i] = head[d];
+            head[d] = i as isize;
+        }
+    }
 
-    let mut eliminated = 0usize;
-    while eliminated < n {
-        // Pop the minimum-degree live node.
-        let p = loop {
-            while cursor < buckets.len() && buckets[cursor].is_empty() {
-                cursor += 1;
+    while nel < ni {
+        // Select a node of minimum approximate degree.
+        let k = loop {
+            match head.get(mindeg) {
+                Some(&h) if h != -1 => break h as usize,
+                Some(_) => mindeg += 1,
+                None => unreachable!("a live node remains while nel < n"),
             }
-            debug_assert!(cursor < buckets.len(), "bucket queue exhausted early");
-            let Some(cand) = buckets[cursor].pop() else {
-                unreachable!("bucket {cursor} is nonempty after the skip loop");
-            };
-            let cand = cand as usize;
-            if alive[cand] && degree[cand] == cursor {
-                break cand;
-            }
-            // Stale entry: skip.
         };
-
-        alive[p] = false;
-        order.push(p);
-        eliminated += 1;
-
-        // Gather the new element boundary: union of live node-neighbors of p
-        // and the boundaries of p's elements.
-        stamp += 1;
-        scratch.clear();
-        for &v in &nbr[p] {
-            let v = v as usize;
-            if alive[v] && mark[v] != stamp {
-                mark[v] = stamp;
-                scratch.push(v as u32);
-            }
+        if next[k] != -1 {
+            last[next[k] as usize] = -1;
         }
-        for &e in &elems[p] {
-            let e = e as usize;
-            if !elem_alive[e] {
-                continue;
-            }
-            for &v in &bound[e] {
-                let v = v as usize;
-                if alive[v] && mark[v] != stamp {
-                    mark[v] = stamp;
-                    scratch.push(v as u32);
+        head[mindeg] = next[k];
+        let elenk = elen[k];
+        let nvk = nv[k];
+        nel += nvk;
+        emit_chain(k, &chain, &mut order);
+
+        // Garbage collection: compact every live list to the front.
+        if elenk > 0 && cnz + mindeg >= nzmax {
+            for (j, cpj) in cp.iter_mut().enumerate() {
+                if *cpj >= 0 {
+                    let p = *cpj as usize;
+                    *cpj = ci[p];
+                    ci[p] = flip(j as isize);
                 }
             }
-            elem_alive[e] = false; // absorbed into the new element
-        }
-        let new_elem = bound.len() as u32;
-        bound.push(scratch.clone());
-        elem_alive.push(true);
-        let old_elems = std::mem::take(&mut elems[p]);
-        nbr[p].clear();
-
-        // Update each boundary node: prune dead references, attach the new
-        // element, recompute its exact degree by a stamped union scan.
-        for &vref in &bound[new_elem as usize] {
-            let v = vref as usize;
-            nbr[v].retain(|&u| alive[u as usize]);
-            elems[v].retain(|&e| elem_alive[e as usize] && !old_elems.contains(&e));
-            elems[v].push(new_elem);
-
-            stamp += 1;
-            mark[v] = stamp;
-            let mut dv = 0usize;
-            for &u in &nbr[v] {
-                let u = u as usize;
-                if mark[u] != stamp {
-                    mark[u] = stamp;
-                    dv += 1;
-                }
-            }
-            for &e in &elems[v] {
-                for &u in &bound[e as usize] {
-                    let u = u as usize;
-                    if alive[u] && mark[u] != stamp {
-                        mark[u] = stamp;
-                        dv += 1;
+            let (mut q, mut p) = (0usize, 0usize);
+            while p < cnz {
+                let j = flip(ci[p]);
+                p += 1;
+                if j >= 0 {
+                    let j = j as usize;
+                    ci[q] = cp[j];
+                    cp[j] = q as isize;
+                    q += 1;
+                    for _ in 1..len[j] {
+                        ci[q] = ci[p];
+                        q += 1;
+                        p += 1;
                     }
                 }
             }
-            degree[v] = dv;
-            if dv >= buckets.len() {
-                buckets.resize(dv + 1, Vec::new());
+            cnz = q;
+        }
+
+        // Construct the new element Lk from k's elements and nodes.
+        let mut dk: isize = 0;
+        nv[k] = -nvk;
+        let mut p = cp[k] as usize;
+        let pk1 = if elenk == 0 { p } else { cnz };
+        let mut pk2 = pk1;
+        for k1 in 1..=elenk + 1 {
+            let (e, mut pj, ln) = if k1 > elenk {
+                (k, p, len[k] - elenk)
+            } else {
+                let e = ci[p] as usize;
+                p += 1;
+                (e, cp[e] as usize, len[e])
+            };
+            for _ in 0..ln {
+                let i = ci[pj] as usize;
+                pj += 1;
+                let nvi = nv[i];
+                if nvi <= 0 {
+                    continue; // dead, or already in Lk
+                }
+                dk += nvi;
+                nv[i] = -nvi;
+                ci[pk2] = i as isize;
+                pk2 += 1;
+                if next[i] != -1 {
+                    last[next[i] as usize] = last[i];
+                }
+                if last[i] != -1 {
+                    next[last[i] as usize] = next[i];
+                } else {
+                    head[degree[i] as usize] = next[i];
+                }
             }
-            buckets[dv].push(v as u32);
-            cursor = cursor.min(dv);
+            if e != k {
+                cp[e] = flip(k as isize); // absorb e into k
+                w[e] = 0;
+            }
+        }
+        if elenk != 0 {
+            cnz = pk2;
+        }
+        degree[k] = dk;
+        cp[k] = pk1 as isize;
+        len[k] = (pk2 - pk1) as isize;
+        elen[k] = -2;
+
+        // Scan 1: |Le \ Lk| for every element e adjacent to Lk.
+        mark = wclear(mark, lemax, &mut w);
+        for pk in pk1..pk2 {
+            let i = ci[pk] as usize;
+            let eln = elen[i];
+            if eln <= 0 {
+                continue;
+            }
+            let nvi = -nv[i];
+            let wnvi = mark - nvi;
+            let p1 = cp[i] as usize;
+            for &e in &ci[p1..p1 + eln as usize] {
+                let e = e as usize;
+                if w[e] >= mark {
+                    w[e] -= nvi;
+                } else if w[e] != 0 {
+                    w[e] = degree[e] + wnvi;
+                }
+            }
+        }
+
+        // Scan 2: approximate degrees, pruning and hashing each i in Lk.
+        for pk in pk1..pk2 {
+            let i = ci[pk] as usize;
+            let p1 = cp[i] as usize;
+            let p2 = p1 + elen[i] as usize;
+            let mut pn = p1;
+            let mut h = 0usize;
+            let mut d: isize = 0;
+            for p in p1..p2 {
+                let e = ci[p] as usize;
+                if w[e] != 0 {
+                    let dext = w[e] - mark;
+                    if dext > 0 {
+                        d += dext;
+                        ci[pn] = e as isize;
+                        pn += 1;
+                        h = h.wrapping_add(e);
+                    } else {
+                        cp[e] = flip(k as isize); // aggressive absorption
+                        w[e] = 0;
+                    }
+                }
+            }
+            elen[i] = (pn - p1 + 1) as isize;
+            let p3 = pn;
+            let p4 = p1 + len[i] as usize;
+            for p in p2..p4 {
+                let j = ci[p] as usize;
+                let nvj = nv[j];
+                if nvj <= 0 {
+                    continue; // dead, or in Lk
+                }
+                d += nvj;
+                ci[pn] = j as isize;
+                pn += 1;
+                h = h.wrapping_add(j);
+            }
+            if d == 0 {
+                // Mass elimination: i has no neighbours outside Lk ∪ k.
+                cp[i] = flip(k as isize);
+                let nvi = -nv[i];
+                dk -= nvi;
+                nel += nvi;
+                nv[i] = 0;
+                elen[i] = -1;
+                emit_chain(i, &chain, &mut order);
+            } else {
+                degree[i] = degree[i].min(d);
+                // k goes first in Ei; at least one entry was pruned, so
+                // the list still fits in its old span.
+                ci[pn] = ci[p3];
+                ci[p3] = ci[p1];
+                ci[p1] = k as isize;
+                len[i] = (pn - p1 + 1) as isize;
+                let h = h % n;
+                next[i] = hhead[h];
+                hhead[h] = i as isize;
+                last[i] = h as isize;
+            }
+        }
+        degree[k] = dk;
+        lemax = lemax.max(dk);
+        mark = wclear(mark.saturating_add(lemax), lemax, &mut w);
+
+        // Supervariable detection: compare the nodes of each hash bucket.
+        for pk in pk1..pk2 {
+            let i = ci[pk] as usize;
+            if nv[i] >= 0 {
+                continue;
+            }
+            let h = last[i] as usize;
+            let mut i = hhead[h];
+            hhead[h] = -1;
+            while i != -1 && next[i as usize] != -1 {
+                let iu = i as usize;
+                let (ln, eln) = (len[iu], elen[iu]);
+                let pi = cp[iu] as usize;
+                for &x in &ci[pi + 1..pi + ln as usize] {
+                    w[x as usize] = mark;
+                }
+                let mut jlast = iu;
+                let mut j = next[iu];
+                while j != -1 {
+                    let ju = j as usize;
+                    let pj = cp[ju] as usize;
+                    let same = len[ju] == ln
+                        && elen[ju] == eln
+                        && ci[pj + 1..pj + ln as usize]
+                            .iter()
+                            .all(|&x| w[x as usize] == mark);
+                    j = next[ju];
+                    if same {
+                        // Absorb j into i.
+                        cp[ju] = flip(i);
+                        nv[iu] += nv[ju];
+                        nv[ju] = 0;
+                        elen[ju] = -1;
+                        chain[chain_tail[iu]] = ju;
+                        chain_tail[iu] = chain_tail[ju];
+                        next[jlast] = j;
+                    } else {
+                        jlast = ju;
+                    }
+                }
+                i = next[iu];
+                mark += 1;
+            }
+        }
+
+        // Finalize Lk and put its nodes back in the degree lists.
+        let mut p = pk1;
+        for pk in pk1..pk2 {
+            let i = ci[pk] as usize;
+            let nvi = -nv[i];
+            if nvi <= 0 {
+                continue;
+            }
+            nv[i] = nvi;
+            let d = (degree[i] + dk - nvi).min(ni - nel - nvi) as usize;
+            if head[d] != -1 {
+                last[head[d] as usize] = i as isize;
+            }
+            next[i] = head[d];
+            last[i] = -1;
+            head[d] = i as isize;
+            mindeg = mindeg.min(d);
+            degree[i] = d as isize;
+            ci[p] = i as isize;
+            p += 1;
+        }
+        nv[k] = 0; // k is an element now
+        len[k] = (p - pk1) as isize;
+        if len[k] == 0 {
+            cp[k] = -1;
+            w[k] = 0;
+        }
+        if elenk != 0 {
+            cnz = p;
         }
     }
+    order.extend(dense_rows);
+    debug_assert_eq!(order.len(), n, "amd must order every node once");
     order
 }
 
@@ -812,6 +1079,65 @@ mod tests {
             pos_of_hub >= n - 2,
             "hub eliminated too early at {pos_of_hub}"
         );
+        assert_eq!(fill(&a, OrderingKind::MinDegree), n - 1);
+    }
+
+    /// SPD matrix with the pattern of a forest: vertex `i > 0` hangs off
+    /// `parent(i) < i`, or starts a new tree where `parent` says `None`.
+    fn forest(n: usize, parent: impl Fn(usize) -> Option<usize>) -> CsrMatrix {
+        let mut coo = CooMatrix::new(n, n);
+        for i in 0..n {
+            coo.push(i, i, 4.0);
+            if let Some(p) = (i > 0).then(|| parent(i)).flatten() {
+                coo.push_sym(p, i, -1.0);
+            }
+        }
+        coo.to_csr()
+    }
+
+    /// Nonzeros strictly below the diagonal of `a`: the factor of a
+    /// fill-free ordering has exactly these.
+    fn strict_lower(a: &CsrMatrix) -> usize {
+        (0..a.nrows())
+            .map(|i| a.row(i).0.iter().filter(|&&c| (c as usize) < i).count())
+            .sum()
+    }
+
+    #[test]
+    fn min_degree_orders_random_trees_and_forests_fill_free() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |m: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % m as u64) as usize
+        };
+        for n in [2usize, 3, 17, 64, 257, 1000] {
+            // A random recursive tree, a forest of about √n trees, and a
+            // caterpillar (a path whose nodes each carry a leaf).
+            let tree: Vec<usize> = (0..n).map(|i| next(i.max(1))).collect();
+            let roots: Vec<bool> = (0..n).map(|_| next(8) == 0).collect();
+            for a in [
+                forest(n, |i| Some(tree[i])),
+                forest(n, |i| (!roots[i]).then_some(tree[i])),
+                forest(n, |i| Some(if i % 2 == 1 { i - 1 } else { i - 2 })),
+            ] {
+                assert_eq!(
+                    fill(&a, OrderingKind::MinDegree),
+                    strict_lower(&a),
+                    "n = {n}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn dense_star_hub_is_ordered_last_without_fill() {
+        // 300 leaves put the hub past max(16, 10√n) ≈ 173.
+        let n = 301;
+        let a = forest(n, |_| Some(0));
+        let p = compute(&a, OrderingKind::MinDegree).unwrap();
+        assert_eq!(p.new_of_old()[0], n - 1, "hub not ordered last");
         assert_eq!(fill(&a, OrderingKind::MinDegree), n - 1);
     }
 

@@ -32,6 +32,26 @@ fn spd_matrix() -> impl Strategy<Value = CsrMatrix> {
     })
 }
 
+/// Strategy: an SPD matrix with the pattern of a random forest on
+/// `n in [2, 400)` vertices: vertex `i > 0` hangs off a uniformly random
+/// earlier vertex, or starts a new tree with probability 1/8.
+fn forest_matrix() -> impl Strategy<Value = CsrMatrix> {
+    (2usize..400).prop_flat_map(|n| {
+        let picks = proptest::collection::vec((0.0f64..1.0, 0u32..8), n);
+        (Just(n), picks).prop_map(|(n, picks)| {
+            let mut coo = CooMatrix::new(n, n);
+            for (i, &(u, link)) in picks.iter().enumerate() {
+                coo.push(i, i, 4.0);
+                if i > 0 && link != 0 {
+                    let parent = ((u * i as f64) as usize).min(i - 1);
+                    coo.push_sym(parent, i, -1.0);
+                }
+            }
+            coo.to_csr()
+        })
+    })
+}
+
 /// Dense Gaussian elimination with partial pivoting (test reference).
 fn dense_solve(a: &CsrMatrix, b: &[f64]) -> Vec<f64> {
     let n = a.nrows();
@@ -83,6 +103,17 @@ proptest! {
                              "{kind:?}: {xi} vs {ri}");
             }
         }
+    }
+
+    /// Minimum degree orders a forest without fill: the factor keeps
+    /// exactly the pattern's strict lower triangle.
+    #[test]
+    fn min_degree_orders_forests_fill_free(a in forest_matrix()) {
+        let strict_lower: usize = (0..a.nrows())
+            .map(|i| a.row(i).0.iter().filter(|&&c| (c as usize) < i).count())
+            .sum();
+        let f = LdlFactor::new(&a, OrderingKind::MinDegree).unwrap();
+        prop_assert_eq!(f.nnz_l(), strict_lower);
     }
 
     #[test]

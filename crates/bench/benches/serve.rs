@@ -5,20 +5,19 @@
 //! coalescing concurrent requests into one
 //! [`GroundedSolver::solve_many`](sass_solver::GroundedSolver::solve_many)
 //! pass). Both sides run the *same* load — 8 concurrent client threads
-//! over real loopback TCP against a zero-gather-window server — so
-//! framing, syscall, and context-switch costs cancel; the only
-//! difference is `max_batch_cols`:
+//! over real loopback TCP — so framing, syscall, and context-switch
+//! costs cancel; the only difference is `max_batch_cols`:
 //!
 //! - `sequential`: `max_batch_cols = 1` — every request is its own
 //!   factor pass, exactly what a server without coalescing would do;
-//! - `batched`: `max_batch_cols = 256` — the executor opportunistically
-//!   drains whatever is queued on the key into one blocked multi-RHS
-//!   pass.
+//! - `batched`: `max_batch_cols = 256` — the executor drains whatever
+//!   is queued on the key into one blocked multi-RHS pass.
 //!
 //! The speedup is *algorithmic* — the blocked pass shares the factor's
 //! forward/backward sweeps across columns instead of re-walking it per
-//! right-hand side — so it survives a single-core container where the
-//! concurrent clients add no CPU. Note the ceiling: sparsifier factors
+//! right-hand side — not extra cores for the concurrent clients. The
+//! bench asserts that batching is no slower than sequential serving.
+//! Note the ceiling: sparsifier factors
 //! are near-tree (≈1.2·n nonzeros, deep narrow etrees), which caps the
 //! blocked gain well below the ~2.6x recorded for full-Laplacian
 //! factors in BENCH_SOLVE_MANY.json; see the provenance note in the
@@ -46,8 +45,8 @@ use sass_serve::{serve, Client, ServerConfig, SparsifyParams, WireEdit, WireGrap
 const CLIENTS: usize = 8;
 /// Solve requests issued per client thread (total = CLIENTS x this).
 const REQUESTS_PER_CLIENT: usize = 40;
-/// Trials per configuration; the fastest wall time is kept (the 1-core
-/// container schedules noisily).
+/// Trials per configuration; the fastest wall time is kept (a loaded
+/// host schedules the client threads noisily).
 const TRIALS: usize = 3;
 const SIGMA2: f64 = 100.0;
 const SEED: u64 = 7;
@@ -97,7 +96,6 @@ fn rhs(n: usize, seed: u64) -> Vec<f64> {
 fn run_throughput(max_batch_cols: usize) -> (Duration, u64, u64) {
     let g = workload();
     let server = serve(ServerConfig {
-        gather_window: Duration::ZERO,
         max_batch_cols,
         ..ServerConfig::default()
     })
@@ -162,11 +160,7 @@ fn bench_serve(c: &mut Criterion) {
     // Criterion row: warm single-request round-trip latency over
     // loopback (one connection — the request is its own pass).
     {
-        let server = serve(ServerConfig {
-            gather_window: Duration::ZERO,
-            ..ServerConfig::default()
-        })
-        .expect("bind");
+        let server = serve(ServerConfig::default()).expect("bind");
         let mut client = Client::connect(server.addr()).expect("connect");
         let key = client.sparsify(params(), wire(&g)).expect("seed").key;
         let b = rhs(n, 1);
@@ -214,10 +208,16 @@ fn bench_serve(c: &mut Criterion) {
         "{{\"id\":\"serve/speedup\",\"batched_vs_sequential\":{speedup:.2},\
          \"note\":\"both sides run {CLIENTS} concurrent clients over loopback TCP; \
          only max_batch_cols differs, so the gain is algorithmic (solve_many shares \
-         factor sweeps across coalesced columns) and survives this single-core \
-         container. Near-tree sparsifier factors cap it well below the full-Laplacian \
+         factor sweeps across coalesced columns), not extra cores for the clients. \
+         Near-tree sparsifier factors cap it well below the full-Laplacian \
          blocked-solve ratio in BENCH_SOLVE_MANY.json.\"}}"
     ));
+    // The gate is a ratio taken within this run, so it holds on any host:
+    // coalescing must never make serving slower than one pass per request.
+    assert!(
+        speedup >= 1.0,
+        "batched serving is slower than sequential: {speedup:.2}x"
+    );
 
     // Mutate-then-solve through the incremental path.
     {

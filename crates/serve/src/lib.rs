@@ -8,11 +8,12 @@
 //! `ARCHITECTURE.md` for where this sits in the workspace):
 //!
 //! - **Solve batching.** Concurrent solve requests against the same
-//!   cached factor are coalesced — within a small gather window — into
-//!   one blocked multi-RHS pass
+//!   cached factor are coalesced into one blocked multi-RHS pass
 //!   ([`GroundedSolver::solve_many`](sass_solver::GroundedSolver::solve_many)),
 //!   so the factor's forward/backward sweeps are shared across clients
-//!   instead of re-walked once per right-hand side.
+//!   instead of re-walked once per right-hand side. The executor drains
+//!   everything queued as soon as it wakes; requests that arrive during
+//!   a pass join the next one, so nothing waits for a batch to form.
 //! - **Content-addressed caching with incremental mutation.** Entries
 //!   are keyed by [`sass_core::cache_key`] (canonical graph × config
 //!   fingerprint) and bounded by an LRU byte budget. A mutate request

@@ -16,19 +16,24 @@
 //!
 //! # Solve batching
 //!
-//! The executor pops the first queued job, then sleeps for the
-//! configured gather window before draining the queue. Every drained
-//! job with the same cache key is coalesced into **one**
+//! The executor waits on the queue's condvar and, once woken, drains
+//! every queued job at once. Every drained job with the same cache key
+//! is coalesced into **one**
 //! [`GroundedSolver::solve_many`](sass_solver::GroundedSolver::solve_many)
 //! pass — concurrent clients solving against the same cached factor
 //! share its sweeps through the blocked multi-RHS path instead of
-//! re-walking the factor once per right-hand side. Each response
-//! reports `batch_cols`, the total column count of the pass that
-//! served it, so clients (and the benches) can observe coalescing. A
-//! zero gather window degrades gracefully to drain-what's-queued
-//! (opportunistic coalescing); capping
+//! re-walking the factor once per right-hand side. Nothing waits for
+//! a batch to form: solves that arrive while a pass runs queue up and
+//! join the next drain, so passes widen with load and a lone client
+//! pays no gather delay. Each response reports `batch_cols`, the total
+//! column count of the pass that served it, so clients (and the
+//! benches) can observe coalescing. Capping
 //! [`ServerConfig::max_batch_cols`] at 1 disables coalescing entirely,
 //! which is the sequential baseline configuration used by the benches.
+//!
+//! A panic inside one pass is caught at the pass boundary: that pass's
+//! jobs are answered [`ErrorCode::Internal`] and the executor goes on
+//! serving every other pass and key.
 //!
 //! Deadlines are enforced at dispatch time: a job whose deadline passed
 //! while it sat in the queue is answered with a `DeadlineExceeded`
@@ -36,6 +41,7 @@
 
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -47,7 +53,7 @@ use sass_core::{cache_key, IncrementalSparsifier};
 use crate::cache::SparsifierCache;
 use crate::protocol::{
     read_frame, write_frame, CacheOutcome, ErrorCode, Request, Response, ServerStats,
-    SparsifyParams, WireGraph,
+    SparsifyParams, WireGraph, PROTOCOL_VERSION,
 };
 use crate::{ServeError, ServeResult};
 
@@ -91,11 +97,6 @@ pub struct ServerConfig {
     /// LRU byte budget for the sparsifier cache (see
     /// [`SparsifierCache`]).
     pub cache_budget_bytes: usize,
-    /// How long the executor waits after the first queued solve before
-    /// draining, to let concurrent requests coalesce into one blocked
-    /// pass. Zero disables gathering (drain immediately); queued
-    /// requests still coalesce opportunistically.
-    pub gather_window: Duration,
     /// Most right-hand-side columns coalesced into one factor pass —
     /// bounds per-pass latency under heavy coalescing. `1` disables
     /// batching entirely (every request is its own pass); that is the
@@ -111,7 +112,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             limits: Limits::default(),
             cache_budget_bytes: 256 << 20,
-            gather_window: Duration::from_millis(1),
             max_batch_cols: 256,
         }
     }
@@ -174,8 +174,11 @@ struct Shared {
     queue_cv: Condvar,
     shutdown: AtomicBool,
     limits: Limits,
-    gather_window: Duration,
     max_batch_cols: usize,
+    /// Fault injection for tests: a pass on this key panics while it
+    /// holds the state lock, as a panicking `solve_many` would.
+    #[cfg(test)]
+    panic_key: Mutex<Option<u64>>,
 }
 
 /// Recovers the guard from a poisoned lock: a panicking handler thread
@@ -252,8 +255,9 @@ pub fn serve(config: ServerConfig) -> ServeResult<ServerHandle> {
         queue_cv: Condvar::new(),
         shutdown: AtomicBool::new(false),
         limits: config.limits,
-        gather_window: config.gather_window,
         max_batch_cols: config.max_batch_cols.max(1),
+        #[cfg(test)]
+        panic_key: Mutex::new(None),
     });
 
     let executor = {
@@ -335,7 +339,9 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
             // and keep the connection.
             Err(ServeError::UnsupportedVersion { got }) => Response::Error {
                 code: ErrorCode::UnsupportedVersion,
-                message: format!("this server speaks version 1, frame carried {got}"),
+                message: format!(
+                    "this server speaks version {PROTOCOL_VERSION}, frame carried {got}"
+                ),
             },
             Err(ServeError::UnknownKind { kind }) => Response::Error {
                 code: ErrorCode::UnknownKind,
@@ -568,14 +574,17 @@ fn submit_solve(
     shared.queue_cv.notify_one();
     match rx.recv() {
         Ok(result) => result,
+        // The executor answers every job it drains; a sender dropped
+        // unanswered means the pass carrying this job panicked.
         Err(_) => Err((
             ErrorCode::Internal,
-            "executor dropped the reply channel".to_string(),
+            "the solve pass panicked before answering".to_string(),
         )),
     }
 }
 
-/// The executor: pop, gather, group by key, one blocked pass per group.
+/// The executor: wait for work, drain the whole queue, group by key,
+/// one blocked pass per group.
 fn executor_loop(shared: &Arc<Shared>) {
     loop {
         let jobs: Vec<SolveJob> = {
@@ -597,15 +606,6 @@ fn executor_loop(shared: &Arc<Shared>) {
                 }
                 q = shared.queue_cv.wait(q).unwrap_or_else(|e| e.into_inner());
             }
-            if !shared.gather_window.is_zero() {
-                // Let concurrent requests land before draining. The
-                // window is a coalescing opportunity, not a latency
-                // floor for the degenerate single-client case: waiting
-                // happens with the queue unlocked.
-                drop(q);
-                std::thread::sleep(shared.gather_window);
-                q = lock(&shared.queue);
-            }
             q.drain(..).collect()
         };
         dispatch_jobs(jobs, shared);
@@ -616,6 +616,15 @@ fn executor_loop(shared: &Arc<Shared>) {
 /// at most `max_batch_cols` columns (at job granularity — a single job
 /// larger than the cap still runs whole), and serves each chunk with
 /// one `solve_many` pass over the concatenated columns.
+///
+/// A panicking pass must not take the executor down with it: nothing
+/// would drain the queue again and every later solve would block
+/// forever. Unwinding drops the pass's reply senders unanswered, which
+/// their handlers report as `Internal`; the other passes still run.
+/// Asserting unwind safety is sound because a pass reads its entry
+/// through a shared borrow and counts its solves only after
+/// `solve_many` returns: an unwound pass leaves the entry untouched and
+/// counts nothing.
 fn dispatch_jobs(jobs: Vec<SolveJob>, shared: &Arc<Shared>) {
     let mut groups: Vec<(u64, Vec<SolveJob>)> = Vec::new();
     for job in jobs {
@@ -624,20 +633,23 @@ fn dispatch_jobs(jobs: Vec<SolveJob>, shared: &Arc<Shared>) {
             None => groups.push((job.key, vec![job])),
         }
     }
+    let pass = |key: u64, chunk: Vec<SolveJob>| {
+        let _ = panic::catch_unwind(AssertUnwindSafe(|| serve_group(key, chunk, shared)));
+    };
     let cap = shared.max_batch_cols;
     for (key, group) in groups {
         let mut chunk: Vec<SolveJob> = Vec::new();
         let mut cols = 0usize;
         for job in group {
             if !chunk.is_empty() && cols + job.rhs.len() > cap {
-                serve_group(key, std::mem::take(&mut chunk), shared);
+                pass(key, std::mem::take(&mut chunk));
                 cols = 0;
             }
             cols += job.rhs.len();
             chunk.push(job);
         }
         if !chunk.is_empty() {
-            serve_group(key, chunk, shared);
+            pass(key, chunk);
         }
     }
 }
@@ -696,6 +708,10 @@ fn serve_group(key: u64, group: Vec<SolveJob>, shared: &Arc<Shared>) {
         .flat_map(|j| std::mem::take(&mut j.rhs))
         .collect();
     let batch_cols = all_cols.len() as u32;
+    #[cfg(test)]
+    if *lock(&shared.panic_key) == Some(key) {
+        panic!("injected panic in the pass on key {key:#x}");
+    }
     let xs = entry.solver().solve_many(&all_cols);
     state.solves += live.len() as u64;
     state.batches += 1;
@@ -712,5 +728,192 @@ fn serve_group(key: u64, group: Vec<SolveJob>, shared: &Arc<Shared>) {
     for (job, count) in live.into_iter().zip(col_counts) {
         let cols: Vec<Vec<f64>> = xs.by_ref().take(count).collect();
         let _ = job.reply.send(Ok((cols, batch_cols)));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! Executor tests that queue jobs directly: every job goes in under
+    //! one hold of the queue lock, so the executor drains all of them in
+    //! one go and the pass layout is deterministic.
+
+    use super::*;
+    use sass_core::SparsifyConfig;
+    use sass_graph::generators::{grid2d, WeightModel};
+
+    /// Upper bound on any reply; a wedged executor fails the test here.
+    const WAIT: Duration = Duration::from_secs(10);
+    /// Vertices of the cached 8×8 grids.
+    const N: usize = 64;
+
+    /// A server with one 8×8 grid sparsifier cached per seed, and a local
+    /// copy of each entry under its key.
+    fn server_with(
+        max_batch_cols: usize,
+        seeds: &[u64],
+    ) -> (ServerHandle, Vec<(u64, IncrementalSparsifier)>) {
+        let server = serve(ServerConfig {
+            max_batch_cols,
+            ..ServerConfig::default()
+        })
+        .expect("bind");
+        let config = SparsifyConfig::new(100.0).with_seed(7);
+        let entries = seeds
+            .iter()
+            .map(|&seed| {
+                let g = grid2d(8, 8, WeightModel::Uniform { lo: 0.5, hi: 2.0 }, seed);
+                let entry = IncrementalSparsifier::new(&g, &config).expect("sparsifier");
+                let key = cache_key(&g, &config);
+                lock(&server.shared.state).cache.insert(key, entry.clone());
+                (key, entry)
+            })
+            .collect();
+        (server, entries)
+    }
+
+    /// Deterministic mean-zero right-hand side on the cached grids.
+    fn rhs(seed: u64) -> Vec<f64> {
+        let mut b: Vec<f64> = (0..N as u64)
+            .map(|i| ((i * 31 + seed * 17) % 23) as f64)
+            .collect();
+        sass_sparse::dense::center(&mut b);
+        b
+    }
+
+    /// Queues one single-column job per `(key, rhs)` under one lock hold
+    /// and returns their reply channels in order.
+    fn enqueue(
+        shared: &Shared,
+        jobs: &[(u64, Vec<f64>)],
+        deadline: Instant,
+    ) -> Vec<mpsc::Receiver<SolveVerdict>> {
+        let mut q = lock(&shared.queue);
+        let replies = jobs
+            .iter()
+            .map(|(key, b)| {
+                let (tx, rx) = mpsc::channel();
+                q.push_back(SolveJob {
+                    key: *key,
+                    rhs: vec![b.clone()],
+                    deadline,
+                    reply: tx,
+                });
+                rx
+            })
+            .collect();
+        drop(q);
+        shared.queue_cv.notify_one();
+        replies
+    }
+
+    fn later() -> Instant {
+        Instant::now() + WAIT
+    }
+
+    /// Waits for one solved column and checks it against `local`'s
+    /// per-RHS solve; returns the pass width it reported.
+    fn expect_solved(
+        rx: &mpsc::Receiver<SolveVerdict>,
+        local: &IncrementalSparsifier,
+        b: &[f64],
+    ) -> u32 {
+        let (xs, batch_cols) = rx
+            .recv_timeout(WAIT)
+            .expect("the executor answers")
+            .expect("the solve succeeds");
+        let want = local.solver().solve(b);
+        assert_eq!(xs.len(), 1);
+        for (i, (x, y)) in xs[0].iter().zip(&want).enumerate() {
+            assert!(
+                (x - y).abs() <= 1e-12 * (1.0 + y.abs()),
+                "component {i}: {x} vs {y}"
+            );
+        }
+        batch_cols
+    }
+
+    fn stats(server: &ServerHandle) -> ServerStats {
+        lock(&server.shared.state).stats()
+    }
+
+    #[test]
+    fn one_drain_on_one_key_is_one_pass() {
+        let (server, entries) = server_with(256, &[5]);
+        let (key, local) = &entries[0];
+        let jobs: Vec<_> = (0..6).map(|i| (*key, rhs(100 + i))).collect();
+        let replies = enqueue(&server.shared, &jobs, later());
+        for (rx, (_, b)) in replies.iter().zip(&jobs) {
+            assert_eq!(expect_solved(rx, local, b), 6);
+        }
+        let s = stats(&server);
+        assert_eq!((s.solves, s.batches, s.max_batch), (6, 1, 6));
+    }
+
+    #[test]
+    fn max_batch_cols_caps_each_pass() {
+        let (server, entries) = server_with(4, &[5]);
+        let (key, local) = &entries[0];
+        let jobs: Vec<_> = (0..6).map(|i| (*key, rhs(100 + i))).collect();
+        let replies = enqueue(&server.shared, &jobs, later());
+        let widths: Vec<u32> = replies
+            .iter()
+            .zip(&jobs)
+            .map(|(rx, (_, b))| expect_solved(rx, local, b))
+            .collect();
+        assert_eq!(widths, [4, 4, 4, 4, 2, 2]);
+        let s = stats(&server);
+        assert_eq!((s.solves, s.batches, s.max_batch), (6, 2, 4));
+    }
+
+    #[test]
+    fn one_drain_over_two_keys_is_one_pass_per_key() {
+        let (server, entries) = server_with(256, &[5, 6]);
+        let jobs: Vec<_> = (0..5)
+            .map(|i| (entries[i % 2].0, rhs(100 + i as u64)))
+            .collect();
+        let replies = enqueue(&server.shared, &jobs, later());
+        for (i, (rx, (_, b))) in replies.iter().zip(&jobs).enumerate() {
+            let width = expect_solved(rx, &entries[i % 2].1, b);
+            assert_eq!(width, if i % 2 == 0 { 3 } else { 2 });
+        }
+        let s = stats(&server);
+        assert_eq!((s.solves, s.batches, s.max_batch), (5, 2, 3));
+    }
+
+    #[test]
+    fn a_job_past_its_deadline_is_never_solved() {
+        let (server, entries) = server_with(256, &[5]);
+        let passed = Instant::now() - Duration::from_millis(1);
+        let replies = enqueue(&server.shared, &[(entries[0].0, rhs(1))], passed);
+        let verdict = replies[0].recv_timeout(WAIT).expect("the executor answers");
+        assert!(matches!(verdict, Err((ErrorCode::DeadlineExceeded, _))));
+        let s = stats(&server);
+        assert_eq!((s.deadline_misses, s.solves, s.batches), (1, 0, 0));
+    }
+
+    #[test]
+    fn a_panicking_pass_leaves_the_executor_serving() {
+        let (server, entries) = server_with(256, &[5, 6]);
+        let ((bad, bad_local), (good, good_local)) = (&entries[0], &entries[1]);
+        *lock(&server.shared.panic_key) = Some(*bad);
+
+        // Both keys in one drain: the panicking pass drops its job's
+        // sender unanswered, and the other key's pass still runs.
+        let jobs = [(*bad, rhs(1)), (*good, rhs(2))];
+        let replies = enqueue(&server.shared, &jobs, later());
+        assert!(matches!(
+            replies[0].recv_timeout(WAIT),
+            Err(mpsc::RecvTimeoutError::Disconnected)
+        ));
+        assert_eq!(expect_solved(&replies[1], good_local, &jobs[1].1), 1);
+
+        // The executor keeps draining both keys, the state lock the panic
+        // poisoned still serves, and the failed pass counted nothing.
+        *lock(&server.shared.panic_key) = None;
+        let replies = enqueue(&server.shared, &jobs, later());
+        assert_eq!(expect_solved(&replies[0], bad_local, &jobs[0].1), 1);
+        assert_eq!(expect_solved(&replies[1], good_local, &jobs[1].1), 1);
+        let s = stats(&server);
+        assert_eq!((s.solves, s.batches, s.max_batch), (3, 3, 1));
     }
 }

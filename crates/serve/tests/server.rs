@@ -1,8 +1,6 @@
 //! End-to-end tests: a real server on a loopback socket, real clients,
 //! every protocol path exercised over the wire.
 
-use std::time::Duration;
-
 use sass_core::{IncrementalSparsifier, SparsifyConfig};
 use sass_graph::generators::{grid2d, WeightModel};
 use sass_serve::{
@@ -209,12 +207,8 @@ fn rejected_edit_leaves_the_entry_live() {
 }
 
 #[test]
-fn concurrent_solves_on_one_key_are_batched() {
-    let server = serve(ServerConfig {
-        gather_window: Duration::from_millis(50),
-        ..ServerConfig::default()
-    })
-    .expect("bind");
+fn concurrent_solves_on_one_key_are_correct() {
+    let server = serve(ServerConfig::default()).expect("bind");
     let addr = server.addr();
     let mut client = Client::connect(addr).expect("connect");
 
@@ -223,6 +217,8 @@ fn concurrent_solves_on_one_key_are_batched() {
     let key = receipt.key;
     let n = g.n();
 
+    // How the executor splits these into passes depends on timing; the
+    // pass layout of one drain is pinned by the executor's unit tests.
     const CLIENTS: usize = 6;
     let handles: Vec<_> = (0..CLIENTS)
         .map(|i| {
@@ -237,16 +233,7 @@ fn concurrent_solves_on_one_key_are_batched() {
         .map(|h| h.join().expect("join"))
         .collect();
 
-    // With a 50 ms gather window and sub-millisecond enqueues, the
-    // executor coalesces the concurrent requests: at least one response
-    // must report sharing a pass with another request's columns.
-    let max_batch = solved.iter().map(|s| s.batch_cols).max().unwrap_or(0);
-    assert!(
-        max_batch > 1,
-        "expected coalescing across {CLIENTS} concurrent clients, max batch_cols = {max_batch}"
-    );
-
-    // Batched answers are still correct per client.
+    // Whichever columns shared a pass, each client gets its own answer.
     let local = IncrementalSparsifier::new(&g, &SparsifyConfig::new(SIGMA2).with_seed(SEED))
         .expect("local");
     for (i, s) in solved.iter().enumerate() {
@@ -256,12 +243,6 @@ fn concurrent_solves_on_one_key_are_batched() {
 
     let stats = client.stats().expect("stats");
     assert_eq!(stats.solves, CLIENTS as u64);
-    assert!(stats.max_batch > 1);
-    assert!(
-        stats.batches < CLIENTS as u64,
-        "coalescing must use fewer passes than requests ({} vs {CLIENTS})",
-        stats.batches
-    );
 
     server.shutdown();
 }
@@ -318,29 +299,6 @@ fn limits_reject_with_structured_errors() {
 
     let stats = client.stats().expect("stats");
     assert_eq!(stats.limit_rejections, 2);
-
-    server.shutdown();
-}
-
-#[test]
-fn queue_deadline_is_enforced() {
-    // A gather window far past the request deadline guarantees the job
-    // expires while queued.
-    let server = serve(ServerConfig {
-        gather_window: Duration::from_millis(150),
-        ..ServerConfig::default()
-    })
-    .expect("bind");
-    let mut client = Client::connect(server.addr()).expect("connect");
-
-    let g = test_graph(8);
-    let receipt = client.sparsify(params(), wire(&g)).expect("sparsify");
-    let err = client
-        .solve(receipt.key, rhs(g.n(), 1), 1)
-        .expect_err("deadline");
-    assert_eq!(remote_code(err), ErrorCode::DeadlineExceeded);
-    let stats = client.stats().expect("stats");
-    assert_eq!(stats.deadline_misses, 1);
 
     server.shutdown();
 }
@@ -446,15 +404,20 @@ fn malformed_and_versioned_frames_get_structured_replies() {
         Response::decode(&reply).expect("decode")
     };
 
-    // Unknown version byte.
+    // Unknown version byte: the reply names both versions.
     let resp = exchange(&[PROTOCOL_VERSION + 1, 0x01]);
-    assert!(matches!(
-        resp,
-        Response::Error {
-            code: ErrorCode::UnsupportedVersion,
-            ..
-        }
-    ));
+    let Response::Error {
+        code: ErrorCode::UnsupportedVersion,
+        message,
+    } = resp
+    else {
+        panic!("expected an UnsupportedVersion error, got {resp:?}");
+    };
+    assert!(
+        message.contains(&format!("version {PROTOCOL_VERSION},"))
+            && message.contains(&format!("carried {}", PROTOCOL_VERSION + 1)),
+        "{message}"
+    );
 
     // Unknown kind byte.
     let resp = exchange(&[PROTOCOL_VERSION, 0x42]);

@@ -11,7 +11,8 @@ use sass::serve::{serve, Client, ServerConfig, SparsifyParams, WireEdit, WireGra
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Bind on an ephemeral loopback port. Defaults: 256 MiB cache budget,
-    // 1 ms solve gather window, per-request limits on |V|, |E|, columns.
+    // at most 256 columns per solve pass, per-request limits on |V|, |E|,
+    // columns.
     let server = serve(ServerConfig::default())?;
     println!("serving on {}", server.addr());
 

@@ -175,17 +175,30 @@ impl Client {
 
     /// Solves against many right-hand sides in one request (the server
     /// runs them — plus any concurrently queued solves on the same key
-    /// — through one blocked pass).
+    /// — through one blocked pass). Every column must have the same
+    /// length.
     ///
     /// # Errors
     ///
-    /// As [`Client::solve`].
+    /// As [`Client::solve`], plus [`ServeError::Protocol`], without
+    /// contacting the server, when the columns differ in length: the
+    /// wire carries one row count for the whole block, so ragged columns
+    /// would reach the server re-chunked.
     pub fn solve_many(
         &mut self,
         key: u64,
         rhs: Vec<Vec<f64>>,
         deadline_ms: u32,
     ) -> ServeResult<Solved> {
+        let rows = rhs.first().map_or(0, Vec::len);
+        if let Some(col) = rhs.iter().position(|c| c.len() != rows) {
+            return Err(ServeError::Protocol {
+                context: format!(
+                    "solve_many column {col} has {} rows, column 0 has {rows}",
+                    rhs[col].len()
+                ),
+            });
+        }
         match self.round_trip(&Request::SolveMany {
             key,
             deadline_ms,

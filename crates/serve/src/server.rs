@@ -117,20 +117,15 @@ impl Default for ServerConfig {
     }
 }
 
-/// Mutex-protected core: the cache plus every counter the stats frame
-/// reports.
+/// Mutex-protected core: the cache plus the request counters the stats
+/// frame reports.
 #[derive(Debug)]
 struct State {
     cache: SparsifierCache,
-    invalidations: u64,
-    sparsify_hits: u64,
-    sparsify_builds: u64,
-    mutations: u64,
-    solves: u64,
-    batches: u64,
-    max_batch: u64,
-    deadline_misses: u64,
-    limit_rejections: u64,
+    /// Kept by the handlers and the executor. The fields the cache owns
+    /// (`entries`, `resident_bytes`, `budget_bytes`, `evictions`) stay
+    /// zero here; [`State::stats`] fills them in.
+    counters: ServerStats,
 }
 
 impl State {
@@ -139,17 +134,8 @@ impl State {
             entries: self.cache.len() as u64,
             resident_bytes: self.cache.resident_bytes() as u64,
             budget_bytes: self.cache.budget_bytes() as u64,
-            sparsify_hits: self.sparsify_hits,
-            sparsify_builds: self.sparsify_builds,
             evictions: self.cache.evictions(),
-            invalidations: self.invalidations,
-            mutations: self.mutations,
-            mutation_rebuilds: 0,
-            solves: self.solves,
-            batches: self.batches,
-            max_batch: self.max_batch,
-            deadline_misses: self.deadline_misses,
-            limit_rejections: self.limit_rejections,
+            ..self.counters
         }
     }
 }
@@ -241,15 +227,7 @@ pub fn serve(config: ServerConfig) -> ServeResult<ServerHandle> {
     let shared = Arc::new(Shared {
         state: Mutex::new(State {
             cache: SparsifierCache::new(config.cache_budget_bytes),
-            invalidations: 0,
-            sparsify_hits: 0,
-            sparsify_builds: 0,
-            mutations: 0,
-            solves: 0,
-            batches: 0,
-            max_batch: 0,
-            deadline_misses: 0,
-            limit_rejections: 0,
+            counters: ServerStats::default(),
         }),
         queue: Mutex::new(VecDeque::new()),
         queue_cv: Condvar::new(),
@@ -381,7 +359,7 @@ fn handle_request(req: Request, shared: &Arc<Shared>) -> Response {
             rhs,
         } => {
             if rhs.len() > shared.limits.max_rhs_columns {
-                lock(&shared.state).limit_rejections += 1;
+                lock(&shared.state).counters.limit_rejections += 1;
                 return Response::Error {
                     code: ErrorCode::LimitExceeded,
                     message: format!(
@@ -401,7 +379,7 @@ fn handle_request(req: Request, shared: &Arc<Shared>) -> Response {
             let mut state = lock(&shared.state);
             let existed = state.cache.remove(key);
             if existed {
-                state.invalidations += 1;
+                state.counters.invalidations += 1;
             }
             Response::InvalidateOk { existed }
         }
@@ -412,7 +390,7 @@ fn handle_request(req: Request, shared: &Arc<Shared>) -> Response {
 fn handle_sparsify(params: SparsifyParams, graph: &WireGraph, shared: &Arc<Shared>) -> Response {
     let limits = &shared.limits;
     if graph.n > limits.max_vertices as u64 || graph.edges.len() > limits.max_edges {
-        lock(&shared.state).limit_rejections += 1;
+        lock(&shared.state).counters.limit_rejections += 1;
         return Response::Error {
             code: ErrorCode::LimitExceeded,
             message: format!(
@@ -451,7 +429,7 @@ fn handle_sparsify(params: SparsifyParams, graph: &WireGraph, shared: &Arc<Share
                 tree_edges: entry.tree_edge_ids().len() as u64,
                 cache: CacheOutcome::Hit,
             };
-            state.sparsify_hits += 1;
+            state.counters.sparsify_hits += 1;
             return resp;
         }
     }
@@ -484,7 +462,7 @@ fn handle_sparsify(params: SparsifyParams, graph: &WireGraph, shared: &Arc<Share
     };
     let mut state = lock(&shared.state);
     state.cache.insert(key, entry);
-    state.sparsify_builds += 1;
+    state.counters.sparsify_builds += 1;
     resp
 }
 
@@ -505,7 +483,7 @@ fn handle_mutate(key: u64, edits: &[crate::protocol::WireEdit], shared: &Arc<Sha
                 None => (0, 0, false),
             };
             state.cache.rekey(key, new_key);
-            state.mutations += 1;
+            state.counters.mutations += 1;
             Response::MutateOk {
                 key: new_key,
                 dirty_edges: report.dirty_edges as u64,
@@ -660,7 +638,7 @@ fn serve_group(key: u64, group: Vec<SolveJob>, shared: &Arc<Shared>) {
         group.into_iter().partition(|j| j.deadline >= now);
     if !expired.is_empty() {
         let mut state = lock(&shared.state);
-        state.deadline_misses += expired.len() as u64;
+        state.counters.deadline_misses += expired.len() as u64;
     }
     for job in expired {
         let _ = job.reply.send(Err((
@@ -713,9 +691,10 @@ fn serve_group(key: u64, group: Vec<SolveJob>, shared: &Arc<Shared>) {
         panic!("injected panic in the pass on key {key:#x}");
     }
     let xs = entry.solver().solve_many(&all_cols);
-    state.solves += live.len() as u64;
-    state.batches += 1;
-    state.max_batch = state.max_batch.max(u64::from(batch_cols));
+    let counters = &mut state.counters;
+    counters.solves += live.len() as u64;
+    counters.batches += 1;
+    counters.max_batch = counters.max_batch.max(u64::from(batch_cols));
     drop(state);
 
     for job in malformed {

@@ -271,6 +271,34 @@ fn solve_many_round_trips_multiple_columns() {
 }
 
 #[test]
+fn ragged_solve_many_is_rejected_before_sending() {
+    let server = serve(ServerConfig::default()).expect("bind");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let graph = WireGraph {
+        n: 2,
+        edges: vec![(0, 1, 1.0)],
+    };
+    let receipt = client.sparsify(params(), graph).expect("sparsify");
+
+    // 2 + 1 + 3 values would travel as three 2-row columns and be
+    // answered as if the request had asked for those.
+    let ragged = vec![vec![1.0, -1.0], vec![0.5], vec![-0.5, 2.0, -2.0]];
+    let err = client
+        .solve_many(receipt.key, ragged, 0)
+        .expect_err("ragged columns");
+    assert!(matches!(err, ServeError::Protocol { .. }), "{err}");
+
+    // Nothing reached the server, and the connection still serves.
+    assert_eq!(client.stats().expect("stats").solves, 0);
+    client
+        .solve_many(receipt.key, vec![vec![1.0, -1.0]; 2], 0)
+        .expect("equal columns");
+    assert_eq!(client.stats().expect("stats").solves, 1);
+
+    server.shutdown();
+}
+
+#[test]
 fn limits_reject_with_structured_errors() {
     let server = serve(ServerConfig {
         limits: Limits {

@@ -3,12 +3,12 @@
 //! scale-free graphs (hub rows orders of magnitude heavier than the tail).
 //!
 //! `CsrMatrix::mul_vec_into` is the serial kernel; `par_mul_vec_into` is the
-//! threaded fast path behind the `parallel` feature that every
-//! `LinearOperator` application routes through — rows dispatched over the
-//! persistent worker pool (`sass_sparse::pool`), with the crossover at
-//! 1,024 rows / 10k nnz now that dispatch is a wake, not a spawn (see the
-//! `pool_dispatch` bench for the dispatch-latency comparison). This bench
-//! records the `BENCH_SPMV.json` baseline; re-record with
+//! threaded fast path that every `LinearOperator` application routes
+//! through — rows dispatched over the persistent worker pool
+//! (`sass_sparse::pool`), with the crossover at 1,024 rows / 10k nnz now
+//! that dispatch is a wake, not a spawn (see the `pool_dispatch` bench for
+//! the dispatch-latency comparison). This bench records the
+//! `BENCH_SPMV.json` baseline; re-record with
 //!
 //! ```text
 //! CRITERION_JSON=BENCH_SPMV.json cargo bench -p sass-bench --bench spmv
@@ -48,7 +48,6 @@ fn bench_spmv(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("serial", &name), &l, |b, l| {
             b.iter(|| l.mul_vec_into(&x, &mut y))
         });
-        #[cfg(feature = "parallel")]
         group.bench_with_input(BenchmarkId::new("parallel", &name), &l, |b, l| {
             b.iter(|| l.par_mul_vec_into(&x, &mut y))
         });

@@ -136,10 +136,11 @@ impl SparsifyConfig {
     }
 
     /// Rejects knobs under which the pipeline cannot certify `σ²`:
-    /// `σ² ≤ 1` (or not finite), `t_steps == 0`, `max_add_frac ≤ 0`, a
-    /// zero-step `λmax` estimate (the Rayleigh quotient of a random
-    /// start vector, which can certify a bare spanning tree) and
-    /// `max_rounds == 0` (no round measures the result).
+    /// `σ² ≤ 1` (or not finite), `t_steps == 0`, zero probe vectors,
+    /// `max_add_frac ≤ 0`, a zero-step `λmax` estimate (the Rayleigh
+    /// quotient of a random start vector, which can certify a bare
+    /// spanning tree) and `max_rounds == 0` (no round measures the
+    /// result).
     pub(crate) fn validate(&self) -> Result<()> {
         let invalid = |context: String| Err(CoreError::InvalidConfig { context });
         // Negated comparisons deliberately reject NaN as well.
@@ -152,6 +153,9 @@ impl SparsifyConfig {
         }
         if self.t_steps == 0 {
             return invalid("t_steps must be at least 1".to_string());
+        }
+        if self.num_vectors == Some(0) {
+            return invalid("num_vectors must be at least 1".to_string());
         }
         #[allow(clippy::neg_cmp_op_on_partial_ord)]
         if !(self.max_add_frac > 0.0) {

@@ -315,6 +315,11 @@ mod tests {
             sparsify(&g, &SparsifyConfig::new(20.0).with_max_rounds(0)),
             Err(CoreError::InvalidConfig { .. })
         ));
+        // Zero probe vectors would silently run one.
+        assert!(matches!(
+            sparsify(&g, &SparsifyConfig::new(20.0).with_num_vectors(0)),
+            Err(CoreError::InvalidConfig { .. })
+        ));
     }
 
     #[test]

@@ -43,10 +43,10 @@ use sass_graph::{Graph, GraphEdit, LcaIndex, RootedTree};
 use sass_solver::GroundedSolver;
 use sass_sparse::{DenseBlock, RefactorStats};
 
-/// Default affected-fraction threshold past which a partial numeric
+/// Affected-fraction threshold past which a partial numeric
 /// refactorization gives up and re-runs every column (the ancestor
 /// closure has grown so large that masking overhead outweighs the skip).
-pub const DEFAULT_REFACTOR_CROSSOVER: f64 = 0.25;
+const REFACTOR_CROSSOVER: f64 = 0.25;
 
 /// What one [`IncrementalSparsifier::apply_edits`] batch did.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -114,7 +114,6 @@ pub struct ChurnTotals {
 pub struct IncrementalSparsifier {
     g: Graph,
     config: SparsifyConfig,
-    crossover: f64,
     // Frozen scoring basis.
     embedding: DenseBlock,
     theta: f64,
@@ -190,7 +189,6 @@ impl IncrementalSparsifier {
         Ok(IncrementalSparsifier {
             g: g.clone(),
             config: config.clone(),
-            crossover: DEFAULT_REFACTOR_CROSSOVER,
             embedding,
             theta,
             tree,
@@ -202,13 +200,6 @@ impl IncrementalSparsifier {
             solver,
             totals: ChurnTotals::default(),
         })
-    }
-
-    /// Sets the partial-refactorization crossover (affected fraction of
-    /// columns past which the whole numeric phase re-runs). Builder-style.
-    pub fn with_refactor_crossover(mut self, crossover: f64) -> Self {
-        self.crossover = crossover;
-        self
     }
 
     /// The frozen filter: selection on `g` given tree, heats and θ. Both
@@ -461,7 +452,7 @@ impl IncrementalSparsifier {
             None
         } else {
             let l_new = g2.laplacian_of_edges(&selected);
-            Some(self.solver.refactor(&l_new, &changed, self.crossover)?)
+            Some(self.solver.refactor(&l_new, &changed, REFACTOR_CROSSOVER)?)
         };
 
         // Commit (everything fallible is behind us).
@@ -521,7 +512,6 @@ impl IncrementalSparsifier {
     /// As [`IncrementalSparsifier::new`].
     pub fn refresh(&mut self) -> Result<()> {
         let mut fresh = Self::new(&self.g.clone(), &self.config.clone())?;
-        fresh.crossover = self.crossover;
         fresh.totals = self.totals.clone();
         *self = fresh;
         Ok(())
@@ -559,7 +549,6 @@ impl IncrementalSparsifier {
         Ok(IncrementalSparsifier {
             g: self.g.clone(),
             config: self.config.clone(),
-            crossover: self.crossover,
             embedding: self.embedding.clone(),
             theta: self.theta,
             tree,
@@ -798,6 +787,10 @@ mod tests {
         ));
         assert!(matches!(
             IncrementalSparsifier::new(&g, &SparsifyConfig::new(50.0).with_max_rounds(0)),
+            Err(CoreError::InvalidConfig { .. })
+        ));
+        assert!(matches!(
+            IncrementalSparsifier::new(&g, &SparsifyConfig::new(50.0).with_num_vectors(0)),
             Err(CoreError::InvalidConfig { .. })
         ));
     }

@@ -175,7 +175,6 @@ impl CsrMatrix {
     /// # Panics
     ///
     /// Panics if `x.len() != ncols` or `y.len() != nrows`.
-    #[cfg(feature = "parallel")]
     pub fn par_mul_vec_into(&self, x: &[f64], y: &mut [f64]) {
         crate::parallel::par_spmv(self, x, y);
     }
@@ -185,7 +184,6 @@ impl CsrMatrix {
     /// # Panics
     ///
     /// Panics if `x.len() != ncols`.
-    #[cfg(feature = "parallel")]
     pub fn par_mul_vec(&self, x: &[f64]) -> Vec<f64> {
         let mut y = vec![0.0; self.nrows];
         self.par_mul_vec_into(x, &mut y);

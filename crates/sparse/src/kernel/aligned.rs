@@ -1,14 +1,14 @@
 //! 64-byte-aligned contiguous storage for kernel-facing buffers.
 //!
-//! `Vec<f64>` only guarantees 8-byte alignment, so a vector register load
-//! from it can straddle a cache line anywhere in the stream. [`AlignedVec`]
-//! allocates at [`ALIGNMENT`]-byte (cache-line) boundaries, which keeps
-//! [`crate::DenseBlock`] columns from splitting their first vector load
-//! across lines. The SIMD kernels still issue unaligned load
-//! *instructions* — their other operands (solve work buffers) are
-//! caller-owned slices with no alignment contract — but on aligned
-//! addresses those execute at full speed; what the allocation guarantee
-//! removes is the split-line penalty on the big streamed arrays.
+//! `Vec<f64>` only guarantees 8-byte alignment; [`AlignedVec`] allocates
+//! at [`ALIGNMENT`]-byte (cache-line) boundaries. Its one user is
+//! [`crate::DenseBlock`]. Only the start of a block's buffer is aligned
+//! (column `c` starts `c · nrows` doubles in), the SIMD kernels issue
+//! unaligned loads throughout, and the blocked LDLᵀ sweeps never read
+//! block storage. The allocation stays because a `Vec<f64>`-backed block
+//! measured slower end to end, for reasons not yet established; see
+//! [`crate::DenseBlock`] for the code that reads block storage and the
+//! numbers.
 //!
 //! The element type is constrained to `Copy` (plain numbers and small
 //! index types), which keeps drop handling trivial: freeing the buffer

@@ -6,11 +6,10 @@
 //! Every public function here picks an implementation from a process-wide
 //! [`SimdLevel`], computed once (cached in a `OnceLock`) from:
 //!
-//! 1. the `simd` cargo feature — compiled out entirely when disabled, so
-//!    `--no-default-features` builds carry only the scalar loops;
-//! 2. the `SASS_NO_SIMD` environment variable — set to anything but `"0"`
-//!    to force scalar at startup (the A/B escape hatch; read once);
-//! 3. runtime CPU detection — AVX2 via `is_x86_feature_detected!`, SSE2
+//! 1. the `SASS_NO_SIMD` environment variable — `1` forces scalar at
+//!    startup, while unset, empty or `0` leaves SIMD on; any other value
+//!    panics (the A/B escape hatch; read once, see [`crate::config`]);
+//! 2. runtime CPU detection — AVX2 via `is_x86_feature_detected!`, SSE2
 //!    as the unconditional x86-64 baseline, NEON as the AArch64 baseline.
 //!
 //! Benches additionally A/B in-process through [`set_level`], which can
@@ -28,15 +27,14 @@
 mod aligned;
 mod scalar;
 
-#[cfg(all(feature = "simd", target_arch = "aarch64"))]
+#[cfg(target_arch = "aarch64")]
 mod neon;
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod x86;
 
 pub use aligned::{AlignedVec, ALIGNMENT};
 
 use std::sync::atomic::{AtomicU8, Ordering};
-#[cfg(feature = "simd")]
 use std::sync::OnceLock;
 
 /// Instruction-set tier a kernel dispatch can resolve to, ordered from
@@ -45,8 +43,8 @@ use std::sync::OnceLock;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdLevel {
     /// Portable scalar loops — the oracle everything else is tested
-    /// against, and the only tier on non-x86-64/AArch64 targets, under
-    /// `SASS_NO_SIMD`, or without the `simd` feature.
+    /// against, and the only tier on non-x86-64/AArch64 targets or under
+    /// `SASS_NO_SIMD`.
     Scalar = 0,
     /// x86-64 baseline 128-bit kernels (SSE2 is guaranteed by the ABI, so
     /// this tier needs no runtime probe).
@@ -80,18 +78,16 @@ impl SimdLevel {
         }
     }
 
-    /// Whether kernels for this tier are compiled into the current build
-    /// (arch + `simd` feature). Forcing a non-compiled tier through
+    /// Whether kernels for this tier are compiled for the target
+    /// architecture. Forcing a non-compiled tier through
     /// [`set_level`] would silently dispatch to scalar — e.g. `Avx2` on
     /// AArch64, or `Neon` on x86-64 — so [`set_level`] rejects it and the
     /// parity suite uses this to enumerate only distinct compiled tiers.
     pub fn compiled(self) -> bool {
         match self {
             SimdLevel::Scalar => true,
-            SimdLevel::Sse2 | SimdLevel::Avx2 => {
-                cfg!(all(feature = "simd", target_arch = "x86_64"))
-            }
-            SimdLevel::Neon => cfg!(all(feature = "simd", target_arch = "aarch64")),
+            SimdLevel::Sse2 | SimdLevel::Avx2 => cfg!(target_arch = "x86_64"),
+            SimdLevel::Neon => cfg!(target_arch = "aarch64"),
         }
     }
 }
@@ -103,10 +99,8 @@ const NO_OVERRIDE: u8 = u8::MAX;
 /// `NO_OVERRIDE` means "use the detected level".
 static OVERRIDE: AtomicU8 = AtomicU8::new(NO_OVERRIDE);
 
-#[cfg(feature = "simd")]
 static DETECTED: OnceLock<SimdLevel> = OnceLock::new();
 
-#[cfg(feature = "simd")]
 fn detect() -> SimdLevel {
     // The env escape hatch goes through `config::no_simd` (read once,
     // malformed values panic there): flipping the variable after the
@@ -134,17 +128,9 @@ fn detect() -> SimdLevel {
 }
 
 /// The level runtime detection resolved to for this process (after the
-/// `SASS_NO_SIMD` gate), ignoring any [`set_level`] override. Always
-/// [`SimdLevel::Scalar`] without the `simd` feature.
+/// `SASS_NO_SIMD` gate), ignoring any [`set_level`] override.
 pub fn detected() -> SimdLevel {
-    #[cfg(feature = "simd")]
-    {
-        *DETECTED.get_or_init(detect)
-    }
-    #[cfg(not(feature = "simd"))]
-    {
-        SimdLevel::Scalar
-    }
+    *DETECTED.get_or_init(detect)
 }
 
 /// The level the dispatchers currently use: the [`detected`] level,
@@ -190,7 +176,7 @@ fn lvl() -> SimdLevel {
 /// Largest operand length the x86 gather kernels accept: gathers take
 /// signed 32-bit offsets, so anything indexable past `i32::MAX` falls
 /// back to a gather-free tier.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 const GATHER_MAX: usize = i32::MAX as usize;
 
 // ---------------------------------------------------------------------------
@@ -240,11 +226,11 @@ pub fn spmv_range_f64(
 #[allow(clippy::match_single_binding)]
 pub unsafe fn ldl_row_update8(acc: &mut [f64], ri: &[u32], rx: &[f64], w: *const f64) {
     match lvl() {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => x86::ldl_row_update8_avx2(acc, ri, rx, w),
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         SimdLevel::Sse2 => x86::ldl_row_update8_sse2(acc, ri, rx, w),
-        #[cfg(all(feature = "simd", target_arch = "aarch64"))]
+        #[cfg(target_arch = "aarch64")]
         SimdLevel::Neon => neon::ldl_row_update8_neon(acc, ri, rx, w),
         _ => scalar::ldl_row_update8(acc, ri, rx, w),
     }
@@ -261,11 +247,11 @@ pub fn ldl_scale_row8(wj: &mut [f64], dj: f64) {
     match lvl() {
         // SAFETY: AVX2 arm runs only after runtime detection; length is
         // asserted inside the kernels.
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => unsafe { x86::ldl_scale_row8_avx2(wj, dj) },
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         SimdLevel::Sse2 => x86::ldl_scale_row8_sse2(wj, dj),
-        #[cfg(all(feature = "simd", target_arch = "aarch64"))]
+        #[cfg(target_arch = "aarch64")]
         SimdLevel::Neon => neon::ldl_scale_row8_neon(wj, dj),
         _ => {
             assert_eq!(wj.len(), 8);
@@ -299,7 +285,7 @@ pub fn joule_heat(us: &[u32], vs: &[u32], ws: &[f64], h: &[f64], n: usize, out: 
     match lvl() {
         // SAFETY: endpoints validated above, AVX2 detected, and `n` fits
         // the signed gather offset range.
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 if n <= GATHER_MAX => unsafe {
             x86::joule_heat_avx2(us, vs, ws, h, n, out)
         },
@@ -319,7 +305,7 @@ pub fn scan_heat_candidates(ids: &[u32], heats: &[f64], cutoff: f64) -> Vec<(u32
     assert_eq!(ids.len(), heats.len(), "scan: ids/heats length mismatch");
     match lvl() {
         // SAFETY: lengths checked above; AVX2 detected.
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => unsafe { x86::scan_heat_candidates_avx2(ids, heats, cutoff) },
         _ => scalar::scan_heat_candidates(ids, heats, cutoff),
     }
@@ -433,8 +419,8 @@ mod tests {
     #[should_panic(expected = "not compiled for this target")]
     fn set_level_rejects_uncompiled_tiers() {
         // One of these two is always foreign to the current target (and
-        // without the `simd` feature both are), so forcing it must fail
-        // loudly instead of silently aliasing scalar.
+        // off x86-64/AArch64 both are), so forcing it must fail loudly
+        // instead of silently aliasing scalar.
         let foreign = if SimdLevel::Neon.compiled() {
             SimdLevel::Avx2
         } else {

@@ -5,8 +5,7 @@
 //!
 //! - [`CooMatrix`]: triplet assembly format with duplicate summing,
 //! - [`CsrMatrix`]: compressed sparse row storage with matrix-vector kernels
-//!   (threaded above a size crossover when the default `parallel` feature is
-//!   on — see [`CsrMatrix::par_mul_vec_into`]),
+//!   (threaded above a size crossover — see [`CsrMatrix::par_mul_vec_into`]),
 //! - [`extract_blocks`]: the block-arrow pieces of a symmetric matrix
 //!   under a vertex separator ([`ordering::vertex_separator`]) — per-domain
 //!   diagonal blocks, domain↔separator couplings and the separator rows —
@@ -14,12 +13,13 @@
 //!   a self-cleaning directory; the substructured solver in `sass-solver`
 //!   is built from both,
 //! - [`kernel`]: explicit SIMD microkernels (SSE2/AVX2/NEON behind runtime
-//!   dispatch, `simd` feature, `SASS_NO_SIMD` escape hatch) for the hot
-//!   paths — the 8-wide LDLᵀ sweeps, the Joule-heat and heat-scan loops,
-//!   and the CSR SpMV entry point (scalar at every tier, by measurement)
-//!   — with the scalar loops as always-on fallback and parity oracle,
-//!   plus the [`kernel::AlignedVec`] cache-line-aligned buffer behind
-//!   [`DenseBlock`] storage,
+//!   dispatch, `SASS_NO_SIMD` escape hatch) for the hot paths — the
+//!   8-wide LDLᵀ sweeps, the Joule-heat and heat-scan loops, and the CSR
+//!   SpMV entry point (scalar at every tier, by measurement) — with the
+//!   scalar loops as always-on fallback and parity oracle, plus the
+//!   [`kernel::AlignedVec`] cache-line-aligned buffer behind
+//!   [`DenseBlock`] storage (kept because a plain `Vec` measured slower
+//!   end to end; see [`DenseBlock`]),
 //! - [`pool`]: the persistent worker pool every parallel kernel in the
 //!   workspace dispatches through — parked OS threads woken per dispatch
 //!   (no per-call spawn), with deterministic span-ordered reduction and a
@@ -72,7 +72,6 @@ mod csr;
 mod error;
 mod ldl;
 mod operator;
-#[cfg(feature = "parallel")]
 mod parallel;
 mod perm;
 mod sharded;

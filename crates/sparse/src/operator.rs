@@ -40,15 +40,12 @@ impl LinearOperator for CsrMatrix {
         self.nrows()
     }
 
-    /// Routes through the threaded fast path when the `parallel` feature is
-    /// enabled; [`CsrMatrix::par_mul_vec_into`] itself falls back to the
-    /// serial kernel below its size crossover, so small operators pay no
-    /// thread overhead.
+    /// Routes through the threaded fast path;
+    /// [`CsrMatrix::par_mul_vec_into`] itself falls back to the serial
+    /// kernel below its size crossover or at one pool lane, so small
+    /// operators pay no thread overhead.
     fn apply(&self, x: &[f64], y: &mut [f64]) {
-        #[cfg(feature = "parallel")]
         self.par_mul_vec_into(x, y);
-        #[cfg(not(feature = "parallel"))]
-        self.mul_vec_into(x, y);
     }
 }
 

@@ -1,4 +1,4 @@
-//! Threaded SpMV fast path (the default-on `parallel` feature).
+//! Threaded SpMV fast path behind [`CsrMatrix::par_mul_vec_into`].
 //!
 //! Rows are partitioned into contiguous, nnz-balanced spans
 //! ([`pool::balanced_spans`] over the CSR row pointer — an exact

@@ -57,9 +57,9 @@
 //! crossover so that tests can force small inputs through real thread
 //! fan-out; under automatic sizing the crossover keeps tiny inputs on the
 //! serial path. Worker threads are spawned lazily on the first dispatch
-//! that wants them and are then reused forever; with the `parallel`
-//! feature disabled the pool never spawns and every dispatch runs inline
-//! on the caller.
+//! that wants them and are then reused forever; at one lane
+//! (`SASS_THREADS=1`) the pool never spawns and every dispatch runs
+//! inline on the caller.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
@@ -207,7 +207,6 @@ pub struct Pool {
     /// sizing, so a temporary test override cannot erase the env setting.
     default_override: usize,
     /// Automatic lane count (`available_parallelism` at construction).
-    #[cfg(feature = "parallel")]
     auto_threads: usize,
     /// Fan-outs published to the workers so far (see
     /// [`Pool::dispatch_count`]).
@@ -255,7 +254,6 @@ impl Pool {
             handles: Mutex::new(Vec::new()),
             override_threads: AtomicUsize::new(threads),
             default_override: threads,
-            #[cfg(feature = "parallel")]
             auto_threads: std::thread::available_parallelism().map_or(1, |p| p.get()),
             dispatches: AtomicUsize::new(0),
         }
@@ -282,21 +280,12 @@ impl Pool {
         self.override_threads.store(effective, Ordering::Relaxed);
     }
 
-    /// Current lane count (including the dispatching thread).
-    ///
-    /// With the `parallel` feature disabled this is always 1 and the pool
-    /// never leaves the caller's thread.
+    /// Current lane count (including the dispatching thread). At 1 the
+    /// pool never leaves the caller's thread.
     pub fn threads(&self) -> usize {
-        #[cfg(not(feature = "parallel"))]
-        {
-            1
-        }
-        #[cfg(feature = "parallel")]
-        {
-            match self.override_threads.load(Ordering::Relaxed) {
-                0 => self.auto_threads,
-                k => k,
-            }
+        match self.override_threads.load(Ordering::Relaxed) {
+            0 => self.auto_threads,
+            k => k,
         }
     }
 
@@ -982,7 +971,6 @@ mod tests {
         pool.parallel_for_disjoint_mut(&mut out, &[(0, 5), (4, 8)], |_, _| {});
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn pool_reuse_spawns_no_extra_threads() {
         let pool = Pool::with_threads(4);
@@ -1002,7 +990,6 @@ mod tests {
         assert_eq!(pool.worker_count(), after_first, "dispatch leaked threads");
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn forced_override_skips_crossover() {
         let pool = Pool::with_threads(0);
@@ -1022,7 +1009,6 @@ mod tests {
     /// thread — not hang the dispatch (worker-side panic starving the
     /// completion latch) and not let the dispatcher unwind while workers
     /// still hold the lifetime-erased closure.
-    #[cfg(feature = "parallel")]
     #[test]
     fn closure_panic_propagates_to_dispatcher() {
         let pool = Pool::with_threads(3);
@@ -1047,7 +1033,6 @@ mod tests {
         assert_eq!(total, 16);
     }
 
-    #[cfg(feature = "parallel")] // threads() pins to 1 without the feature
     #[test]
     fn set_threads_zero_restores_construction_default() {
         let pool = Pool::with_threads(4);
@@ -1062,7 +1047,6 @@ mod tests {
         assert!(!auto.is_forced(), "0 on an auto pool restores auto sizing");
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn dispatch_count_tracks_fan_outs_only() {
         let pool = Pool::with_threads(2);

@@ -9,9 +9,8 @@
 //!
 //! The counts read the global pool's monotone [`Pool::dispatch_count`],
 //! so this file holds a single test: no other test in this binary can
-//! dispatch between the reads. Without the `parallel` feature the pool
-//! never fans out, so there is nothing to count.
-#![cfg(feature = "parallel")]
+//! dispatch between the reads. The test forces two lanes, so it counts
+//! real fan-outs under any `SASS_THREADS` setting.
 
 use sass_sparse::ordering::{self, OrderingKind};
 use sass_sparse::pool::{self, Pool};

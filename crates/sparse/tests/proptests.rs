@@ -182,7 +182,6 @@ proptest! {
         prop_assert_eq!(double_inverse.new_of_old(), p.new_of_old());
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn parallel_spmv_is_bit_for_bit_serial(a in spd_matrix(), seed in 0u64..1000) {
         // The threaded fast path must be *exactly* the serial kernel's
@@ -208,7 +207,6 @@ proptest! {
     /// worker count. `pool::set_threads` is a standing override that skips
     /// the size crossover, so even these small matrices go through real
     /// multi-lane dispatch on the persistent pool.
-    #[cfg(feature = "parallel")]
     #[test]
     fn pool_spmv_bit_identical_across_worker_counts(a in spd_matrix(), seed in 0u64..500) {
         use rand::{Rng, SeedableRng};

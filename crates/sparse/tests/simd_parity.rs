@@ -3,11 +3,10 @@
 //!
 //! Every level the running CPU supports is forced in turn through
 //! [`kernel::set_level`] and held to the module's parity contract,
-//! **bit-identity with the scalar oracle**: CSR products (serial and,
-//! with the `parallel` feature, threaded at forced worker counts
-//! 1/2/3/8), the LDLᵀ factorization and both solve shapes, Joule-heat
-//! scoring and the heat-filter scan all `assert_eq!` against the
-//! `Scalar` level.
+//! **bit-identity with the scalar oracle**: CSR products (serial and
+//! threaded at forced worker counts 1/2/3/8), the LDLᵀ factorization and
+//! both solve shapes, Joule-heat scoring and the heat-filter scan all
+//! `assert_eq!` against the `Scalar` level.
 //!
 //! Ragged tails (`nnz % lane width ≠ 0`) and empty rows are pinned by a
 //! deterministic matrix whose row lengths sweep `0..=17`, on top of the
@@ -145,8 +144,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Every SIMD tier reproduces the scalar f64 product bit for bit,
-    /// serial and (with the `parallel` feature) threaded at forced worker
-    /// counts 1/2/3/8.
+    /// serial and threaded at forced worker counts 1/2/3/8.
     #[test]
     fn f64_products_bitwise_across_levels_and_workers(a in symmetric_matrix()) {
         let _guard = state_guard();
@@ -156,16 +154,13 @@ proptest! {
         for level in levels() {
             kernel::set_level(Some(level));
             prop_assert_eq!(&a.mul_vec(&x), &want, "serial, {:?}", level);
-            #[cfg(feature = "parallel")]
-            {
-                let mut y = vec![0.0; a.nrows()];
-                for workers in [1usize, 2, 3, 8] {
-                    pool::set_threads(workers);
-                    a.par_mul_vec_into(&x, &mut y);
-                    prop_assert_eq!(&y, &want, "par, {:?}, workers {}", level, workers);
-                }
-                pool::set_threads(1);
+            let mut y = vec![0.0; a.nrows()];
+            for workers in [1usize, 2, 3, 8] {
+                pool::set_threads(workers);
+                a.par_mul_vec_into(&x, &mut y);
+                prop_assert_eq!(&y, &want, "par, {:?}, workers {}", level, workers);
             }
+            pool::set_threads(1);
         }
         kernel::set_level(None);
         pool::set_threads(0);
@@ -262,15 +257,15 @@ fn ragged_and_empty_rows_bitwise_across_levels() {
     }
 }
 
-/// The `SASS_NO_SIMD` escape hatch (and the `simd` feature gate) pin the
-/// detected level; CI runs this whole binary once with the variable set
-/// to prove the forced-scalar path end to end.
+/// The `SASS_NO_SIMD` escape hatch pins the detected level; CI runs the
+/// whole suite once with the variable set to prove the forced-scalar
+/// path end to end.
 #[test]
 fn sass_no_simd_env_is_respected() {
     // The sanctioned read path: kernel::detect consults the same cached
     // config::no_simd value, so the two can never disagree mid-process.
     let forced = sass_sparse::config::no_simd();
-    if forced || !cfg!(feature = "simd") {
+    if forced {
         assert_eq!(kernel::detected(), SimdLevel::Scalar);
         assert_eq!(levels(), vec![SimdLevel::Scalar]);
     } else {

@@ -142,65 +142,6 @@ pub fn table4_cases_small() -> Vec<Workload> {
     ]
 }
 
-/// Sharded-substructuring cases: `(workload, domain count)` pairs for
-/// the `shard` bench/bin (per-domain factorization scaling and
-/// out-of-core residency; see `sass_solver::substructure`).
-///
-/// The headline `mesh2d-260x240` row is deliberately **larger than
-/// last-level cache**: its monolithic grounded factor holds several
-/// million nonzeros (tens of MiB of factor storage, printed by the bin),
-/// so per-domain factorization genuinely changes the working-set size
-/// rather than just re-timing an L2-resident kernel. Domain counts keep
-/// the vertex separator small relative to `n` (2-D meshes and circuit
-/// grids cut at `O(√n)`; the 3-D mesh gets fewer domains because its
-/// `O(n^⅔)` separators feed a dense Schur complement).
-pub fn shard_cases() -> Vec<(Workload, usize)> {
-    vec![
-        (
-            Workload::new(
-                "mesh2d-260x240",
-                "mesh 1M (scaled)",
-                grid2d(260, 240, WeightModel::Uniform { lo: 0.5, hi: 2.0 }, 71),
-            ),
-            8,
-        ),
-        (
-            Workload::new("mesh3d-20", "fe_tooth", fem_mesh3d(20, 20, 20, 72)),
-            4,
-        ),
-        (
-            Workload::new("circuit-160", "G3_circuit", circuit_grid(160, 160, 0.1, 73)),
-            8,
-        ),
-    ]
-}
-
-/// Small-tier sharded cases for Criterion and the CI smoke step.
-pub fn shard_cases_small() -> Vec<(Workload, usize)> {
-    vec![
-        (
-            Workload::new(
-                "mesh2d-48",
-                "mesh 1M (small)",
-                grid2d(48, 48, WeightModel::Uniform { lo: 0.5, hi: 2.0 }, 71),
-            ),
-            4,
-        ),
-        (
-            Workload::new("mesh3d-10", "fe_tooth (small)", fem_mesh3d(10, 10, 10, 72)),
-            4,
-        ),
-        (
-            Workload::new(
-                "circuit-40",
-                "G3_circuit (small)",
-                circuit_grid(40, 40, 0.1, 73),
-            ),
-            4,
-        ),
-    ]
-}
-
 /// Fig. 1 case: the airfoil mesh with coordinates.
 pub fn fig1_case() -> (Graph, Vec<[f64; 2]>) {
     airfoil_mesh(40, 100, 51)
@@ -232,18 +173,6 @@ mod tests {
         {
             assert!(is_connected(&w.graph), "{} is disconnected", w.name);
             assert!(w.graph.n() > 0 && w.graph.m() > 0);
-        }
-    }
-
-    #[test]
-    fn shard_cases_are_connected_with_sane_domain_counts() {
-        for (w, k) in shard_cases_small() {
-            assert!(is_connected(&w.graph), "{} is disconnected", w.name);
-            assert!((2..=16).contains(&k), "{}: domain count {k}", w.name);
-            assert!(k < w.graph.n());
-        }
-        for (w, k) in shard_cases() {
-            assert!((2..=16).contains(&k), "{}: domain count {k}", w.name);
         }
     }
 

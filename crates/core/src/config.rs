@@ -1,5 +1,4 @@
 use crate::similarity::SimilarityPolicy;
-use crate::solve::SolveStrategy;
 use crate::{CoreError, Result};
 use sass_graph::spanning::TreeKind;
 use sass_sparse::ordering::OrderingKind;
@@ -54,11 +53,6 @@ pub struct SparsifyConfig {
     pub lambda_max_iters: usize,
     /// Seed for all randomized pieces (probe vectors, tree randomness).
     pub seed: u64,
-    /// How exact solves with the sparsifier Laplacian are served
-    /// downstream ([`Sparsifier::build_solver`](crate::Sparsifier::build_solver)):
-    /// one monolithic grounded factor (default), or opt-in
-    /// domain-decomposed substructured solves ([`crate::SolveStrategy`]).
-    pub solve_strategy: SolveStrategy,
 }
 
 impl SparsifyConfig {
@@ -76,7 +70,6 @@ impl SparsifyConfig {
             ordering: OrderingKind::MinDegree,
             lambda_max_iters: 10,
             seed: 0x5a55_c0de,
-            solve_strategy: SolveStrategy::default(),
         }
     }
 
@@ -125,13 +118,6 @@ impl SparsifyConfig {
     /// Sets the RNG seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the sparsifier solve strategy (monolithic grounded factor
-    /// vs. sharded substructured solves).
-    pub fn with_solve_strategy(mut self, strategy: SolveStrategy) -> Self {
-        self.solve_strategy = strategy;
         self
     }
 

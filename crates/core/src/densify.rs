@@ -226,7 +226,7 @@ pub fn sparsify(g: &Graph, config: &SparsifyConfig) -> Result<Sparsifier> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CoreError, SimilarityPolicy};
+    use crate::{CoreError, SimilarityPolicy, SparsifierSolver};
     use sass_eigen::pencil::dense_generalized_eigenvalues;
     use sass_graph::generators::{circuit_grid, fem_mesh2d, grid2d, WeightModel};
 
@@ -354,6 +354,12 @@ mod tests {
         assert!(sp.converged());
         assert_eq!(sp.edge_count(), 0);
         assert!(sp.grounded_solver().is_none());
+        // No carried factor: `build_solver` factors `graph().laplacian()`.
+        let SparsifierSolver::Grounded(solver) = sp.build_solver().unwrap();
+        assert_eq!(solver.n(), 1);
+        let empty = Graph::from_edges(0, &[]).unwrap();
+        let sp = sparsify(&empty, &SparsifyConfig::new(10.0)).unwrap();
+        assert!(matches!(sp.build_solver(), Err(CoreError::Solver(_))));
     }
 
     #[test]

@@ -114,7 +114,7 @@ pub fn graph_fingerprint(g: &Graph) -> u64 {
 /// a hash). Enum knobs are folded by their discriminant index, so adding
 /// a variant changes no existing fingerprint.
 pub fn config_fingerprint(config: &SparsifyConfig) -> u64 {
-    use crate::{SimilarityPolicy, SolveStrategy};
+    use crate::SimilarityPolicy;
     use sass_graph::spanning::TreeKind;
     use sass_sparse::ordering::OrderingKind;
 
@@ -167,17 +167,6 @@ pub fn config_fingerprint(config: &SparsifyConfig) -> u64 {
     }
     h.write_u64(config.lambda_max_iters as u64);
     h.write_u64(config.seed);
-    match config.solve_strategy {
-        SolveStrategy::Monolithic => h.write_u64(0),
-        SolveStrategy::Sharded {
-            domains,
-            out_of_core,
-        } => {
-            h.write_u64(1);
-            h.write_u64(domains as u64);
-            h.write(&[u8::from(out_of_core)]);
-        }
-    }
     h.finish()
 }
 
@@ -250,10 +239,6 @@ mod tests {
             SparsifyConfig::new(100.0).with_seed(1),
             SparsifyConfig::new(100.0).with_t_steps(3),
             SparsifyConfig::new(100.0).with_num_vectors(8),
-            SparsifyConfig::new(100.0).with_solve_strategy(crate::SolveStrategy::Sharded {
-                domains: 2,
-                out_of_core: false,
-            }),
         ] {
             assert_ne!(config_fingerprint(&base), config_fingerprint(&other));
         }

@@ -63,7 +63,7 @@ pub use error::CoreError;
 pub use fingerprint::{cache_key, config_fingerprint, graph_fingerprint};
 pub use incremental::{ChurnReport, ChurnTotals, IncrementalSparsifier};
 pub use similarity::SimilarityPolicy;
-pub use solve::{SolveStrategy, SparsifierSolver};
+pub use solve::SparsifierSolver;
 pub use sparsifier::{RoundStats, Sparsifier};
 
 /// Crate-wide result alias.

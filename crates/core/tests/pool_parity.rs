@@ -93,9 +93,7 @@ fn carried_factor_solves_bit_identical_across_worker_counts() {
         .collect();
     assert_parity_across_workers(|| {
         let sp = sparsify(&g, &SparsifyConfig::new(40.0)).unwrap();
-        let SparsifierSolver::Grounded(solver) = sp.build_solver().unwrap() else {
-            panic!("expected the monolithic solver");
-        };
+        let SparsifierSolver::Grounded(solver) = sp.build_solver().unwrap();
         (
             sp.edge_ids(),
             solver.solve(&cols[0]),

@@ -43,7 +43,6 @@ use sass_eigen::fiedler::{fiedler_vector_pcg, sign_disagreement, FiedlerOptions}
 use sass_graph::Graph;
 use sass_solver::{GroundedSolver, LaplacianPrec, PcgOptions};
 use sass_sparse::ordering::OrderingKind;
-pub use sass_sparse::ordering::SeparatorParts;
 
 /// Errors produced by the partitioner.
 #[derive(Debug, Clone, PartialEq)]
@@ -211,21 +210,6 @@ impl Partition {
         } else {
             pos as f64 / neg as f64
         }
-    }
-
-    /// Splits `g` into (at least) `k` interior domains plus one vertex
-    /// separator with a stable renumbering — the decomposition behind
-    /// sharded substructured solves ([`sass_solver::substructure`]).
-    ///
-    /// No edge of `g` connects two distinct domains; every cross-domain
-    /// path runs through the separator. Built on the same BFS level-set
-    /// machinery as the nested-dissection ordering
-    /// ([`sass_sparse::ordering::vertex_separator`], applied to the
-    /// Laplacian pattern). Fewer than `k` domains can come back on
-    /// graphs too small or shallow to split; more on disconnected
-    /// graphs, whose components split for free with an empty separator.
-    pub fn vertex_separator(g: &Graph, k: usize) -> SeparatorParts {
-        sass_sparse::ordering::vertex_separator(&g.laplacian(), k)
     }
 }
 
@@ -466,31 +450,6 @@ mod tests {
             partition(&g, &PartitionOptions::default()),
             Err(PartitionError::TooSmall { .. })
         ));
-    }
-
-    #[test]
-    fn vertex_separator_domains_share_no_edge() {
-        let g = grid2d(14, 10, WeightModel::Unit, 0);
-        for k in [1usize, 2, 4] {
-            let parts = Partition::vertex_separator(&g, k);
-            assert!(parts.domain_count() >= k.min(2) || k == 1);
-            let dom = parts.domain_of();
-            for e in g.edges() {
-                let (du, dv) = (dom[e.u as usize], dom[e.v as usize]);
-                assert!(
-                    du == dv || du == SeparatorParts::SEPARATOR || dv == SeparatorParts::SEPARATOR,
-                    "edge ({}, {}) crosses domains",
-                    e.u,
-                    e.v
-                );
-            }
-            let renum = parts.renumbering().unwrap();
-            assert_eq!(renum.len(), g.n());
-        }
-        // k = 1 on a connected graph: one domain, empty separator.
-        let parts = Partition::vertex_separator(&g, 1);
-        assert_eq!(parts.domain_count(), 1);
-        assert!(parts.separator().is_empty());
     }
 
     #[test]

@@ -10,10 +10,7 @@
 //!    re-centering solutions against the all-ones nullspace.
 //!    [`TreeSolver`] is the O(n) special case for spanning-tree Laplacians,
 //!    and [`AmgPrec`] the aggregation-based algebraic-multigrid alternative
-//!    (the paper's LAMG/SAMG role). [`ShardedSolver`] ([`substructure`]) is
-//!    the domain-decomposed variant: per-domain LDLᵀ factors around a
-//!    separator Schur complement, with an out-of-core mode that keeps at
-//!    most one domain factor resident.
+//!    (the paper's LAMG/SAMG role).
 //! 2. **Iterative solves with the original graph** `L_G x = b` — the
 //!    preconditioned conjugate gradient ([`pcg`]) with a pluggable
 //!    [`Preconditioner`] (identity, Jacobi, grounded-Cholesky of a
@@ -50,22 +47,20 @@ mod error;
 mod grounded;
 mod pcg;
 mod preconditioner;
-pub mod substructure;
 mod tree_solver;
 
 pub use amg::{AmgOptions, AmgPrec};
 pub use error::SolverError;
 pub use grounded::{GroundedScratch, GroundedSolver};
-// Re-exported for compatibility: the trait moved down into `sass-sparse`
-// (operators are a substrate primitive, not a solver concern), and new code
-// should name it from there.
 pub use pcg::{pcg, pcg_scratch, pcg_with_x0, PcgOptions, PcgScratch, SolveStats};
 pub use preconditioner::{IdentityPrec, JacobiPrec, LaplacianPrec, Preconditioner, TreePrec};
-// Re-exported so batched-solve call sites ([`GroundedSolver::solve_block`])
-// can name the multivector type without importing sass-sparse directly — and
-// so sharded-solver call sites can name its construction knobs.
-pub use sass_sparse::{DenseBlock, LinearOperator, ShardOptions};
-pub use substructure::ShardedSolver;
+// `DenseBlock` is re-exported so batched-solve call sites
+// ([`GroundedSolver::solve_block`]) can name the multivector type without
+// importing sass-sparse directly. `LinearOperator` is re-exported for
+// compatibility: the trait moved down into `sass-sparse` (operators are a
+// substrate primitive, not a solver concern), and new code should name it
+// from there.
+pub use sass_sparse::{DenseBlock, LinearOperator};
 pub use tree_solver::TreeSolver;
 
 /// Crate-wide result alias.

@@ -6,12 +6,6 @@
 //! - [`CooMatrix`]: triplet assembly format with duplicate summing,
 //! - [`CsrMatrix`]: compressed sparse row storage with matrix-vector kernels
 //!   (threaded above a size crossover — see [`CsrMatrix::par_mul_vec_into`]),
-//! - [`extract_blocks`]: the block-arrow pieces of a symmetric matrix
-//!   under a vertex separator ([`ordering::vertex_separator`]) — per-domain
-//!   diagonal blocks, domain↔separator couplings and the separator rows —
-//!   plus [`SpillStore`], which spills domain matrices through [`mmio`] to
-//!   a self-cleaning directory; the substructured solver in `sass-solver`
-//!   is built from both,
 //! - [`kernel`]: explicit SIMD microkernels (SSE2/AVX2/NEON behind runtime
 //!   dispatch, `SASS_NO_SIMD` escape hatch) for the hot paths — the
 //!   8-wide LDLᵀ sweeps, the Joule-heat and heat-scan loops, and the CSR
@@ -74,7 +68,6 @@ mod ldl;
 mod operator;
 mod parallel;
 mod perm;
-mod sharded;
 
 pub mod dense;
 pub mod etree;
@@ -90,7 +83,6 @@ pub use error::SparseError;
 pub use ldl::{LdlFactor, RefactorOutcome, RefactorStats, LDL_BLOCK_WIDTH};
 pub use operator::LinearOperator;
 pub use perm::Permutation;
-pub use sharded::{extract_blocks, ShardOptions, ShardedBlocks, SpillStore};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, SparseError>;

@@ -682,266 +682,6 @@ fn nested_dissection_order(a: &CsrMatrix) -> Vec<usize> {
     order
 }
 
-/// A k-way vertex-separator decomposition of a symmetric sparsity
-/// pattern: interior *domains* that share no edge with one another, plus
-/// one *separator* carrying every cross-domain coupling.
-///
-/// Produced by [`vertex_separator`]; consumed by [`crate::extract_blocks`]
-/// and the substructured solver in `sass-solver`. The decomposition is purely structural — matrix values
-/// never influence it — and deterministic for a given pattern.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SeparatorParts {
-    /// Domain id per vertex; [`SeparatorParts::SEPARATOR`] marks
-    /// separator vertices.
-    domain_of: Vec<u32>,
-    /// Vertices of each domain, ascending in original numbering.
-    domains: Vec<Vec<usize>>,
-    /// Separator vertices, ascending in original numbering.
-    separator: Vec<usize>,
-}
-
-impl SeparatorParts {
-    /// Marker in [`SeparatorParts::domain_of`] for separator vertices.
-    pub const SEPARATOR: u32 = u32::MAX;
-
-    /// Number of interior domains.
-    pub fn domain_count(&self) -> usize {
-        self.domains.len()
-    }
-
-    /// Vertices of domain `d`, ascending in original numbering.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d >= domain_count()`.
-    pub fn domain(&self, d: usize) -> &[usize] {
-        &self.domains[d]
-    }
-
-    /// Separator vertices, ascending in original numbering.
-    pub fn separator(&self) -> &[usize] {
-        &self.separator
-    }
-
-    /// Domain id per vertex ([`SeparatorParts::SEPARATOR`] = separator).
-    pub fn domain_of(&self) -> &[u32] {
-        &self.domain_of
-    }
-
-    /// Total vertex count.
-    pub fn n(&self) -> usize {
-        self.domain_of.len()
-    }
-
-    /// The stable renumbering induced by the decomposition, in
-    /// old-of-new form: domain 0's vertices first (in ascending original
-    /// order), then domain 1's, …, and the separator last. Symmetrically
-    /// permuting the matrix by this ordering produces the block-arrow
-    /// shape the substructured solver factorizes.
-    pub fn renumbering(&self) -> crate::Result<Permutation> {
-        let mut old_of_new = Vec::with_capacity(self.n());
-        for d in &self.domains {
-            old_of_new.extend_from_slice(d);
-        }
-        old_of_new.extend_from_slice(&self.separator);
-        Permutation::from_old_of_new(old_of_new)
-    }
-
-    /// Start offset of each domain in the renumbering, with a final
-    /// entry at the separator start: domain `d` occupies new indices
-    /// `offsets()[d] .. offsets()[d + 1]`, and the separator occupies
-    /// `offsets()[domain_count()] .. n()`.
-    pub fn offsets(&self) -> Vec<usize> {
-        let mut offsets = Vec::with_capacity(self.domains.len() + 1);
-        let mut acc = 0usize;
-        for d in &self.domains {
-            offsets.push(acc);
-            acc += d.len();
-        }
-        offsets.push(acc);
-        offsets
-    }
-}
-
-/// Splits the pattern of `a` into (at least) `k` interior domains plus
-/// one vertex separator, such that **no edge connects two distinct
-/// domains** — every cross-domain path runs through the separator.
-///
-/// Reuses the BFS level-set machinery behind
-/// [`OrderingKind::NestedDissection`]: the largest region is repeatedly
-/// bisected at the middle BFS level from a pseudo-peripheral start, the
-/// middle level joining the global separator, until `k` domains exist or
-/// nothing splittable remains (tiny or shallow regions stop splitting,
-/// so fewer than `k` domains can come back). Connected components split
-/// for free — a pattern with `≥ k` components yields an **empty**
-/// separator — which is also why more than `k` domains can come back on
-/// disconnected patterns.
-///
-/// The values of `a` are ignored; the pattern is assumed symmetric (as
-/// everywhere in this crate's ordering code).
-pub fn vertex_separator(a: &CsrMatrix, k: usize) -> SeparatorParts {
-    let n = a.nrows();
-    let k = k.max(1);
-    let deg = degrees(a);
-    let mut region = vec![0u32; n];
-    let mut level = vec![0u32; n];
-    let mut visited = vec![0u32; n];
-    let mut mark = 0u32;
-    let mut next_region = 0u32;
-    let mut separator: Vec<usize> = Vec::new();
-
-    // Seed regions: the connected components of the whole pattern, each
-    // re-stamped with its own region id.
-    mark += 1;
-    let comp_mark = mark;
-    let mut active: Vec<(u32, Vec<usize>)> = Vec::new();
-    for s in 0..n {
-        if visited[s] == comp_mark {
-            continue;
-        }
-        let comp = bfs_levels(a, s, &region, 0, &mut level, &mut visited, comp_mark);
-        let rid = next_region;
-        next_region += 1;
-        for &v in &comp {
-            region[v] = rid;
-        }
-        active.push((rid, comp));
-    }
-
-    // Bisect the largest active region until k domains exist. Regions too
-    // small or too shallow to split are frozen as final domains.
-    let mut frozen: Vec<Vec<usize>> = Vec::new();
-    while active.len() + frozen.len() < k && !active.is_empty() {
-        let pos = active
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, r)| r.1.len())
-            .map(|(i, _)| i)
-            .unwrap_or_else(|| unreachable!("`active` is nonempty"));
-        let (rid, nodes) = active.swap_remove(pos);
-        if nodes.len() < 3 {
-            // A split always produces two nonempty halves plus a
-            // nonempty middle level, so fewer than 3 vertices can't.
-            frozen.push(nodes);
-            continue;
-        }
-        let start = pseudo_peripheral(
-            a,
-            nodes[0],
-            &region,
-            rid,
-            &mut level,
-            &mut visited,
-            &mut mark,
-            &deg,
-        );
-        mark += 1;
-        let bfs = bfs_levels(a, start, &region, rid, &mut level, &mut visited, mark);
-        if bfs.len() < nodes.len() {
-            // An earlier separator cut this region into pieces the BFS
-            // cannot bridge: split off the reached piece for free (no
-            // separator vertex needed — the pieces are already
-            // non-adjacent) and requeue the remainder.
-            let rb = next_region;
-            next_region += 1;
-            let mut rest = Vec::with_capacity(nodes.len() - bfs.len());
-            for &v in &nodes {
-                if visited[v] != mark {
-                    region[v] = rb;
-                    rest.push(v);
-                }
-            }
-            active.push((rid, bfs));
-            active.push((rb, rest));
-            continue;
-        }
-        let Some(&deepest) = bfs.last() else {
-            unreachable!("bfs order contains at least the start node");
-        };
-        let depth = level[deepest];
-        if depth < 2 {
-            // Diameter ≤ 2 in this region: any middle level would leave
-            // an empty half; keep it whole.
-            frozen.push(nodes);
-            continue;
-        }
-        let mid = depth / 2;
-        let mut part_a = Vec::new();
-        let mut part_b = Vec::new();
-        for &v in &bfs {
-            if level[v] < mid {
-                part_a.push(v);
-            } else if level[v] > mid {
-                // `part_b` keeps `rid`'s stamp replaced below.
-                part_b.push(v);
-            } else {
-                region[v] = SEP_STAMP;
-                separator.push(v);
-            }
-        }
-        // BFS levels differ by at most 1 across an edge, so `part_a`
-        // (levels < mid) and `part_b` (levels > mid) are non-adjacent.
-        let rb = next_region;
-        next_region += 1;
-        for &v in &part_b {
-            region[v] = rb;
-        }
-        active.push((rid, part_a));
-        active.push((rb, part_b));
-    }
-
-    // Stable domain order: ascending by smallest original vertex.
-    let mut domains: Vec<Vec<usize>> = active
-        .into_iter()
-        .map(|(_, nodes)| nodes)
-        .chain(frozen)
-        .map(|mut nodes| {
-            nodes.sort_unstable();
-            nodes
-        })
-        .collect();
-    domains.sort_unstable_by_key(|d| d.first().copied().unwrap_or(usize::MAX));
-    separator.sort_unstable();
-
-    let mut domain_of = vec![SeparatorParts::SEPARATOR; n];
-    for (d, nodes) in domains.iter().enumerate() {
-        for &v in nodes {
-            domain_of[v] = d as u32;
-        }
-    }
-    debug_assert_eq!(
-        domains.iter().map(Vec::len).sum::<usize>() + separator.len(),
-        n,
-        "vertex_separator: parts must cover every vertex exactly once"
-    );
-    #[cfg(debug_assertions)]
-    for u in 0..n {
-        let (cols, _) = a.row(u);
-        for &c in cols {
-            let v = c as usize;
-            debug_assert!(
-                u == v
-                    || domain_of[u] == domain_of[v]
-                    || domain_of[u] == SeparatorParts::SEPARATOR
-                    || domain_of[v] == SeparatorParts::SEPARATOR,
-                "edge ({u}, {v}) crosses domains {} and {}",
-                domain_of[u],
-                domain_of[v]
-            );
-        }
-    }
-    SeparatorParts {
-        domain_of,
-        domains,
-        separator,
-    }
-}
-
-/// Region stamp marking separator vertices during [`vertex_separator`]'s
-/// bisection loop (never a valid region id: ids count up from 0 and a
-/// pattern has at most `u32::MAX / 2` split steps).
-const SEP_STAMP: u32 = u32::MAX;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1139,134 +879,5 @@ mod tests {
         let p = compute(&a, OrderingKind::MinDegree).unwrap();
         assert_eq!(p.new_of_old()[0], n - 1, "hub not ordered last");
         assert_eq!(fill(&a, OrderingKind::MinDegree), n - 1);
-    }
-
-    /// Every vertex lands in exactly one part, domains are pairwise
-    /// non-adjacent, and the renumbering is a permutation.
-    fn check_parts(a: &CsrMatrix, parts: &SeparatorParts) {
-        let n = a.nrows();
-        assert_eq!(parts.n(), n);
-        let mut seen = vec![false; n];
-        for d in 0..parts.domain_count() {
-            for &v in parts.domain(d) {
-                assert!(!seen[v], "vertex {v} in two parts");
-                seen[v] = true;
-                assert_eq!(parts.domain_of()[v], d as u32);
-            }
-        }
-        for &v in parts.separator() {
-            assert!(!seen[v], "separator vertex {v} also in a domain");
-            seen[v] = true;
-            assert_eq!(parts.domain_of()[v], SeparatorParts::SEPARATOR);
-        }
-        assert!(seen.iter().all(|&s| s), "uncovered vertex");
-        for u in 0..n {
-            let (cols, _) = a.row(u);
-            for &c in cols {
-                let v = c as usize;
-                let (du, dv) = (parts.domain_of()[u], parts.domain_of()[v]);
-                assert!(
-                    u == v
-                        || du == dv
-                        || du == SeparatorParts::SEPARATOR
-                        || dv == SeparatorParts::SEPARATOR,
-                    "edge ({u},{v}) crosses domains"
-                );
-            }
-        }
-        assert_is_permutation(&parts.renumbering().unwrap(), n);
-        let offsets = parts.offsets();
-        assert_eq!(offsets.len(), parts.domain_count() + 1);
-        assert_eq!(
-            offsets.last().copied().unwrap(),
-            n - parts.separator().len()
-        );
-    }
-
-    #[test]
-    fn vertex_separator_splits_grid_into_k_domains() {
-        let a = grid_pattern(16, 16);
-        for k in [1usize, 2, 3, 4, 7] {
-            let parts = vertex_separator(&a, k);
-            check_parts(&a, &parts);
-            assert!(
-                parts.domain_count() >= k.min(2),
-                "k={k}: only {} domains",
-                parts.domain_count()
-            );
-            if k == 1 {
-                assert_eq!(parts.domain_count(), 1);
-                assert!(parts.separator().is_empty());
-            } else {
-                // A 16×16 grid has plenty of depth; separators must stay
-                // a small fraction of the graph.
-                assert!(parts.separator().len() < 256 / 2);
-            }
-        }
-    }
-
-    #[test]
-    fn vertex_separator_disconnected_components_split_free() {
-        // Two disjoint triangles: two domains, empty separator.
-        let mut coo = CooMatrix::new(6, 6);
-        for (u, v) in [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)] {
-            coo.push_sym(u, v, 1.0);
-        }
-        for i in 0..6 {
-            coo.push(i, i, 2.0);
-        }
-        let a = coo.to_csr();
-        let parts = vertex_separator(&a, 2);
-        check_parts(&a, &parts);
-        assert_eq!(parts.domain_count(), 2);
-        assert!(parts.separator().is_empty());
-    }
-
-    /// Regression: bisecting a star-of-paths cuts out the hub, leaving a
-    /// region of several mutually-disconnected legs; re-bisecting that
-    /// region must split off the BFS-unreachable legs for free instead
-    /// of silently dropping them from every part list.
-    #[test]
-    fn vertex_separator_rebisects_internally_disconnected_regions() {
-        // Hub vertex 0 with four paths of length 10 hanging off it.
-        let legs = 4;
-        let len = 10;
-        let n = 1 + legs * len;
-        let mut coo = CooMatrix::new(n, n);
-        for i in 0..n {
-            coo.push(i, i, 4.0);
-        }
-        for leg in 0..legs {
-            let base = 1 + leg * len;
-            coo.push_sym(0, base, -1.0);
-            for i in 0..len - 1 {
-                coo.push_sym(base + i, base + i + 1, -1.0);
-            }
-        }
-        let a = coo.to_csr();
-        for k in [2usize, 3, 4, 6] {
-            let parts = vertex_separator(&a, k);
-            check_parts(&a, &parts);
-            assert!(parts.domain_count() >= k.min(2), "k={k}");
-        }
-    }
-
-    #[test]
-    fn vertex_separator_small_graphs_degrade_gracefully() {
-        // Too small to split: one domain, no separator.
-        let single = CsrMatrix::identity(1);
-        let parts = vertex_separator(&single, 4);
-        assert_eq!(parts.domain_count(), 1);
-        assert!(parts.separator().is_empty());
-        let empty = CooMatrix::new(0, 0).to_csr();
-        let parts = vertex_separator(&empty, 4);
-        assert_eq!(parts.domain_count(), 0);
-        assert_eq!(parts.n(), 0);
-    }
-
-    #[test]
-    fn vertex_separator_is_deterministic() {
-        let a = grid_pattern(12, 9);
-        assert_eq!(vertex_separator(&a, 4), vertex_separator(&a, 4));
     }
 }

@@ -4,34 +4,22 @@
 //! generalized eigenvalues, stop if `λmax/λmin ≤ σ²`, otherwise embed the
 //! remaining off-tree edges, filter them by normalized Joule heat against
 //! `θσ`, prune mutually-similar candidates, add the survivors, repeat.
+//!
+//! Each round's sparsifier Laplacian comes straight from
+//! [`Graph::laplacian_of_edges`] over the current edge ids in selection
+//! order — the tree, then every round's survivors in heat order — so each
+//! diagonal entry sums its weights in that order. The tree's
+//! [`LcaIndex`](sass_graph::LcaIndex) is built only for
+//! [`SimilarityPolicy::PathOverlap`](crate::SimilarityPolicy::PathOverlap),
+//! the one policy that queries it.
 
 use crate::embedding::off_tree_heat;
 use crate::extremes::{estimate_lambda_max, estimate_lambda_min};
 use crate::filter::{heat_threshold, select_edges};
-use crate::similarity::filter_similar;
+use crate::similarity::prune;
 use crate::{Result, RoundStats, Sparsifier, SparsifyConfig};
-use sass_graph::{spanning, Graph, LcaIndex, RootedTree};
+use sass_graph::{spanning, Graph, RootedTree};
 use sass_solver::GroundedSolver;
-use sass_sparse::{CooMatrix, CsrMatrix};
-
-/// Builds the Laplacian of the subgraph of `g` given by `edge_ids` without
-/// materializing the subgraph.
-fn laplacian_of_edges(g: &Graph, edge_ids: &[u32]) -> CsrMatrix {
-    let n = g.n();
-    let mut coo = CooMatrix::with_capacity(n, n, n + 2 * edge_ids.len());
-    let mut diag = vec![0.0f64; n];
-    for &id in edge_ids {
-        let e = g.edge(id as usize);
-        coo.push(e.u as usize, e.v as usize, -e.weight);
-        coo.push(e.v as usize, e.u as usize, -e.weight);
-        diag[e.u as usize] += e.weight;
-        diag[e.v as usize] += e.weight;
-    }
-    for (v, &d) in diag.iter().enumerate() {
-        coo.push(v, v, d);
-    }
-    coo.to_csr()
-}
 
 /// Runs similarity-aware spectral sparsification on a connected graph.
 ///
@@ -83,7 +71,7 @@ pub fn sparsify(g: &Graph, config: &SparsifyConfig) -> Result<Sparsifier> {
 
     let tree_ids = spanning::spanning_tree(g, config.tree)?;
     let rooted = RootedTree::new(g, tree_ids.clone(), 0)?;
-    let lca = LcaIndex::new(&rooted);
+    let lca = config.similarity.lca_index(&rooted);
     let lg = g.laplacian();
 
     let mut current: Vec<u32> = tree_ids.clone();
@@ -107,7 +95,7 @@ pub fn sparsify(g: &Graph, config: &SparsifyConfig) -> Result<Sparsifier> {
     let mut final_solver = None;
 
     for round in 1..=config.max_rounds {
-        let lp = laplacian_of_edges(g, &current);
+        let lp = g.laplacian_of_edges(&current);
         let solver = GroundedSolver::new(&lp, config.ordering)?;
         let lambda_max = estimate_lambda_max(
             &lg,
@@ -146,7 +134,7 @@ pub fn sparsify(g: &Graph, config: &SparsifyConfig) -> Result<Sparsifier> {
         );
         let theta = heat_threshold(config.sigma2, lambda_min, lambda_max, config.t_steps);
         let candidates = select_edges(&off_tree, &heat.heat, heat.heat_max, theta, budget);
-        let accepted = filter_similar(config.similarity, g, &rooted, &lca, &candidates);
+        let accepted = prune(config.similarity, g, &rooted, lca.as_ref(), &candidates);
 
         rounds.push(RoundStats {
             round,
@@ -177,7 +165,7 @@ pub fn sparsify(g: &Graph, config: &SparsifyConfig) -> Result<Sparsifier> {
 
         if round == config.max_rounds {
             // Final round used its budget; measure once more for the books.
-            let lp = laplacian_of_edges(g, &current);
+            let lp = g.laplacian_of_edges(&current);
             let solver = GroundedSolver::new(&lp, config.ordering)?;
             let lambda_max = estimate_lambda_max(
                 &lg,
@@ -381,6 +369,52 @@ mod tests {
             let sp = sparsify(&g, &SparsifyConfig::new(80.0).with_similarity(policy)).unwrap();
             assert!(sp.converged(), "{policy:?} failed to converge");
         }
+    }
+
+    /// `sparsify` on a fixed circuit grid, pinned bit for bit: every
+    /// `RoundStats` field (floats by bit pattern) and the selected edge
+    /// ids (count and FNV-1a hash of their little-endian `u64` bytes).
+    /// Recorded before the solves, the factor input and the Laplacians
+    /// stopped staging through COO copies; those changes keep every
+    /// floating-point operation in order, so nothing here may move.
+    #[test]
+    fn golden_rounds_and_edges_on_circuit_grid() {
+        let g = circuit_grid(24, 24, 0.1, 3);
+        let sp = sparsify(&g, &SparsifyConfig::new(50.0)).unwrap();
+        let counts: Vec<_> = sp
+            .rounds()
+            .iter()
+            .map(|r| (r.edges, r.candidates, r.added))
+            .collect();
+        let floats: Vec<_> = sp
+            .rounds()
+            .iter()
+            .map(|r| [r.lambda_max, r.lambda_min, r.condition, r.threshold].map(f64::to_bits))
+            .collect();
+        // (edges, candidates, added), then λmax, λmin, condition and
+        // threshold bits, per round.
+        #[rustfmt::skip]
+        const GOLDEN_COUNTS: [(usize, usize, usize); 6] =
+            [(575, 144, 123), (698, 4, 4), (702, 1, 1), (703, 1, 1), (704, 1, 1), (705, 0, 0)];
+        #[rustfmt::skip]
+        const GOLDEN_FLOATS: [[u64; 4]; 6] = [
+            [0x4099975635ebac32, 0x3ff0000000000000, 0x4099975635ebac32, 0x3e5c7888bdbccc4a],
+            [0x40501057afe93a1f, 0x3fefffffffffffff, 0x40501057afe93a20, 0x3fd2425fa7ef2936],
+            [0x404a08b1f1c2a1dd, 0x3fefffffffffffff, 0x404a08b1f1c2a1de, 0x3fea216b35d66523],
+            [0x4049b7a65c3f2f93, 0x3fefffffffffffff, 0x4049b7a65c3f2f94, 0x3febc76af09269ec],
+            [0x4049a6dac27bb4a5, 0x3fefffffffffffff, 0x4049a6dac27bb4a6, 0x3fec22d313c3b5aa],
+            [0x403ed192d642dd2f, 0x3fefffffffffffff, 0x403ed192d642dd30, 0x3ff0000000000000],
+        ];
+        assert_eq!(counts, GOLDEN_COUNTS);
+        assert_eq!(floats, GOLDEN_FLOATS);
+        assert!(sp.rounds().iter().map(|r| r.round).eq(1..=6));
+        assert!(sp.converged());
+        let ids = sp.edge_ids();
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for b in ids.iter().flat_map(|&id| u64::from(id).to_le_bytes()) {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+        assert_eq!((ids.len(), h), (705, 0x1ddf_822c_6df5_c781));
     }
 
     #[test]

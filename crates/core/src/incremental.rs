@@ -36,7 +36,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use crate::embedding::{heat_from_embedding, probe_embedding};
 use crate::extremes::{estimate_lambda_max, estimate_lambda_min};
 use crate::filter::{heat_threshold, select_edges};
-use crate::similarity::filter_similar;
+use crate::similarity::prune;
 use crate::{CoreError, Result, SparsifyConfig};
 use sass_graph::spanning::{canonical_max_weight_spanning_tree, DynamicTree};
 use sass_graph::{Graph, GraphEdit, LcaIndex, RootedTree};
@@ -121,7 +121,9 @@ pub struct IncrementalSparsifier {
     tree: DynamicTree,
     tree_ids: Vec<u32>,
     rooted: RootedTree,
-    lca: LcaIndex,
+    /// The tree's LCA index, built only for a similarity policy that
+    /// queries it.
+    lca: Option<LcaIndex>,
     heats: Vec<f64>,
     selected: Vec<u32>,
     solver: GroundedSolver,
@@ -152,7 +154,7 @@ impl IncrementalSparsifier {
 
         let tree_ids = canonical_max_weight_spanning_tree(g)?;
         let rooted = RootedTree::new(g, tree_ids.clone(), 0)?;
-        let lca = LcaIndex::new(&rooted);
+        let lca = config.similarity.lca_index(&rooted);
         let lp = g.laplacian_of_edges(&tree_ids);
         let tree_solver = GroundedSolver::new(&lp, config.ordering)?;
         let lg = g.laplacian();
@@ -183,7 +185,7 @@ impl IncrementalSparsifier {
         let all_ids: Vec<u32> = (0..g.m() as u32).collect();
         let heats = heat_from_embedding(g, &all_ids, &embedding).heat;
 
-        let selected = Self::select(g, &tree_ids, &rooted, &lca, &heats, theta, config);
+        let selected = Self::select(g, &tree_ids, &rooted, lca.as_ref(), &heats, theta, config);
         let solver = GroundedSolver::new(&g.laplacian_of_edges(&selected), config.ordering)?;
         let tree = DynamicTree::new(g, &tree_ids);
         Ok(IncrementalSparsifier {
@@ -208,7 +210,7 @@ impl IncrementalSparsifier {
         g: &Graph,
         tree_ids: &[u32],
         rooted: &RootedTree,
-        lca: &LcaIndex,
+        lca: Option<&LcaIndex>,
         heats: &[f64],
         theta: f64,
         config: &SparsifyConfig,
@@ -228,7 +230,7 @@ impl IncrementalSparsifier {
         let heat_max = off_heats.iter().copied().fold(0.0, f64::max);
         let budget = ((config.max_add_frac * g.n() as f64).ceil() as usize).max(1);
         let candidates = select_edges(&off, &off_heats, heat_max, theta, budget);
-        let mut accepted = filter_similar(config.similarity, g, rooted, lca, &candidates);
+        let mut accepted = prune(config.similarity, g, rooted, lca, &candidates);
         // Merge of two sorted disjoint id lists (tree ∪ accepted).
         accepted.sort_unstable();
         let mut selected = Vec::with_capacity(tree_ids.len() + accepted.len());
@@ -369,11 +371,11 @@ impl IncrementalSparsifier {
             Some(r) => (r, None),
             None => {
                 let r = RootedTree::new(&g2, tree_ids.clone(), 0)?;
-                let l = LcaIndex::new(&r);
+                let l = self.config.similarity.lca_index(&r);
                 (r, Some(l))
             }
         };
-        let lca = lca_new.as_ref().unwrap_or(&self.lca);
+        let lca = lca_new.as_ref().unwrap_or(&self.lca).as_ref();
 
         // Heat maintenance: carry clean heats across the id renumbering;
         // re-score exactly the dirty set against the frozen embedding.
@@ -531,14 +533,14 @@ impl IncrementalSparsifier {
     pub fn oracle_rebuild(&self) -> Result<IncrementalSparsifier> {
         let tree_ids = canonical_max_weight_spanning_tree(&self.g)?;
         let rooted = RootedTree::new(&self.g, tree_ids.clone(), 0)?;
-        let lca = LcaIndex::new(&rooted);
+        let lca = self.config.similarity.lca_index(&rooted);
         let all_ids: Vec<u32> = (0..self.g.m() as u32).collect();
         let heats = heat_from_embedding(&self.g, &all_ids, &self.embedding).heat;
         let selected = Self::select(
             &self.g,
             &tree_ids,
             &rooted,
-            &lca,
+            lca.as_ref(),
             &heats,
             self.theta,
             &self.config,
@@ -618,10 +620,14 @@ impl IncrementalSparsifier {
         let edges = self.g.m() * size_of::<sass_graph::Edge>();
         let ids = (self.tree_ids.len() + self.selected.len()) * size_of::<u32>();
         // DynamicTree / RootedTree / LcaIndex are O(n) word structures:
-        // parent, depth, weight, and the LCA jump table (~log n levels).
+        // parent, depth, weight, and the LCA jump table (~log n levels),
+        // which exists only for a policy that queries it.
         let n = self.g.n();
-        let tree_structs =
-            n * size_of::<u64>() * (4 + usize::BITS as usize - n.leading_zeros() as usize);
+        let lca_levels = match self.lca {
+            Some(_) => usize::BITS as usize - n.leading_zeros() as usize,
+            None => 0,
+        };
+        let tree_structs = n * size_of::<u64>() * (4 + lca_levels);
         self.solver.memory_bytes() + embedding + heats + edges + ids + tree_structs
     }
 }

@@ -75,6 +75,32 @@ pub fn filter_similar(
     lca: &LcaIndex,
     candidates: &[(u32, f64)],
 ) -> Vec<u32> {
+    prune(policy, g, tree, Some(lca), candidates)
+}
+
+impl SimilarityPolicy {
+    /// The tree's [`LcaIndex`] if the policy queries lowest common
+    /// ancestors — only [`SimilarityPolicy::PathOverlap`] does — and `None`
+    /// otherwise, so the other policies never pay for the index.
+    pub(crate) fn lca_index(self, tree: &RootedTree) -> Option<LcaIndex> {
+        matches!(self, SimilarityPolicy::PathOverlap { .. }).then(|| LcaIndex::new(tree))
+    }
+}
+
+/// [`filter_similar`] with the LCA index optional: `lca` may be `None`
+/// unless `policy.lca_index` builds one.
+///
+/// # Panics
+///
+/// Panics if the policy needs the index and `lca` is `None`, or if an
+/// edge id is out of range for `g`.
+pub(crate) fn prune(
+    policy: SimilarityPolicy,
+    g: &Graph,
+    tree: &RootedTree,
+    lca: Option<&LcaIndex>,
+    candidates: &[(u32, f64)],
+) -> Vec<u32> {
     match policy {
         SimilarityPolicy::None => candidates.iter().map(|&(id, _)| id).collect(),
         SimilarityPolicy::EndpointMark => {
@@ -93,6 +119,7 @@ pub fn filter_similar(
             accepted
         }
         SimilarityPolicy::PathOverlap { max_overlap } => {
+            let lca = lca.expect("PathOverlap needs the tree's LCA index");
             let mut covered = vec![false; g.m()];
             let mut accepted = Vec::new();
             let mut path: Vec<u32> = Vec::new();

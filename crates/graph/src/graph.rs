@@ -330,47 +330,49 @@ impl Graph {
             .map(|&(_, id)| id)
     }
 
-    /// The graph Laplacian `L = D − W` as a CSR matrix.
+    /// The graph Laplacian `L = D − W` as a CSR matrix:
+    /// [`Graph::laplacian_of_edges`] over every edge id, so each diagonal
+    /// entry is [`Graph::weighted_degree`] bit for bit.
     pub fn laplacian(&self) -> CsrMatrix {
-        let mut coo = CooMatrix::with_capacity(self.n, self.n, self.n + 2 * self.m());
-        for v in 0..self.n {
-            let d = self.weighted_degree(v);
-            coo.push(v, v, d);
-        }
-        for e in &self.edges {
-            coo.push(e.u as usize, e.v as usize, -e.weight);
-            coo.push(e.v as usize, e.u as usize, -e.weight);
-        }
-        coo.to_csr()
+        let all: Vec<u32> = (0..self.m() as u32).collect();
+        self.laplacian_of_edges(&all)
     }
 
     /// The Laplacian of the subgraph keeping only the edges with the
-    /// given ids, on the full vertex set — entry-for-entry (and bit for
-    /// bit) equal to `subgraph_with_edges(ids).laplacian()`, assembled
-    /// directly in CSR form without building the intermediate graph or a
-    /// COO staging buffer.
+    /// given ids, on the full vertex set, assembled directly in CSR form
+    /// without building the intermediate graph or a COO staging buffer.
+    ///
+    /// Ids may come in any order. Every row is column-sorted and holds its
+    /// diagonal even for a vertex no selected edge touches. Each diagonal
+    /// entry is the sum of its selected incident weights, added in the
+    /// given id order starting from `−0.0` as `f64::sum` does. So ascending
+    /// ids reproduce `subgraph_with_edges(ids).laplacian()` bit for bit,
+    /// isolated vertices included, and any other order reproduces the same
+    /// COO assembly in that order. Costs `O(n + m)` for the id mask.
     ///
     /// # Panics
     ///
-    /// Panics if `edge_ids` is not sorted and duplicate-free, or if an id
-    /// is out of bounds.
+    /// Panics if an id repeats or is out of bounds.
     pub fn laplacian_of_edges(&self, edge_ids: &[u32]) -> CsrMatrix {
-        assert!(
-            edge_ids.windows(2).all(|w| w[0] < w[1]),
-            "edge ids must be sorted and unique"
-        );
         let n = self.n;
         // Row k holds its diagonal plus one entry per selected incident
         // edge; `lo[k]` counts the incident edges whose other endpoint is
         // smaller than k, which is where the diagonal slot sits in the
-        // column-sorted row.
+        // column-sorted row. Only the diagonal depends on the id order.
+        let mut picked = vec![false; self.m()];
         let mut count = vec![1usize; n];
         let mut lo = vec![0usize; n];
+        let mut diag = vec![-0.0f64; n];
         for &id in edge_ids {
+            let seen = std::mem::replace(&mut picked[id as usize], true);
+            assert!(!seen, "edge id {id} appears twice");
             let e = self.edges[id as usize];
-            count[e.u as usize] += 1;
-            count[e.v as usize] += 1;
-            lo[e.v as usize] += 1;
+            let (u, v) = (e.u as usize, e.v as usize);
+            count[u] += 1;
+            count[v] += 1;
+            lo[v] += 1;
+            diag[u] += e.weight;
+            diag[v] += e.weight;
         }
         let mut indptr = Vec::with_capacity(n + 1);
         indptr.push(0usize);
@@ -381,16 +383,13 @@ impl Graph {
         }
         let mut indices = vec![0u32; total];
         let mut data = vec![0.0f64; total];
-        // Edge ids ascend in (u, v) pair order, so each row's smaller
-        // neighbors arrive ascending before its larger neighbors do —
-        // two cursors per row produce column-sorted rows directly. The
-        // diagonal accumulates in the same incident-edge order the
-        // subgraph's `weighted_degree` sums in, keeping bit-equality.
-        let mut diag = vec![0.0f64; n];
+        // Edge ids ascend in (u, v) pair order, so walking the mask in id
+        // order brings each row's smaller neighbors ascending before its
+        // larger neighbors — two cursors per row produce column-sorted
+        // rows directly.
         let mut next_lo: Vec<usize> = indptr[..n].to_vec();
         let mut next_hi: Vec<usize> = (0..n).map(|k| indptr[k] + lo[k] + 1).collect();
-        for &id in edge_ids {
-            let e = self.edges[id as usize];
+        for (e, _) in self.edges.iter().zip(&picked).filter(|&(_, &p)| p) {
             let (u, v) = (e.u as usize, e.v as usize);
             indices[next_hi[u]] = e.v;
             data[next_hi[u]] = -e.weight;
@@ -398,8 +397,6 @@ impl Graph {
             indices[next_lo[v]] = e.u;
             data[next_lo[v]] = -e.weight;
             next_lo[v] += 1;
-            diag[u] += e.weight;
-            diag[v] += e.weight;
         }
         for k in 0..n {
             let p = indptr[k] + lo[k];
@@ -841,10 +838,85 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "sorted")]
-    fn laplacian_of_edges_rejects_unsorted_ids() {
+    #[should_panic(expected = "appears twice")]
+    fn laplacian_of_edges_rejects_duplicate_ids() {
         let g = triangle();
-        let _ = g.laplacian_of_edges(&[1, 0]);
+        let _ = g.laplacian_of_edges(&[2, 0, 2]);
+    }
+
+    /// The COO assembly of the subgraph Laplacian over `ids` in the given
+    /// order: each diagonal summed in that order from `−0.0`, as
+    /// `f64::sum` starts.
+    fn coo_laplacian_of_edges(g: &Graph, ids: &[u32]) -> CsrMatrix {
+        let n = g.n();
+        let mut coo = CooMatrix::with_capacity(n, n, n + 2 * ids.len());
+        let mut diag = vec![-0.0f64; n];
+        for &id in ids {
+            let e = g.edge(id as usize);
+            coo.push(e.u as usize, e.v as usize, -e.weight);
+            coo.push(e.v as usize, e.u as usize, -e.weight);
+            diag[e.u as usize] += e.weight;
+            diag[e.v as usize] += e.weight;
+        }
+        for (v, &d) in diag.iter().enumerate() {
+            coo.push(v, v, d);
+        }
+        coo.to_csr()
+    }
+
+    /// Pattern and value bits of two CSR matrices (`==` on `f64` would
+    /// equate `0.0` with `−0.0`).
+    fn assert_same_bits(a: &CsrMatrix, b: &CsrMatrix, what: &str) {
+        assert_eq!(a.indptr(), b.indptr(), "{what}: row pointers");
+        assert_eq!(a.indices(), b.indices(), "{what}: column indices");
+        let bits = |m: &CsrMatrix| m.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(a), bits(b), "{what}: value bits");
+    }
+
+    #[test]
+    fn laplacian_of_edges_any_order_matches_coo_assembly() {
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        let g = crate::generators::circuit_grid(12, 9, 0.2, 5);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let mut ids: Vec<u32> = (0..g.m() as u32).collect();
+        for keep in [g.m(), g.m() / 2, 3, 0] {
+            ids.shuffle(&mut rng);
+            let subset = &ids[..keep];
+            assert_same_bits(
+                &g.laplacian_of_edges(subset),
+                &coo_laplacian_of_edges(&g, subset),
+                &format!("{keep} shuffled ids"),
+            );
+        }
+    }
+
+    /// `Graph::laplacian` against the textbook COO formula (weighted
+    /// degrees on the diagonal, `−w` off it), bit for bit.
+    #[test]
+    fn laplacian_matches_coo_formula_bitwise() {
+        use crate::generators::{barabasi_albert, circuit_grid, grid2d, WeightModel};
+        let isolated = Graph::from_edges(5, &[(0, 1, 1.0), (3, 4, 2.0)]).unwrap();
+        for (name, g) in [
+            (
+                "grid",
+                grid2d(13, 11, WeightModel::Uniform { lo: 0.5, hi: 2.0 }, 3),
+            ),
+            ("circuit", circuit_grid(15, 15, 0.1, 21)),
+            ("ba", barabasi_albert(400, 4, 3)),
+            ("isolated vertex", isolated),
+        ] {
+            let n = g.n();
+            let mut coo = CooMatrix::with_capacity(n, n, n + 2 * g.m());
+            for v in 0..n {
+                coo.push(v, v, g.weighted_degree(v));
+            }
+            for e in g.edges() {
+                coo.push(e.u as usize, e.v as usize, -e.weight);
+                coo.push(e.v as usize, e.u as usize, -e.weight);
+            }
+            assert_same_bits(&g.laplacian(), &coo.to_csr(), name);
+        }
     }
 
     #[test]

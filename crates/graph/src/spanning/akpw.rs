@@ -76,6 +76,11 @@ pub fn akpw_spanning_tree(g: &Graph, params: &AkpwParams) -> Result<Vec<u32>> {
     let mut tree: Vec<u32> = Vec::with_capacity(n - 1);
     // Edges still crossing clusters, pruned between rounds.
     let mut live: Vec<u32> = (0..g.m() as u32).collect();
+    // Compact cluster ids by union-find root: `cluster_id[r]` is valid
+    // when `stamp[r]` holds the current round, so no per-round clearing.
+    let mut cluster_id = vec![0u32; n];
+    let mut stamp = vec![0u32; n];
+    let mut round = 0u32;
 
     while uf.components() > 1 {
         // Prune intra-cluster edges and split off the active (short) ones.
@@ -93,15 +98,17 @@ pub fn akpw_spanning_tree(g: &Graph, params: &AkpwParams) -> Result<Vec<u32>> {
             continue;
         }
 
-        // Compact ids for the clusters touched by active edges.
-        let mut cluster_id = std::collections::HashMap::new();
+        // Compact ids for the clusters touched by active edges, numbered
+        // in first-touch order.
+        round += 1;
         let mut cluster_of = |uf: &mut UnionFind, v: usize, next: &mut usize| -> usize {
             let r = uf.find(v);
-            *cluster_id.entry(r).or_insert_with(|| {
-                let id = *next;
+            if stamp[r] != round {
+                stamp[r] = round;
+                cluster_id[r] = *next as u32;
                 *next += 1;
-                id
-            })
+            }
+            cluster_id[r] as usize
         };
         let mut k = 0usize;
         let mut endpoints: Vec<(usize, usize)> = Vec::with_capacity(active.len());
@@ -202,6 +209,33 @@ mod tests {
         let ids = akpw_spanning_tree(&g, &AkpwParams::default()).unwrap();
         assert_eq!(ids.len(), g.n() - 1);
         RootedTree::new(&g, ids, 0).unwrap();
+    }
+
+    /// FNV-1a over the little-endian `u64` bytes of each id.
+    fn fnv1a(ids: &[u32]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for &id in ids {
+            for b in u64::from(id).to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// The trees on two fixed circuit grids, pinned to their ids before
+    /// the cluster numbering moved from a hash map to a stamped vector:
+    /// both number clusters in first-touch order, so the tree is the same.
+    #[test]
+    fn tree_ids_are_pinned_on_circuit_grids() {
+        for (side, seed, hash) in [
+            (24, 3, 0x3e8b_222f_ddbe_6870),
+            (60, 9, 0x7434_36fd_734e_0435),
+        ] {
+            let g = crate::generators::circuit_grid(side, side, 0.1, seed);
+            let ids = akpw_spanning_tree(&g, &AkpwParams::default()).unwrap();
+            assert_eq!(ids.len(), g.n() - 1);
+            assert_eq!(fnv1a(&ids), hash, "circuit {side}x{side}: tree ids moved");
+        }
     }
 
     #[test]

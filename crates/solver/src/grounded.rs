@@ -2,8 +2,8 @@ use crate::{Result, SolverError};
 use sass_sparse::ordering::OrderingKind;
 use sass_sparse::{dense, pool, CsrMatrix, DenseBlock, LdlFactor, SparseError};
 
-/// Minimum `n × ncols` work before the blocked solve's per-column
-/// centering/mean-zero passes go parallel under automatic pool sizing (an
+/// Minimum `n × ncols` work before the blocked solves' per-column
+/// mean-zero projection goes parallel under automatic pool sizing (an
 /// explicit `SASS_THREADS` / `pool::set_threads` override skips the
 /// crossover). The triangular factor solves carry their own gates inside
 /// [`LdlFactor`]: they run on a subtree-to-lane partition of the
@@ -22,6 +22,14 @@ const MIN_PAR_BLOCK_WORK: usize = 32_768;
 ///
 /// Right-hand sides are centered defensively, so passing a `b` with nonzero
 /// mean solves against its projection onto `range(L)`.
+///
+/// Every solve — single, blocked or many-RHS — moves its data once each
+/// way: the caller's full-size columns are packed straight into the
+/// factor's slot-ordered work buffer, dropping the ground row and
+/// subtracting each column's mean on the way in, and unpacked with the
+/// ground entry set to zero on the way out
+/// ([`LdlFactor::solve_columns_into_scratch`]). The only other pass is the
+/// mean-zero projection of each solution.
 ///
 /// # Example
 ///
@@ -301,26 +309,22 @@ impl GroundedSolver {
     /// Right-hand sides are processed in blocks of
     /// [`sass_sparse::LDL_BLOCK_WIDTH`] columns: one sweep over the LDLᵀ
     /// factor's indices advances the whole block, so factor traffic is paid
-    /// once per block instead of once per vector. Results agree with
-    /// per-RHS [`GroundedSolver::solve`] to floating-point sign-of-zero.
+    /// once per block instead of once per vector. Results are bit-identical
+    /// to per-RHS [`GroundedSolver::solve`].
     ///
     /// # Panics
     ///
     /// Panics if any right-hand side has the wrong length.
     pub fn solve_many(&self, rhs: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        if rhs.is_empty() {
-            return Vec::new();
-        }
-        for b in rhs {
-            assert_eq!(b.len(), self.n, "solve_many: rhs length mismatch");
-        }
-        let block = DenseBlock::from_columns(rhs);
-        self.solve_block(&block).into_columns()
+        let mut out = vec![vec![0.0; self.n]; rhs.len()];
+        self.solve_many_into(rhs, &mut out, &mut GroundedScratch::new());
+        out
     }
 
     /// [`GroundedSolver::solve_many`] into caller-provided buffers with
     /// caller-owned scratch, so repeated batched solves against one
-    /// factorization allocate nothing after the first call.
+    /// factorization allocate nothing after the first call. The columns
+    /// are read and written in place.
     ///
     /// # Panics
     ///
@@ -360,19 +364,17 @@ impl GroundedSolver {
         for x in out.iter() {
             assert_eq!(x.len(), self.n, "solve_many: output length mismatch");
         }
-        let mut bin = std::mem::take(&mut scratch.bin);
-        bin.reshape(self.n, rhs.len());
-        for (col, b) in bin.columns_mut().zip(rhs) {
-            col.copy_from_slice(b);
+        self.solve_columns(
+            rhs.iter().map(Vec::as_slice),
+            out.iter_mut().map(Vec::as_mut_slice),
+            scratch,
+        );
+        match self.center_spans(out.len()) {
+            None => out.iter_mut().for_each(|x| dense::center(x)),
+            Some(spans) => pool::Pool::global().parallel_for_disjoint_mut(out, &spans, |_, xs| {
+                xs.iter_mut().for_each(|x| dense::center(x))
+            }),
         }
-        let mut bout = std::mem::take(&mut scratch.bout);
-        bout.reshape(self.n, rhs.len());
-        self.solve_block_into_scratch(&bin, &mut bout, scratch);
-        for (x, col) in out.iter_mut().zip(bout.columns()) {
-            x.copy_from_slice(col);
-        }
-        scratch.bin = bin;
-        scratch.bout = bout;
     }
 
     /// Solves `L X = center(B)` column-wise for a block of right-hand
@@ -407,82 +409,16 @@ impl GroundedSolver {
         assert_eq!(b.nrows(), self.n, "solve_block: b row-count mismatch");
         assert_eq!(x.nrows(), self.n, "solve_block: x row-count mismatch");
         assert_eq!(x.ncols(), b.ncols(), "solve_block: column-count mismatch");
-        if b.ncols() == 0 {
-            return;
-        }
-        let rn = self.n - 1;
-        let ncols = b.ncols();
-        // Columns are independent in both dense passes, so they spread
-        // over the worker pool above a size crossover; each column runs
-        // the exact serial per-column code, keeping the blocked solve
-        // bit-identical to the scalar path at any worker count.
-        let p = pool::Pool::global();
-        let workers = if rn == 0 {
-            1
-        } else {
-            p.workers_for(self.n * ncols, MIN_PAR_BLOCK_WORK, MIN_PAR_BLOCK_WORK)
-                .min(ncols)
-        };
-        let col_spans = pool::even_spans(ncols, workers);
-        // Reduced right-hand sides: centered, ground row elided — the same
-        // per-column convention as the scalar path, vectorized.
-        let fill_rcol = |rcol: &mut [f64], bcol: &[f64]| {
-            let mean = dense::mean(bcol);
-            let mut k = 0;
-            for (i, &bi) in bcol.iter().enumerate() {
-                if i != self.ground {
-                    rcol[k] = bi - mean;
-                    k += 1;
-                }
+        self.solve_columns(b.columns(), x.columns_mut(), scratch);
+        let n = self.n;
+        match self.center_spans(b.ncols()) {
+            None => x.columns_mut().for_each(dense::center),
+            Some(spans) => {
+                let scaled = pool::scale_spans(&spans, n);
+                pool::Pool::global().parallel_for_disjoint_mut(x.data_mut(), &scaled, |_, xs| {
+                    xs.chunks_exact_mut(n).for_each(dense::center)
+                });
             }
-        };
-        let rb = &mut scratch.rb_block;
-        rb.reshape(rn, ncols);
-        if workers <= 1 {
-            for (rcol, bcol) in rb.columns_mut().zip(b.columns()) {
-                fill_rcol(rcol, bcol);
-            }
-        } else {
-            let scaled = pool::scale_spans(&col_spans, rn);
-            p.parallel_for_disjoint_mut(rb.data_mut(), &scaled, |s, chunk| {
-                let clo = col_spans[s].0;
-                for (k, rcol) in chunk.chunks_exact_mut(rn).enumerate() {
-                    fill_rcol(rcol, b.col(clo + k));
-                }
-            });
-        }
-        let rx = &mut scratch.rx_block;
-        rx.reshape(rn, ncols);
-        self.factor
-            .solve_block_into_scratch(&scratch.rb_block, rx, &mut scratch.work);
-        // Re-insert the ground row as zero and project each solution onto
-        // mean-zero (the canonical pseudoinverse representative).
-        let store_xcol = |xcol: &mut [f64], rcol: &[f64]| {
-            let mut k = 0;
-            for (i, xi) in xcol.iter_mut().enumerate() {
-                if i == self.ground {
-                    *xi = 0.0;
-                } else {
-                    *xi = rcol[k];
-                    k += 1;
-                }
-            }
-            dense::center(xcol);
-        };
-        let rx = &scratch.rx_block;
-        if workers <= 1 {
-            for (xcol, rcol) in x.columns_mut().zip(rx.columns()) {
-                store_xcol(xcol, rcol);
-            }
-        } else {
-            let n = self.n;
-            let scaled = pool::scale_spans(&col_spans, n);
-            p.parallel_for_disjoint_mut(x.data_mut(), &scaled, |s, chunk| {
-                let clo = col_spans[s].0;
-                for (k, xcol) in chunk.chunks_exact_mut(n).enumerate() {
-                    store_xcol(xcol, rx.col(clo + k));
-                }
-            });
         }
     }
 
@@ -504,49 +440,49 @@ impl GroundedSolver {
     ///
     /// Panics if `b.len() != n()` or `x.len() != n()`.
     pub fn solve_into_scratch(&self, b: &[f64], x: &mut [f64], scratch: &mut GroundedScratch) {
-        assert_eq!(b.len(), self.n, "solve: b length mismatch");
-        assert_eq!(x.len(), self.n, "solve: x length mismatch");
-        let mean = dense::mean(b);
-        // Reduced RHS skips the ground entry.
-        let rb = &mut scratch.rb;
-        rb.clear();
-        rb.reserve(self.n - 1);
-        for (i, &bi) in b.iter().enumerate() {
-            if i != self.ground {
-                rb.push(bi - mean);
-            }
-        }
-        scratch.rx.resize(self.n - 1, 0.0);
-        self.factor
-            .solve_into_scratch(rb, &mut scratch.rx, &mut scratch.work);
-        let mut k = 0;
-        for (i, xi) in x.iter_mut().enumerate() {
-            if i == self.ground {
-                *xi = 0.0;
-            } else {
-                *xi = scratch.rx[k];
-                k += 1;
-            }
-        }
+        self.solve_columns([b], [&mut *x], scratch);
         dense::center(x);
+    }
+
+    /// The grounded solve of every column of `b` into the matching column
+    /// of `x`, before the mean-zero projection: each column is shifted by
+    /// its mean and packed into the factor's work buffer with the ground
+    /// row left out, and the ground row comes back as zero
+    /// ([`LdlFactor::solve_columns_into_scratch`]).
+    fn solve_columns<'b, 'x>(
+        &self,
+        b: impl IntoIterator<Item = &'b [f64]>,
+        x: impl IntoIterator<Item = &'x mut [f64]>,
+        scratch: &mut GroundedScratch,
+    ) {
+        let b = b.into_iter().map(|col| (col, dense::mean(col)));
+        self.factor
+            .solve_columns_into_scratch(Some(self.ground), b, x, &mut scratch.work);
+    }
+
+    /// Column spans for the blocked paths' mean-zero projection: `None`
+    /// runs it serially; otherwise columns spread over the pool above
+    /// [`MIN_PAR_BLOCK_WORK`], each running the exact serial per-column
+    /// code, so the result is bit-identical at any worker count.
+    fn center_spans(&self, ncols: usize) -> Option<Vec<pool::Span>> {
+        let p = pool::Pool::global();
+        let workers = p
+            .workers_for(self.n * ncols, MIN_PAR_BLOCK_WORK, MIN_PAR_BLOCK_WORK)
+            .min(ncols);
+        (workers > 1).then(|| pool::even_spans(ncols, workers))
     }
 }
 
-/// Reusable buffers for [`GroundedSolver::solve_into_scratch`] and the
-/// blocked variants ([`GroundedSolver::solve_block_into_scratch`],
-/// [`GroundedSolver::solve_many_into`]).
+/// The reusable work buffer of [`GroundedSolver::solve_into_scratch`] and
+/// the blocked variants ([`GroundedSolver::solve_block_into_scratch`],
+/// [`GroundedSolver::solve_many_into`]): one chunk of right-hand sides in
+/// the factor's interleaved slot layout.
 ///
-/// One scratch serves solvers of any size and any block width (buffers
-/// resize lazily); keep it per call site, not shared across threads.
+/// One scratch serves solvers of any size and any block width (the buffer
+/// resizes lazily); keep it per call site, not shared across threads.
 #[derive(Debug, Clone, Default)]
 pub struct GroundedScratch {
-    rb: Vec<f64>,
-    rx: Vec<f64>,
     work: Vec<f64>,
-    rb_block: DenseBlock,
-    rx_block: DenseBlock,
-    bin: DenseBlock,
-    bout: DenseBlock,
 }
 
 impl GroundedScratch {
@@ -637,6 +573,79 @@ mod tests {
         for (b, x) in rhs.iter().zip(&many) {
             assert!(dense::rel_diff(x, &s.solve(b)) < 1e-15);
             assert!(l.residual_norm(x, b) < 1e-10);
+        }
+    }
+
+    /// The grounded solve spelled out: factor the principal submatrix
+    /// with the solver's own permutation; then per right-hand side, solve
+    /// it centered with the ground row elided, re-insert the ground row
+    /// as zero, and project onto mean zero.
+    fn reference_solver(l: &CsrMatrix, s: &GroundedSolver) -> impl Fn(&[f64]) -> Vec<f64> {
+        let g = s.ground();
+        let mut keep = vec![true; s.n()];
+        keep[g] = false;
+        let (reduced, _) = l.principal_submatrix(&keep);
+        let f = LdlFactor::with_permutation(&reduced, s.factor().permutation().clone()).unwrap();
+        move |b| {
+            let mean = dense::mean(b);
+            let rb: Vec<f64> = (0..b.len())
+                .filter(|&i| i != g)
+                .map(|i| b[i] - mean)
+                .collect();
+            let mut x = f.solve(&rb);
+            x.insert(g, 0.0);
+            dense::center(&mut x);
+            x
+        }
+    }
+
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Every grounded solve path against [`reference_solver`], bit for
+    /// bit: single, blocked and many-RHS, at the first, middle and last
+    /// ground vertex, across block widths around the chunk width, down to
+    /// one- and two-vertex systems. One scratch serves every call, so
+    /// stale buffer contents would show.
+    #[test]
+    fn grounded_paths_match_explicit_elision_bitwise() {
+        let graphs = [
+            Graph::from_edges(1, &[]).unwrap(),
+            Graph::from_edges(2, &[(0, 1, 1.5)]).unwrap(),
+            sass_graph::generators::circuit_grid(7, 5, 0.2, 3),
+            grid2d(48, 48, WeightModel::Uniform { lo: 0.5, hi: 2.0 }, 9),
+        ];
+        let mut scratch = GroundedScratch::new();
+        for g in &graphs {
+            let (n, l) = (g.n(), g.laplacian());
+            for ground in [0, n / 2, n - 1] {
+                let s = GroundedSolver::with_ground(&l, ground, OrderingKind::MinDegree).unwrap();
+                let cols: Vec<Vec<f64>> = (0..17)
+                    .map(|c| {
+                        (0..n)
+                            .map(|i| ((i * (2 * c + 1) + c) as f64 * 0.37).sin() + c as f64)
+                            .collect()
+                    })
+                    .collect();
+                let reference = reference_solver(&l, &s);
+                let want: Vec<Vec<u64>> = cols.iter().map(|b| bits(&reference(b))).collect();
+                let mut x = vec![0.0; n];
+                s.solve_into_scratch(&cols[0], &mut x, &mut scratch);
+                assert_eq!(bits(&x), want[0], "n = {n}, ground {ground}: single");
+                for w in [1usize, 7, 8, 9, 15, 17] {
+                    let block = DenseBlock::from_columns(&cols[..w]);
+                    let mut xb = DenseBlock::zeros(n, w);
+                    s.solve_block_into_scratch(&block, &mut xb, &mut scratch);
+                    let mut many = vec![vec![0.0; n]; w];
+                    s.solve_many_into(&cols[..w], &mut many, &mut scratch);
+                    for c in 0..w {
+                        let what = format!("n = {n}, ground {ground}, width {w}, column {c}");
+                        assert_eq!(bits(xb.col(c)), want[c], "{what}: block");
+                        assert_eq!(bits(&many[c]), want[c], "{what}: many");
+                    }
+                }
+            }
         }
     }
 

@@ -72,13 +72,6 @@ impl PcgScratch {
         Self::default()
     }
 
-    /// A workspace pre-sized for dimension-`n` solves.
-    pub fn with_dim(n: usize) -> Self {
-        let mut s = Self::default();
-        s.resize(n);
-        s
-    }
-
     fn resize(&mut self, n: usize) {
         self.b.resize(n, 0.0);
         self.r.resize(n, 0.0);

@@ -1,7 +1,7 @@
 // Sparse kernels index multiple parallel arrays; explicit loops are clearer.
 #![allow(clippy::needless_range_loop)]
 
-use crate::{dense, kernel, CooMatrix, Permutation, Result, SparseError};
+use crate::{dense, kernel, CooMatrix};
 
 /// Compressed sparse row matrix with `f64` values and `u32` column
 /// indices.
@@ -179,17 +179,6 @@ impl CsrMatrix {
         crate::parallel::par_spmv(self, x, y);
     }
 
-    /// Allocating form of [`CsrMatrix::par_mul_vec_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != ncols`.
-    pub fn par_mul_vec(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = vec![0.0; self.nrows];
-        self.par_mul_vec_into(x, &mut y);
-        y
-    }
-
     /// The transpose `Aᵀ` as a new CSR matrix (rows come out column-sorted).
     pub fn transpose(&self) -> CsrMatrix {
         let mut counts = vec![0usize; self.ncols + 1];
@@ -296,40 +285,6 @@ impl CsrMatrix {
     pub fn diagonal(&self) -> Vec<f64> {
         assert_eq!(self.nrows, self.ncols, "diagonal requires a square matrix");
         (0..self.nrows).map(|i| self.get(i, i)).collect()
-    }
-
-    /// Symmetric permutation `B = P A Pᵀ`, i.e. `B[p(i), p(j)] = A[i, j]`
-    /// where `p = perm.new_of_old()` maps old indices to new ones.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseError::ShapeMismatch`] if the permutation length does
-    /// not match, or [`SparseError::NotSquare`] for rectangular input.
-    pub fn permute_sym(&self, perm: &Permutation) -> Result<CsrMatrix> {
-        if self.nrows != self.ncols {
-            return Err(SparseError::NotSquare {
-                nrows: self.nrows,
-                ncols: self.ncols,
-            });
-        }
-        if perm.len() != self.nrows {
-            return Err(SparseError::ShapeMismatch {
-                context: format!(
-                    "permutation of length {} applied to {} rows",
-                    perm.len(),
-                    self.nrows
-                ),
-            });
-        }
-        let p = perm.new_of_old();
-        let mut coo = CooMatrix::with_capacity(self.nrows, self.ncols, self.nnz());
-        for i in 0..self.nrows {
-            let (cols, vals) = self.row(i);
-            for (c, v) in cols.iter().zip(vals) {
-                coo.push(p[i], p[*c as usize], *v);
-            }
-        }
-        Ok(coo.to_csr())
     }
 
     /// Extracts the principal submatrix on the rows/columns for which
@@ -477,20 +432,6 @@ mod tests {
     fn diagonal_extraction() {
         let a = laplacian_path3();
         assert_eq!(a.diagonal(), vec![1.0, 2.0, 1.0]);
-    }
-
-    #[test]
-    fn permute_sym_preserves_quad_form() {
-        let a = laplacian_path3();
-        let perm = Permutation::from_new_of_old(vec![2, 0, 1]).unwrap();
-        let b = a.permute_sym(&perm).unwrap();
-        // x on old indexing corresponds to x' with x'[p[i]] = x[i].
-        let x = [1.0, -2.0, 0.5];
-        let mut xp = [0.0; 3];
-        for i in 0..3 {
-            xp[perm.new_of_old()[i]] = x[i];
-        }
-        assert!((a.quad_form(&x) - b.quad_form(&xp)).abs() < 1e-14);
     }
 
     #[test]

@@ -145,7 +145,7 @@ pub struct LdlFactor {
     /// Lazily-built fast path for repeated [`LdlFactor::refactor_partial`]
     /// calls: the unpermuted input pattern plus a value scatter into a
     /// persistent permuted upper triangle, replacing the per-call
-    /// `permute_sym` + upper-triangle extraction with one `O(nnz)` copy.
+    /// permuted-upper build with one `O(nnz)` copy.
     refactor_cache: Option<RefactorCache>,
     /// Shadow map from column to its partition owner (lane index, or
     /// `u32::MAX` for the trunk), verifying the ownership invariant the
@@ -181,7 +181,7 @@ pub struct RefactorStats {
     pub full: bool,
 }
 
-/// Upper-triangle-by-column view of a symmetric CSR matrix.
+/// Upper-triangle-by-column view of a symmetric matrix.
 ///
 /// Column `k` of the upper triangle of a symmetric matrix equals the
 /// entries of row `k` with column index `≤ k`, which is exactly what the
@@ -193,23 +193,71 @@ struct UpperCsc {
     ax: Vec<f64>,
 }
 
-fn upper_csc(a: &CsrMatrix) -> UpperCsc {
+/// The upper triangle of `P A Pᵀ` by column, built straight from `a`'s
+/// rows: column `k` holds the entries of row `old_of_new[k]` whose new
+/// index is `≤ k`, ascending by new index, with their values. Only rows
+/// are read, so the result is exact for input that is merely structurally
+/// symmetric.
+///
+/// Counting passes, `O(nnz + n)`: the kept entries are bucketed by new
+/// row index, then drained in ascending row order into their columns,
+/// which leaves every column sorted without a comparison sort (whose cost
+/// piles up on a scale-free hub's long column).
+///
+/// # Errors
+///
+/// [`SparseError::ShapeMismatch`] if `perm` does not match `a`'s order.
+fn permuted_upper(a: &CsrMatrix, perm: &Permutation) -> Result<UpperCsc> {
     let n = a.nrows();
-    let mut ap = Vec::with_capacity(n + 1);
-    let mut ai = Vec::new();
-    let mut ax = Vec::new();
-    ap.push(0);
-    for k in 0..n {
-        let (cols, vals) = a.row(k);
-        for (c, v) in cols.iter().zip(vals) {
-            if (*c as usize) <= k {
-                ai.push(*c);
-                ax.push(*v);
-            }
-        }
-        ap.push(ai.len());
+    if perm.len() != n {
+        return Err(SparseError::ShapeMismatch {
+            context: format!("permutation of length {} applied to {n} rows", perm.len()),
+        });
     }
-    UpperCsc { ap, ai, ax }
+    let new_of_old = perm.new_of_old();
+    // Each kept entry as (column k, row r) in new indices, visited in
+    // input order by every pass.
+    let kept = |i: usize| {
+        let k = new_of_old[i];
+        let (cols, vals) = a.row(i);
+        cols.iter()
+            .zip(vals)
+            .map(move |(&j, &v)| (k, new_of_old[j as usize], v))
+            .filter(|&(k, r, _)| r <= k)
+    };
+    let mut ap = vec![0usize; n + 1];
+    let mut rp = vec![0usize; n + 1];
+    for i in 0..n {
+        for (k, r, _) in kept(i) {
+            ap[k + 1] += 1;
+            rp[r + 1] += 1;
+        }
+    }
+    for k in 0..n {
+        ap[k + 1] += ap[k];
+        rp[k + 1] += rp[k];
+    }
+    let nnz = ap[n];
+    let mut by_row = vec![(0u32, 0.0f64); nnz];
+    let mut next = rp[..n].to_vec();
+    for i in 0..n {
+        for (k, r, v) in kept(i) {
+            by_row[next[r]] = (k as u32, v);
+            next[r] += 1;
+        }
+    }
+    let mut ai = vec![0u32; nnz];
+    let mut ax = vec![0.0f64; nnz];
+    let mut next = ap[..n].to_vec();
+    for r in 0..n {
+        for &(k, v) in &by_row[rp[r]..rp[r + 1]] {
+            let e = &mut next[k as usize];
+            ai[*e] = r as u32;
+            ax[*e] = v;
+            *e += 1;
+        }
+    }
+    Ok(UpperCsc { ap, ai, ax })
 }
 
 /// The retained state behind [`LdlFactor::refactor_partial`]'s fast
@@ -574,8 +622,7 @@ impl LdlFactor {
             });
         }
         let n = a.nrows();
-        let b = a.permute_sym(&perm)?;
-        let u = upper_csc(&b);
+        let u = permuted_upper(a, &perm)?;
 
         // Symbolic: elimination tree plus exact per-column and per-row
         // nonzero counts of L (columns size the transpose index, rows the
@@ -751,8 +798,7 @@ impl LdlFactor {
             Some(c) if c.a_p == a.indptr() && c.a_i == a.indices()
         );
         if !cached {
-            let b = a.permute_sym(&self.perm)?;
-            let u = upper_csc(&b);
+            let u = permuted_upper(a, &self.perm)?;
             if u.ap != self.ua_p || u.ai != self.ua_i {
                 return Ok(RefactorOutcome::PatternChanged);
             }
@@ -977,31 +1023,16 @@ impl LdlFactor {
     ///
     /// Panics if `b.len() != n` or `x.len() != n`.
     pub fn solve_into_scratch(&self, b: &[f64], x: &mut [f64], work: &mut Vec<f64>) {
-        assert_eq!(b.len(), self.n, "solve: b length mismatch");
-        assert_eq!(x.len(), self.n, "solve: x length mismatch");
-        // Work in permuted coordinates, laid out by slot: y = P b. The
-        // permutation scatter writes every entry, so stale contents need
-        // no zeroing.
-        work.resize(self.n, 0.0);
-        let y = &mut work[..];
-        for (old, &q) in self.slot_of_old.iter().enumerate() {
-            y[q as usize] = b[old];
-        }
-        self.sweep_single(y);
-        // Un-permute: x = Pᵀ y.
-        for (old, &q) in self.slot_of_old.iter().enumerate() {
-            x[old] = y[q as usize];
-        }
+        self.solve_columns_into_scratch(None, [(b, 0.0)], [x], work);
     }
 
     /// Solves `A X = B` for a block of right-hand sides, allocating the
     /// result.
     ///
-    /// Equivalent to calling [`LdlFactor::solve`] per column (to floating-
-    /// point sign-of-zero), but sweeps the factor once per
-    /// [`LDL_BLOCK_WIDTH`]-column chunk: one pass over `L`'s indices updates
-    /// every column of the chunk, so factor traffic is amortized across the
-    /// block.
+    /// Bit-identical to calling [`LdlFactor::solve`] per column, but sweeps
+    /// the factor once per [`LDL_BLOCK_WIDTH`]-column chunk: one pass over
+    /// `L`'s indices updates every column of the chunk, so factor traffic
+    /// is amortized across the block.
     ///
     /// # Panics
     ///
@@ -1045,11 +1076,8 @@ impl LdlFactor {
     /// [`LdlFactor::solve_block_into`] with a caller-owned work buffer, so
     /// repeated blocked solves allocate nothing after the first call.
     ///
-    /// The work buffer holds one chunk of columns in *interleaved* (row-
-    /// major) layout — `w[row * k + col]` — so the triangular sweeps touch
-    /// each chunk's right-hand sides contiguously per factor row. Like the
-    /// single-vector path, the sweeps run on the etree partition above a
-    /// work crossover (or under a forced pool override).
+    /// Runs [`LdlFactor::solve_columns_into_scratch`] with no ground row
+    /// and zero shifts; see there for the work buffer's layout.
     ///
     /// # Panics
     ///
@@ -1063,31 +1091,143 @@ impl LdlFactor {
         assert_eq!(b.nrows(), self.n, "solve_block: b row-count mismatch");
         assert_eq!(x.nrows(), self.n, "solve_block: x row-count mismatch");
         assert_eq!(x.ncols(), b.ncols(), "solve_block: column-count mismatch");
-        let mut start = 0;
-        while start < b.ncols() {
-            let k = LDL_BLOCK_WIDTH.min(b.ncols() - start);
-            work.resize(self.n * k, 0.0);
-            // Pack the chunk permuted, by slot, and interleaved:
-            // w[slot(old)·k + c] = b_c[old].
-            for c in 0..k {
-                let col = b.col(start + c);
-                for (old, &q) in self.slot_of_old.iter().enumerate() {
-                    work[q as usize * k + c] = col[old];
-                }
+        let b = b.columns().map(|col| (col, 0.0));
+        self.solve_columns_into_scratch(None, b, x.columns_mut(), work);
+    }
+
+    /// Solves `A y_c = b_c − s_c` for every pair `(b_c, s_c)` of `b` into
+    /// the matching column `x_c` of `x`, where `b_c` and `x_c` are given in
+    /// the caller's own row numbering: the factor's rows, plus one
+    /// *ground* row at index `g` when `ground` is `Some(g)`. The ground row
+    /// has no factor row — its `b` entries are ignored and its `x` entries
+    /// are set to zero; caller rows above it map to factor rows one lower.
+    /// With `ground = None` and zero shifts this is a plain solve
+    /// (`b − 0.0` is `b` bit for bit).
+    ///
+    /// Columns go through the factor [`LDL_BLOCK_WIDTH`] at a time, each
+    /// chunk in one pass that moves its data once:
+    ///
+    /// - **pack** — caller row by caller row, the chunk's `k` shifted
+    ///   entries land in one contiguous `k`-wide row of `work` at the
+    ///   factor slot of that row (`work[slot · k + c]`; one cache line for
+    ///   a full chunk), skipping the ground row;
+    /// - **sweep** — the forward, diagonal and backward sweeps run on that
+    ///   interleaved buffer, touching a chunk row contiguously per factor
+    ///   entry; above a work crossover (or under a forced pool override)
+    ///   they run on the etree partition;
+    /// - **unpack** — caller row by caller row again, each slot row is
+    ///   copied out to the `k` output columns, and the ground row is
+    ///   zeroed.
+    ///
+    /// Both copies run on the calling thread. A single right-hand side is
+    /// a chunk of one, so every solve entry point shares this path and
+    /// the same sweep kernels, and a blocked solve is bit-identical to
+    /// per-column solves.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a column of `b` or `x` has the wrong length, if `x`
+    /// yields a different number of columns than `b`, or if `ground` is
+    /// past the caller's last row.
+    pub fn solve_columns_into_scratch<'b, 'x>(
+        &self,
+        ground: Option<usize>,
+        b: impl IntoIterator<Item = (&'b [f64], f64)>,
+        x: impl IntoIterator<Item = &'x mut [f64]>,
+        work: &mut Vec<f64>,
+    ) {
+        let rows = self.n + usize::from(ground.is_some());
+        if let Some(g) = ground {
+            assert!(
+                g < rows,
+                "solve: ground row {g} out of range for {rows} rows"
+            );
+        }
+        let (mut b, mut x) = (b.into_iter(), x.into_iter());
+        loop {
+            let mut bc: [&[f64]; LDL_BLOCK_WIDTH] = [&[]; LDL_BLOCK_WIDTH];
+            let mut shift = [0.0f64; LDL_BLOCK_WIDTH];
+            let mut xc: [&mut [f64]; LDL_BLOCK_WIDTH] = Default::default();
+            let mut k = 0;
+            while k < LDL_BLOCK_WIDTH {
+                let Some((col, s)) = b.next() else { break };
+                let Some(out) = x.next() else {
+                    panic!("solve: fewer x columns than b columns");
+                };
+                assert_eq!(col.len(), rows, "solve: b length mismatch");
+                assert_eq!(out.len(), rows, "solve: x length mismatch");
+                (bc[k], shift[k], xc[k]) = (col, s, out);
+                k += 1;
             }
-            if k == LDL_BLOCK_WIDTH {
-                self.sweep_chunk_fixed::<LDL_BLOCK_WIDTH>(work);
-            } else {
-                self.sweep_chunk_dyn(work, k);
+            let (b, s, x) = (&bc, &shift, &mut xc);
+            match k {
+                0 => break,
+                1 => self.solve_chunk::<1>(ground, b, s, x, work),
+                2 => self.solve_chunk::<2>(ground, b, s, x, work),
+                3 => self.solve_chunk::<3>(ground, b, s, x, work),
+                4 => self.solve_chunk::<4>(ground, b, s, x, work),
+                5 => self.solve_chunk::<5>(ground, b, s, x, work),
+                6 => self.solve_chunk::<6>(ground, b, s, x, work),
+                7 => self.solve_chunk::<7>(ground, b, s, x, work),
+                _ => self.solve_chunk::<LDL_BLOCK_WIDTH>(ground, b, s, x, work),
             }
-            // Un-permute back into the output columns.
-            for c in 0..k {
-                let col = x.col_mut(start + c);
-                for (old, &q) in self.slot_of_old.iter().enumerate() {
-                    col[old] = work[q as usize * k + c];
-                }
+            if k < LDL_BLOCK_WIDTH {
+                break;
             }
-            start += k;
+        }
+        assert!(x.next().is_none(), "solve: more x columns than b columns");
+    }
+
+    /// Pack, sweep and unpack of one chunk of exactly `K` columns (see
+    /// [`LdlFactor::solve_columns_into_scratch`]), monomorphized so the
+    /// per-row copy loops unroll and the sweeps use the fixed-width
+    /// kernels.
+    fn solve_chunk<const K: usize>(
+        &self,
+        ground: Option<usize>,
+        b: &[&[f64]; LDL_BLOCK_WIDTH],
+        shift: &[f64; LDL_BLOCK_WIDTH],
+        x: &mut [&mut [f64]; LDL_BLOCK_WIDTH],
+        work: &mut Vec<f64>,
+    ) {
+        // The pack writes every slot row, so stale contents need no
+        // zeroing.
+        work.resize(self.n * K, 0.0);
+        let w = &mut work[..self.n * K];
+        // Caller rows below the ground are factor rows 0..g; those above
+        // it are factor rows g.., one lower. Without a ground, `above` is
+        // empty.
+        let g = ground.unwrap_or(self.n);
+        let (below, above) = self.slot_of_old.split_at(g);
+        let pack = |w: &mut [f64], i: usize, q: u32| {
+            let row = &mut w[q as usize * K..][..K];
+            for c in 0..K {
+                row[c] = b[c][i] - shift[c];
+            }
+        };
+        for (i, &q) in below.iter().enumerate() {
+            pack(w, i, q);
+        }
+        for (i, &q) in above.iter().enumerate() {
+            pack(w, g + 1 + i, q);
+        }
+        self.sweep_chunk::<K>(w);
+        let mut unpack = |i: usize, q: u32| {
+            let row = &w[q as usize * K..][..K];
+            for c in 0..K {
+                x[c][i] = row[c];
+            }
+        };
+        for (i, &q) in below.iter().enumerate() {
+            unpack(i, q);
+        }
+        for (i, &q) in above.iter().enumerate() {
+            unpack(g + 1 + i, q);
+        }
+        if ground.is_some() {
+            for col in &mut x[..K] {
+                col[g] = 0.0;
+            }
         }
     }
 
@@ -1134,25 +1274,6 @@ impl LdlFactor {
         p.parallel_for_spans(part.spans(), |_, (lo, hi)| back(lo..hi));
     }
 
-    /// One forward-substitution row in gather form, for the column in
-    /// slot `q`: `y_q ← y_q − Σ L_qk y_k` over its row of `L`.
-    ///
-    /// # Safety
-    ///
-    /// `y` must cover `n` elements (by slot); the caller must hold an
-    /// exclusive claim on `y[q]`, and every `y` entry the row references
-    /// (etree descendants) must be final.
-    unsafe fn forward_row(&self, q: usize, y: &pool::SendPtr<f64>) {
-        #[cfg(feature = "race-check")]
-        self.check_row_reads(q, "forward");
-        let base = y.get();
-        let mut acc = *base.add(q);
-        for p in self.rp[q]..self.rp[q + 1] {
-            acc -= self.rx[p] * *base.add(self.ri[p] as usize);
-        }
-        *base.add(q) = acc;
-    }
-
     /// The forward reads of the row in slot `q` against the shadow owner
     /// map.
     #[cfg(feature = "race-check")]
@@ -1194,51 +1315,19 @@ impl LdlFactor {
         self.ci[self.cp[q]] = self.slot[i];
     }
 
-    /// One backward-substitution column in gather form, for the column in
-    /// slot `q`, via the transpose index: `y_q ← y_q − Σ L_kq y_k` over its
-    /// column of `L`.
+    /// One forward-substitution row in gather form over an interleaved
+    /// chunk of exactly `K` right-hand sides, for the column in slot `q`:
+    /// `w_q ← w_q − Σ L_qk w_k` over its row of `L`, lanewise
+    /// (monomorphized so the inner loop unrolls).
     ///
     /// # Safety
     ///
-    /// As [`LdlFactor::forward_row`], but the entries the column
-    /// references are etree *ancestors*.
-    unsafe fn backward_col(&self, q: usize, y: &pool::SendPtr<f64>) {
+    /// `w` must cover `n · K` elements (by slot); the caller must hold an
+    /// exclusive claim on `w[q·K..(q+1)·K]`, and every chunk row the row
+    /// of `L` references (etree descendants) must be final.
+    unsafe fn forward_row<const K: usize>(&self, q: usize, w: &pool::SendPtr<f64>) {
         #[cfg(feature = "race-check")]
-        self.check_col_reads(q, "backward");
-        let base = y.get();
-        let mut acc = *base.add(q);
-        for p in self.cp[q]..self.cp[q + 1] {
-            acc -= self.cx[p] * *base.add(self.ci[p] as usize);
-        }
-        *base.add(q) = acc;
-    }
-
-    /// Forward / diagonal / backward sweeps for one right-hand side.
-    fn sweep_single(&self, y: &mut [f64]) {
-        let yp = pool::SendPtr::new(y.as_mut_ptr());
-        self.sweep(
-            1,
-            // SAFETY: `y` is borrowed exclusively for the sweep; each step
-            // writes only y[q], and `sweep` runs every column after the
-            // columns it reads (see `LdlFactor::sweep`).
-            |q| unsafe { self.forward_row(q, &yp) },
-            // SAFETY: as above; the scale reads and writes y[q] alone.
-            |q| unsafe { *yp.get().add(q) /= self.d[q] },
-            // SAFETY: as above, for the backward order.
-            |q| unsafe { self.backward_col(q, &yp) },
-        );
-    }
-
-    /// [`LdlFactor::forward_row`] over an interleaved chunk of exactly `K`
-    /// right-hand sides (monomorphized so the inner loop unrolls).
-    ///
-    /// # Safety
-    ///
-    /// As [`LdlFactor::forward_row`], with `w` covering `n · K` elements
-    /// and the claim covering `w[q·K..(q+1)·K]` (slot `q`).
-    unsafe fn forward_row_block<const K: usize>(&self, q: usize, w: &pool::SendPtr<f64>) {
-        #[cfg(feature = "race-check")]
-        self.check_row_reads(q, "forward-block");
+        self.check_row_reads(q, if K == 1 { "forward" } else { "forward-block" });
         let base = w.get();
         if K == LDL_BLOCK_WIDTH {
             // The full-width chunk is the hot shape; route it through the
@@ -1269,7 +1358,7 @@ impl LdlFactor {
     ///
     /// `w` must cover `n · K` elements with an exclusive claim on
     /// `w[q·K..(q+1)·K]` (slot `q`).
-    unsafe fn scale_row_block<const K: usize>(&self, q: usize, w: &pool::SendPtr<f64>) {
+    unsafe fn scale_row<const K: usize>(&self, q: usize, w: &pool::SendPtr<f64>) {
         let dj = self.d[q];
         let wj = std::slice::from_raw_parts_mut(w.get().add(q * K), K);
         if K == LDL_BLOCK_WIDTH {
@@ -1282,19 +1371,21 @@ impl LdlFactor {
         }
     }
 
-    /// [`LdlFactor::backward_col`] over an interleaved chunk of exactly
-    /// `K` right-hand sides.
+    /// One backward-substitution column in gather form over an
+    /// interleaved chunk of exactly `K` right-hand sides, for the column in
+    /// slot `q`, via the transpose index: `w_q ← w_q − Σ L_kq w_k` over its
+    /// column of `L`, lanewise.
     ///
     /// # Safety
     ///
-    /// As [`LdlFactor::forward_row_block`], but referenced entries are
-    /// etree ancestors of the column in slot `q`.
-    unsafe fn backward_col_block<const K: usize>(&self, q: usize, w: &pool::SendPtr<f64>) {
+    /// As [`LdlFactor::forward_row`], but referenced entries are etree
+    /// ancestors of the column in slot `q`.
+    unsafe fn backward_col<const K: usize>(&self, q: usize, w: &pool::SendPtr<f64>) {
         #[cfg(feature = "race-check")]
-        self.check_col_reads(q, "backward-block");
+        self.check_col_reads(q, if K == 1 { "backward" } else { "backward-block" });
         let base = w.get();
         if K == LDL_BLOCK_WIDTH {
-            // As `forward_row_block`: the transpose index references rows
+            // As `forward_row`: the transpose index references rows
             // strictly above `q`, never the accumulator itself.
             let acc = std::slice::from_raw_parts_mut(base.add(q * K), K);
             let (s, e) = (self.cp[q], self.cp[q + 1]);
@@ -1316,35 +1407,20 @@ impl LdlFactor {
 
     /// Forward / diagonal / backward sweeps over one interleaved chunk of
     /// exactly `K` right-hand sides.
-    fn sweep_chunk_fixed<const K: usize>(&self, w: &mut [f64]) {
+    fn sweep_chunk<const K: usize>(&self, w: &mut [f64]) {
         let wp = pool::SendPtr::new(w.as_mut_ptr());
         self.sweep(
             K,
-            // SAFETY: as `sweep_single` — `w` is borrowed exclusively and
-            // each column owns its contiguous K-wide chunk row.
-            |q| unsafe { self.forward_row_block::<K>(q, &wp) },
+            // SAFETY: `w` is borrowed exclusively for the sweep; each step
+            // writes only its own contiguous K-wide chunk row, and `sweep`
+            // runs every column after the columns it reads (see
+            // `LdlFactor::sweep`).
+            |q| unsafe { self.forward_row::<K>(q, &wp) },
             // SAFETY: as above; the scale touches chunk row q alone.
-            |q| unsafe { self.scale_row_block::<K>(q, &wp) },
+            |q| unsafe { self.scale_row::<K>(q, &wp) },
             // SAFETY: as above, for the backward order.
-            |q| unsafe { self.backward_col_block::<K>(q, &wp) },
+            |q| unsafe { self.backward_col::<K>(q, &wp) },
         );
-    }
-
-    /// The same sweeps for a partial tail chunk of `k < LDL_BLOCK_WIDTH`
-    /// columns — monomorphized per width so the tail reuses the exact
-    /// fixed-width kernels (identical float-operation sequences, unrolled
-    /// inner loops, one implementation to maintain).
-    fn sweep_chunk_dyn(&self, w: &mut [f64], k: usize) {
-        match k {
-            1 => self.sweep_chunk_fixed::<1>(w),
-            2 => self.sweep_chunk_fixed::<2>(w),
-            3 => self.sweep_chunk_fixed::<3>(w),
-            4 => self.sweep_chunk_fixed::<4>(w),
-            5 => self.sweep_chunk_fixed::<5>(w),
-            6 => self.sweep_chunk_fixed::<6>(w),
-            7 => self.sweep_chunk_fixed::<7>(w),
-            _ => unreachable!("tail chunk width {k} out of [1, {LDL_BLOCK_WIDTH})"),
-        }
     }
 }
 
@@ -1394,6 +1470,69 @@ mod tests {
             }
         }
         coo.to_csr()
+    }
+
+    /// The permuted upper triangle against a dense `P·A·Pᵀ`: a matrix
+    /// with values that are not symmetric, an explicit zero, rows stored
+    /// out of column order, and a hub row touching every column.
+    #[test]
+    fn permuted_upper_matches_dense_reference() {
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let n = 40;
+        // Structurally symmetric pattern, independent values per entry.
+        let mut dense = vec![vec![None; n]; n];
+        for i in 0..n {
+            dense[i][i] = Some(n as f64 + i as f64);
+            dense[0][i] = Some(-1.0 - i as f64);
+            dense[i][0] = Some(-2.0 - i as f64);
+        }
+        for _ in 0..120 {
+            let (i, j) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            dense[i][j] = Some(rng.gen_range(-1.0..1.0));
+            dense[j][i] = Some(rng.gen_range(-1.0..1.0));
+        }
+        dense[3][7] = Some(0.0);
+        dense[7][3] = Some(0.5);
+        let (mut indptr, mut indices, mut data) = (vec![0], Vec::new(), Vec::new());
+        for row in &dense {
+            let mut entries: Vec<(u32, f64)> = (0..n)
+                .filter_map(|j| row[j].map(|v| (j as u32, v)))
+                .collect();
+            entries.shuffle(&mut rng);
+            for (j, v) in entries {
+                indices.push(j);
+                data.push(v);
+            }
+            indptr.push(indices.len());
+        }
+        let a = CsrMatrix::from_raw_parts(n, n, indptr, indices, data);
+        let mut old_of_new: Vec<usize> = (0..n).collect();
+        old_of_new.shuffle(&mut rng);
+        let perm = Permutation::from_old_of_new(old_of_new.clone()).unwrap();
+        let u = permuted_upper(&a, &perm).unwrap();
+        // Column k of the upper triangle of B = P·A·Pᵀ is row k of B up
+        // to the diagonal: B[k][r] = A[old_of_new[k]][old_of_new[r]].
+        let mut ap = vec![0];
+        let (mut ai, mut ax) = (Vec::new(), Vec::new());
+        for k in 0..n {
+            for r in 0..=k {
+                if let Some(v) = dense[old_of_new[k]][old_of_new[r]] {
+                    ai.push(r as u32);
+                    ax.push(v.to_bits());
+                }
+            }
+            ap.push(ai.len());
+        }
+        assert_eq!(u.ap, ap);
+        assert_eq!(u.ai, ai);
+        assert_eq!(u.ax.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), ax);
+        let short = Permutation::identity(n - 1);
+        assert!(matches!(
+            LdlFactor::with_permutation(&a, short),
+            Err(SparseError::ShapeMismatch { .. })
+        ));
     }
 
     #[test]

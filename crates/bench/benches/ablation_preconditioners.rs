@@ -11,10 +11,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sass_core::{sparsify, SparsifyConfig};
 use sass_graph::generators::circuit_grid;
-use sass_graph::{spanning, RootedTree};
+use sass_graph::spanning;
 use sass_solver::{
     pcg, AmgPrec, GroundedSolver, IdentityPrec, JacobiPrec, LaplacianPrec, PcgOptions,
-    Preconditioner, TreePrec, TreeSolver,
+    Preconditioner,
 };
 use sass_sparse::dense;
 use sass_sparse::ordering::OrderingKind;
@@ -34,8 +34,9 @@ fn bench_preconditioners(c: &mut Criterion) {
     };
 
     let tree_ids = spanning::max_weight_spanning_tree(&g).unwrap();
-    let tree = RootedTree::new(&g, tree_ids, 0).unwrap();
-    let tree_prec = TreePrec::new(TreeSolver::new(&g, &tree));
+    let tree_prec = LaplacianPrec::new(
+        GroundedSolver::new(&g.laplacian_of_edges(&tree_ids), OrderingKind::MinDegree).unwrap(),
+    );
     let amg = AmgPrec::new(&l, &Default::default()).unwrap();
     let sp50 = sparsify(&g, &SparsifyConfig::new(50.0).with_seed(2)).unwrap();
     let prec50 = LaplacianPrec::new(

@@ -12,6 +12,14 @@
 //!   (σ² = 200 on a circuit grid) — deep etree, light trunk, many small
 //!   subtrees for the lanes.
 //!
+//! A fourth shape, `tree_grid_140x140`, is the spanning-tree round's
+//! matrix: the canonical max-weight spanning tree of serve-mixed's 140²
+//! grid. Its rows time [`GroundedSolver`] itself at the automatic pool
+//! width — `grounded_new` (construction from the Laplacian),
+//! `grounded_solve` (one right-hand side) and `grounded_solve8` (one
+//! 8-column block) — since a tree-patterned matrix takes the solver's
+//! leaf-to-root elimination rather than an ordering and an LDLᵀ factor.
+//!
 //! One serial `order` row per workload times the fill-reducing ordering
 //! alone ([`ordering::compute`], approximate minimum degree). Then three
 //! kernels per workload — `numeric` ([`LdlFactor::with_permutation`]
@@ -37,6 +45,8 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use sass_bench::{record_simd_provenance, simd_modes};
 use sass_core::{sparsify, SparsifyConfig};
 use sass_graph::generators::{barabasi_albert, circuit_grid, grid2d, WeightModel};
+use sass_graph::spanning;
+use sass_solver::{GroundedScratch, GroundedSolver};
 use sass_sparse::ordering::{self, OrderingKind};
 use sass_sparse::{kernel, pool, CsrMatrix, DenseBlock, LdlFactor, LDL_BLOCK_WIDTH};
 
@@ -146,5 +156,50 @@ fn bench_factor(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_factor);
+fn bench_tree(c: &mut Criterion) {
+    let g = grid2d(140, 140, WeightModel::Uniform { lo: 0.5, hi: 2.0 }, 140);
+    let ids = spanning::canonical_max_weight_spanning_tree(&g).expect("connected grid");
+    let l = g.laplacian_of_edges(&ids);
+    let name = "tree_grid_140x140";
+    let n = g.n();
+    let mut group = c.benchmark_group("factor");
+    group.sample_size(10);
+    group.bench_with_input(BenchmarkId::new("grounded_new", name), &(), |bch, ()| {
+        bch.iter(|| {
+            black_box(
+                GroundedSolver::new(&l, OrderingKind::MinDegree)
+                    .unwrap()
+                    .nnz_factor(),
+            )
+        })
+    });
+    let s = GroundedSolver::new(&l, OrderingKind::MinDegree).unwrap();
+    let b: Vec<f64> = (0..n).map(|i| ((i * 7 + 1) as f64 * 0.23).sin()).collect();
+    let cols: Vec<Vec<f64>> = (0..LDL_BLOCK_WIDTH)
+        .map(|k| {
+            (0..n)
+                .map(|i| ((i * (k + 2)) as f64 * 0.13).cos())
+                .collect()
+        })
+        .collect();
+    let rhs = DenseBlock::from_columns(&cols);
+    let mut x = vec![0.0; n];
+    let mut xb = DenseBlock::zeros(n, LDL_BLOCK_WIDTH);
+    let mut scratch = GroundedScratch::new();
+    group.bench_with_input(BenchmarkId::new("grounded_solve", name), &(), |bch, ()| {
+        bch.iter(|| {
+            s.solve_into_scratch(&b, &mut x, &mut scratch);
+            black_box(x[0])
+        })
+    });
+    group.bench_with_input(BenchmarkId::new("grounded_solve8", name), &(), |bch, ()| {
+        bch.iter(|| {
+            s.solve_block_into_scratch(&rhs, &mut xb, &mut scratch);
+            black_box(xb.col(0)[0])
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_factor, bench_tree);
 criterion_main!(benches);

@@ -10,10 +10,10 @@ use sass_core::{sparsify, SimilarityPolicy, SparsifyConfig};
 use sass_eigen::pencil::dense_generalized_eigenvalues;
 use sass_graph::generators::circuit_grid;
 use sass_graph::spanning::TreeKind;
-use sass_graph::{spanning, Graph, RootedTree};
+use sass_graph::{spanning, Graph};
 use sass_solver::{
     pcg, AmgPrec, GroundedSolver, IdentityPrec, JacobiPrec, LaplacianPrec, PcgOptions,
-    Preconditioner, TreePrec, TreeSolver,
+    Preconditioner,
 };
 use sass_sparse::dense;
 use sass_sparse::ordering::OrderingKind;
@@ -38,8 +38,9 @@ fn preconditioner_ladder() {
     };
 
     let tree_ids = spanning::max_weight_spanning_tree(&g).unwrap();
-    let tree = RootedTree::new(&g, tree_ids, 0).unwrap();
-    let tree_prec = TreePrec::new(TreeSolver::new(&g, &tree));
+    let tree_prec = LaplacianPrec::new(
+        GroundedSolver::new(&g.laplacian_of_edges(&tree_ids), OrderingKind::MinDegree).unwrap(),
+    );
     let jacobi = JacobiPrec::new(&l);
     let (amg, t_amg) = timeit(|| AmgPrec::new(&l, &Default::default()).unwrap());
     let (sp50, t_sp50) = timeit(|| sparsify(&g, &SparsifyConfig::new(50.0).with_seed(2)).unwrap());

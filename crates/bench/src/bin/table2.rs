@@ -188,18 +188,26 @@ fn multi_rhs_amortization() {
         .expect("factorize sparsifier");
     // Elimination-tree partition of the sparsifier factor: the trunk plus
     // the heaviest lane is the critical path a partitioned solve still
-    // walks, which decides whether the solves spread over the pool.
-    let f = solver.factor();
-    let shape = f.partition_shape();
-    println!(
-        "  sparsifier factor: nnz(L) = {}, etree partition: {} lanes, trunk {} cols ({:.1}% of work), critical path {:.1}%, {} KiB",
-        f.nnz_l(),
-        shape.lanes,
-        shape.trunk_cols,
-        100.0 * shape.trunk_work as f64 / shape.total_work.max(1) as f64,
-        100.0 * shape.critical_fraction(),
-        f.memory_bytes() / 1024
-    );
+    // walks, which decides whether the solves spread over the pool. A
+    // sparsifier that is a bare spanning tree has no such factor.
+    match solver.factor() {
+        Some(f) => {
+            let shape = f.partition_shape();
+            println!(
+                "  sparsifier factor: nnz(L) = {}, etree partition: {} lanes, trunk {} cols ({:.1}% of work), critical path {:.1}%, {} KiB",
+                f.nnz_l(),
+                shape.lanes,
+                shape.trunk_cols,
+                100.0 * shape.trunk_work as f64 / shape.total_work.max(1) as f64,
+                100.0 * shape.critical_fraction(),
+                f.memory_bytes() / 1024
+            );
+        }
+        None => println!(
+            "  sparsifier is a spanning tree: eliminated leaf to root, nnz(L) = {}",
+            solver.nnz_factor()
+        ),
+    }
     let mut scratch = sass_solver::GroundedScratch::new();
     let mut x = vec![0.0; solver.n()];
     let mut out = vec![vec![0.0; solver.n()]; rhs.len()];

@@ -42,7 +42,11 @@ pub struct SparsifyConfig {
     /// Redundant-edge pruning policy (paper step 6).
     pub similarity: SimilarityPolicy,
     /// Fill-reducing ordering for the sparsifier factorization, done
-    /// once per densification round; the last round's factor is the one
+    /// once per densification round that factors more than a spanning
+    /// tree: round 1's bare tree, like the incremental sparsifier's tree
+    /// stage, is eliminated leaf to root with no ordering
+    /// ([`GroundedSolver`](sass_solver::GroundedSolver) picks that by
+    /// structure). The last round's factor is the one
     /// [`Sparsifier::build_solver`](crate::Sparsifier::build_solver)
     /// returns. The default, approximate minimum degree, orders a
     /// near-tree sparsifier in a fraction of its numeric factorization

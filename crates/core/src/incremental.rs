@@ -11,7 +11,9 @@
 //!
 //! - The probe iterates ([`probe_embedding`]) and the heat threshold
 //!   `θσ` are computed once at construction (or [`IncrementalSparsifier::refresh`]) and then
-//!   **frozen**. Joule heat under a fixed embedding is a pure function
+//!   **frozen**. Both run against the spanning-tree backbone, whose
+//!   Laplacian the grounded solver eliminates leaf to root in `O(n)`, with
+//!   no ordering or LDLᵀ factor. Joule heat under a fixed embedding is a pure function
 //!   of each edge's endpoints and weight, so an edit dirties exactly
 //!   the edited edges' heats and no others.
 //! - The spanning-tree backbone is the **canonical** maximum-weight

@@ -50,6 +50,10 @@ fn heat_setup(side: usize, seed: u64) -> (Graph, Vec<u32>, GroundedSolver) {
     let off = tree.off_tree_edges(&g);
     let p = g.subgraph_with_edges(tree_ids);
     let solver = GroundedSolver::new(&p.laplacian(), OrderingKind::MinDegree).unwrap();
+    assert!(
+        solver.factor().is_none(),
+        "a spanning tree takes the tree elimination"
+    );
     (g, off, solver)
 }
 
@@ -60,20 +64,28 @@ fn off_tree_heat_bit_identical_across_worker_counts() {
     assert_parity_across_workers(|| off_tree_heat(&g, &off, &lg, &solver, 2, 6, 42).heat);
 }
 
+/// Blocked solves on two sparse LDLᵀ factors: a grid Laplacian grounded
+/// mid-graph, and the factor a sparsifier carries out of densification.
+/// (`heat_setup`'s spanning tree covers the tree elimination.)
 #[test]
 fn grounded_solve_block_bit_identical_across_worker_counts() {
     let g = grid2d(7, 6, WeightModel::Uniform { lo: 0.5, hi: 2.0 }, 11);
-    let solver = GroundedSolver::with_ground(&g.laplacian(), 13, OrderingKind::MinDegree).unwrap();
-    for ncols in [1usize, 3, 9] {
-        let cols: Vec<Vec<f64>> = (0..ncols)
-            .map(|c| {
-                (0..g.n())
-                    .map(|i| ((i * (3 * c + 2)) as f64 * 0.23).sin())
-                    .collect()
-            })
-            .collect();
-        let b = DenseBlock::from_columns(&cols);
-        assert_parity_across_workers(|| solver.solve_block(&b));
+    let grid = GroundedSolver::with_ground(&g.laplacian(), 13, OrderingKind::MinDegree).unwrap();
+    let sp = sparsify(&circuit_grid(16, 16, 0.15, 3), &SparsifyConfig::new(40.0)).unwrap();
+    let SparsifierSolver::Grounded(carried) = sp.build_solver().unwrap();
+    for solver in [&grid, &carried] {
+        assert!(solver.factor().is_some());
+        for ncols in [1usize, 3, 9] {
+            let cols: Vec<Vec<f64>> = (0..ncols)
+                .map(|c| {
+                    (0..solver.n())
+                        .map(|i| ((i * (3 * c + 2)) as f64 * 0.23).sin())
+                        .collect()
+                })
+                .collect();
+            let b = DenseBlock::from_columns(&cols);
+            assert_parity_across_workers(|| solver.solve_block(&b));
+        }
     }
 }
 

@@ -1,14 +1,16 @@
+use crate::tree_factor::TreeFactor;
 use crate::{Result, SolverError};
 use sass_sparse::ordering::OrderingKind;
-use sass_sparse::{dense, pool, CsrMatrix, DenseBlock, LdlFactor, SparseError};
+use sass_sparse::{dense, pool, CsrMatrix, DenseBlock, LdlFactor, RefactorStats, SparseError};
 
 /// Minimum `n × ncols` work before the blocked solves' per-column
 /// mean-zero projection goes parallel under automatic pool sizing (an
 /// explicit `SASS_THREADS` / `pool::set_threads` override skips the
-/// crossover). The triangular factor solves carry their own gates inside
-/// [`LdlFactor`]: they run on a subtree-to-lane partition of the
-/// elimination tree once the factor is big enough and its trunk light
-/// enough.
+/// crossover). The sparse factor's triangular solves carry their own
+/// gates inside [`LdlFactor`]: they run on a subtree-to-lane partition of
+/// the elimination tree once the factor is big enough and its trunk light
+/// enough. The tree elimination's sweeps run serially, one column at a
+/// time.
 const MIN_PAR_BLOCK_WORK: usize = 32_768;
 
 /// Exact solver for (connected) graph-Laplacian systems via *grounding*.
@@ -16,20 +18,30 @@ const MIN_PAR_BLOCK_WORK: usize = 32_768;
 /// A graph Laplacian is singular — its nullspace is the all-ones vector —
 /// but deleting the row and column of one *ground* vertex leaves an SPD
 /// matrix whenever the graph is connected. `GroundedSolver` factorizes that
-/// principal submatrix once (sparse LDLᵀ with a fill-reducing ordering) and
-/// then answers `L x = b` for any right-hand side with `Σb = 0`, returning
-/// the unique solution with zero mean (i.e. `x = L⁺ b`).
+/// principal submatrix once and then answers `L x = b` for any right-hand
+/// side with `Σb = 0`, returning the unique solution with zero mean (i.e.
+/// `x = L⁺ b`).
+///
+/// The elimination is chosen by the matrix's structure, with no knob:
+///
+/// - a **tree-patterned** matrix — a spanning tree's Laplacian, or any
+///   matrix whose off-diagonal pattern is a spanning tree — is eliminated
+///   leaf to root from the ground in `O(n)`, with no fill, no ordering and
+///   no elimination-tree partition;
+/// - every other matrix is factored by the sparse LDLᵀ ([`LdlFactor`])
+///   under the requested fill-reducing ordering.
 ///
 /// Right-hand sides are centered defensively, so passing a `b` with nonzero
 /// mean solves against its projection onto `range(L)`.
 ///
 /// Every solve — single, blocked or many-RHS — moves its data once each
 /// way: the caller's full-size columns are packed straight into the
-/// factor's slot-ordered work buffer, dropping the ground row and
-/// subtracting each column's mean on the way in, and unpacked with the
-/// ground entry set to zero on the way out
-/// ([`LdlFactor::solve_columns_into_scratch`]). The only other pass is the
-/// mean-zero projection of each solution.
+/// elimination's work buffer, dropping the ground row and subtracting
+/// each column's mean on the way in, and unpacked with the ground entry
+/// set to zero on the way out ([`LdlFactor::solve_columns_into_scratch`]
+/// for the sparse factor). The only other pass is the mean-zero
+/// projection of each solution. Each column's result has the same bits
+/// whichever entry point solved it.
 ///
 /// # Example
 ///
@@ -52,16 +64,28 @@ pub struct GroundedSolver {
     n: usize,
     ground: usize,
     ordering: OrderingKind,
-    factor: LdlFactor,
-    /// Lazy cache of the ground-row/column elimination, keyed on the
+    elim: Elimination,
+}
+
+/// How the grounded matrix is eliminated, chosen by its structure in
+/// [`GroundedSolver::with_ground`].
+#[derive(Debug, Clone)]
+enum Elimination {
+    /// A tree-patterned matrix, eliminated leaf to root.
+    Tree(TreeFactor),
+    /// Any other matrix: the sparse LDLᵀ of the grounded submatrix, plus
+    /// the lazy cache of the ground-row/column elimination, keyed on the
     /// incoming Laplacian's sparsity pattern: on a hit the reduced
     /// matrix's values are refreshed through `gather` instead of
     /// rebuilding the submatrix (see [`GroundedSolver::refactor`]).
-    red_cache: Option<GroundCache>,
+    Sparse {
+        factor: Box<LdlFactor>,
+        cache: Option<GroundCache>,
+    },
 }
 
-/// See [`GroundedSolver::red_cache`]: `gather[q]` is the position in the
-/// full Laplacian's value array feeding `reduced.data()[q]` — exactly the
+/// See [`Elimination::Sparse`]: `gather[q]` is the position in the full
+/// Laplacian's value array feeding `reduced.data()[q]` — exactly the
 /// entries outside the ground row and column, in row-major order, which is
 /// what [`CsrMatrix::principal_submatrix`] keeps.
 #[derive(Debug, Clone)]
@@ -70,6 +94,70 @@ struct GroundCache {
     l_i: Vec<u32>,
     gather: Vec<u32>,
     reduced: CsrMatrix,
+}
+
+impl GroundCache {
+    /// Builds the grounded submatrix of `l` and records `l`'s pattern and,
+    /// for every entry outside the ground row and column in row-major
+    /// order, the source position feeding the corresponding reduced-matrix
+    /// slot.
+    fn new(l: &CsrMatrix, ground: usize) -> Self {
+        assert!(
+            l.nnz() < u32::MAX as usize,
+            "ground cache gather indices must fit in u32"
+        );
+        let reduced = grounded_submatrix(l, ground);
+        let indptr = l.indptr();
+        let indices = l.indices();
+        let mut gather = Vec::with_capacity(reduced.nnz());
+        for i in 0..l.nrows() {
+            if i == ground {
+                continue;
+            }
+            for (p, &col) in indices
+                .iter()
+                .enumerate()
+                .take(indptr[i + 1])
+                .skip(indptr[i])
+            {
+                if col as usize != ground {
+                    gather.push(p as u32);
+                }
+            }
+        }
+        debug_assert_eq!(gather.len(), reduced.nnz());
+        GroundCache {
+            l_p: indptr.to_vec(),
+            l_i: indices.to_vec(),
+            gather,
+            reduced,
+        }
+    }
+
+    fn memory_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.l_p.len() * size_of::<usize>()
+            + (self.l_i.len() + self.gather.len()) * size_of::<u32>()
+            + self.reduced.memory_bytes()
+    }
+}
+
+/// `l` with the ground's row and column deleted.
+fn grounded_submatrix(l: &CsrMatrix, ground: usize) -> CsrMatrix {
+    let mut keep = vec![true; l.nrows()];
+    keep[ground] = false;
+    l.principal_submatrix(&keep).0
+}
+
+/// The sparse LDLᵀ of a grounded submatrix, with a vanishing pivot
+/// reported as [`SolverError::GroundedSingular`].
+fn sparse_factor(reduced: &CsrMatrix, ordering: OrderingKind) -> Result<Box<LdlFactor>> {
+    LdlFactor::new(reduced, ordering)
+        .map(Box::new)
+        .map_err(|e| match e {
+            SparseError::ZeroPivot { .. } => SolverError::GroundedSingular,
+            e => e.into(),
+        })
 }
 
 impl GroundedSolver {
@@ -103,36 +191,52 @@ impl GroundedSolver {
                 context: format!("ground vertex {ground} out of range for n = {n}"),
             });
         }
-        let mut keep = vec![true; n];
-        keep[ground] = false;
-        let (reduced, _) = l.principal_submatrix(&keep);
-        let factor = match LdlFactor::new(&reduced, ordering) {
-            Ok(f) => f,
-            Err(SparseError::ZeroPivot { .. }) => return Err(SolverError::GroundedSingular),
-            Err(e) => return Err(e.into()),
-        };
         Ok(GroundedSolver {
             n,
             ground,
             ordering,
-            factor,
-            red_cache: None,
+            elim: Self::eliminate(l, ground, ordering)?,
+        })
+    }
+
+    /// The structure choice behind [`GroundedSolver::with_ground`]: the
+    /// leaf-to-root elimination for a tree-patterned `l`, otherwise the
+    /// sparse LDLᵀ of the grounded submatrix under `ordering`.
+    fn eliminate(l: &CsrMatrix, ground: usize, ordering: OrderingKind) -> Result<Elimination> {
+        if let Some(tree) = TreeFactor::try_new(l, ground)? {
+            return Ok(Elimination::Tree(tree));
+        }
+        Ok(Elimination::Sparse {
+            factor: sparse_factor(&grounded_submatrix(l, ground), ordering)?,
+            cache: None,
         })
     }
 
     /// Updates the solver in place after the Laplacian changed at a known
-    /// set of vertices, re-running numeric factorization only on the
-    /// elimination-tree ancestor closure of the changed columns
-    /// ([`LdlFactor::refactor_partial`]).
+    /// set of vertices.
     ///
     /// `l` is the **new** Laplacian (same dimension, same ground vertex);
     /// `changed_vertices` lists every vertex whose row of `l` differs from
     /// the Laplacian this solver currently represents — for an edge edit
     /// `(u, v)` that is `u` and `v` (the ground vertex may be included and
-    /// is ignored). `crossover` is the affected-fraction threshold past
-    /// which the whole numeric phase is re-run on the existing symbolic
-    /// analysis; a sparsity-pattern change falls back to a full
-    /// re-factorization (fresh ordering) transparently.
+    /// is ignored).
+    ///
+    /// The new matrix goes through the same structure choice as
+    /// [`GroundedSolver::with_ground`]:
+    ///
+    /// - a tree-patterned `l` is eliminated afresh, leaf to root, in
+    ///   `O(n)`;
+    /// - otherwise a sparse LDLᵀ factor whose grounded pattern still
+    ///   matches re-runs numeric factorization only on the elimination-tree
+    ///   ancestor closure of the changed columns
+    ///   ([`LdlFactor::refactor_partial`]); `crossover` is the
+    ///   affected-fraction threshold past which the whole numeric phase is
+    ///   re-run on the existing symbolic analysis;
+    /// - anything else — a changed pattern, or a tree that gained an edge —
+    ///   is factored from scratch under a fresh ordering.
+    ///
+    /// A tree elimination and a from-scratch factorization report
+    /// `full: true` with every grounded column counted.
     ///
     /// After a successful return the solver is exactly the solver
     /// [`GroundedSolver::with_ground`] would build for `l` — bit-identical
@@ -150,7 +254,7 @@ impl GroundedSolver {
         l: &CsrMatrix,
         changed_vertices: &[usize],
         crossover: f64,
-    ) -> Result<sass_sparse::RefactorStats> {
+    ) -> Result<RefactorStats> {
         if l.nrows() != self.n || l.ncols() != self.n {
             return Err(SolverError::ShapeMismatch {
                 context: format!(
@@ -169,33 +273,34 @@ impl GroundedSolver {
                 ),
             });
         }
+        let rebuilt = RefactorStats {
+            cols_refactored: self.n - 1,
+            total_cols: self.n - 1,
+            full: true,
+        };
+        if let Some(tree) = TreeFactor::try_new(l, self.ground)? {
+            self.elim = Elimination::Tree(tree);
+            return Ok(rebuilt);
+        }
+        let Elimination::Sparse { factor, cache } = &mut self.elim else {
+            self.elim = Self::eliminate(l, self.ground, self.ordering)?;
+            return Ok(rebuilt);
+        };
         // Ground elimination: on a pattern hit against the cached
         // Laplacian, refresh the reduced matrix's values through the
         // stored gather map (the submatrix keeps full-matrix entries in
         // row-major order, so a pattern-equal input routes values to the
         // same slots); otherwise rebuild the submatrix and the map.
-        let cached = matches!(
-            &self.red_cache,
-            Some(c) if c.l_p == l.indptr() && c.l_i == l.indices()
-        );
-        if cached {
-            let Some(cache) = self.red_cache.as_mut() else {
-                unreachable!("`cached` requires `red_cache` to be Some");
-            };
-            let src = l.data();
-            for (dst, &p) in cache.reduced.data_mut().iter_mut().zip(&cache.gather) {
-                *dst = src[p as usize];
+        let reduced = match cache {
+            Some(c) if c.l_p == l.indptr() && c.l_i == l.indices() => {
+                let src = l.data();
+                for (dst, &p) in c.reduced.data_mut().iter_mut().zip(&c.gather) {
+                    *dst = src[p as usize];
+                }
+                &c.reduced
             }
-        } else {
-            let mut keep = vec![true; self.n];
-            keep[self.ground] = false;
-            let (reduced, _) = l.principal_submatrix(&keep);
-            self.red_cache = Some(Self::build_ground_cache(l, self.ground, reduced));
-        }
-        let Some(red_cache) = self.red_cache.as_ref() else {
-            unreachable!("both branches above leave `red_cache` populated");
+            _ => &cache.insert(GroundCache::new(l, self.ground)).reduced,
         };
-        let reduced = &red_cache.reduced;
         // Grounded row index of vertex v: vertices above the ground shift
         // down by one; the ground row itself does not exist in the reduced
         // system (its incident-edge updates land on the other endpoints).
@@ -204,25 +309,11 @@ impl GroundedSolver {
             .filter(|&&v| v != self.ground)
             .map(|&v| if v > self.ground { v - 1 } else { v })
             .collect();
-        match self
-            .factor
-            .refactor_partial(reduced, &changed_rows, crossover)
-        {
+        match factor.refactor_partial(reduced, &changed_rows, crossover) {
             Ok(sass_sparse::RefactorOutcome::Patched(stats)) => Ok(stats),
             Ok(sass_sparse::RefactorOutcome::PatternChanged) => {
-                let rn = reduced.nrows();
-                match LdlFactor::new(reduced, self.ordering) {
-                    Ok(f) => {
-                        self.factor = f;
-                        Ok(sass_sparse::RefactorStats {
-                            cols_refactored: rn,
-                            total_cols: rn,
-                            full: true,
-                        })
-                    }
-                    Err(SparseError::ZeroPivot { .. }) => Err(SolverError::GroundedSingular),
-                    Err(e) => Err(e.into()),
-                }
+                *factor = sparse_factor(reduced, self.ordering)?;
+                Ok(rebuilt)
             }
             Err(SparseError::ZeroPivot { .. }) => Err(SolverError::GroundedSingular),
             Err(e) => Err(e.into()),
@@ -239,57 +330,38 @@ impl GroundedSolver {
         self.ground
     }
 
-    /// Off-diagonal nonzeros in the factor (memory/fill proxy).
+    /// Off-diagonal nonzeros of the factor's `L` (memory/fill proxy). A
+    /// tree-patterned matrix has no fill: one entry per vertex whose tree
+    /// parent is not the ground, `n − 1 − deg(ground)`.
     pub fn nnz_factor(&self) -> usize {
-        self.factor.nnz_l()
+        match &self.elim {
+            Elimination::Tree(tree) => tree.nnz_l(),
+            Elimination::Sparse { factor, .. } => factor.nnz_l(),
+        }
     }
 
-    /// The underlying LDLᵀ factorization of the grounded Laplacian —
-    /// exposes the elimination-tree observability surface
+    /// The sparse LDLᵀ factorization of the grounded Laplacian, or `None`
+    /// when the Laplacian is tree-patterned and eliminated leaf to root
+    /// instead. Exposes the elimination-tree observability surface
     /// ([`LdlFactor::partition_shape`], [`LdlFactor::memory_bytes`]) the
     /// bench binaries report.
-    pub fn factor(&self) -> &LdlFactor {
-        &self.factor
-    }
-
-    /// Builds the [`GroundCache`] for `l`: records `l`'s pattern and, for
-    /// every entry outside the ground row and column in row-major order,
-    /// the source position feeding the corresponding reduced-matrix slot.
-    fn build_ground_cache(l: &CsrMatrix, ground: usize, reduced: CsrMatrix) -> GroundCache {
-        assert!(
-            l.nnz() < u32::MAX as usize,
-            "ground cache gather indices must fit in u32"
-        );
-        let indptr = l.indptr();
-        let indices = l.indices();
-        let mut gather = Vec::with_capacity(reduced.nnz());
-        for i in 0..l.nrows() {
-            if i == ground {
-                continue;
-            }
-            for (p, &col) in indices
-                .iter()
-                .enumerate()
-                .take(indptr[i + 1])
-                .skip(indptr[i])
-            {
-                if col as usize != ground {
-                    gather.push(p as u32);
-                }
-            }
-        }
-        debug_assert_eq!(gather.len(), reduced.nnz());
-        GroundCache {
-            l_p: indptr.to_vec(),
-            l_i: indices.to_vec(),
-            gather,
-            reduced,
+    pub fn factor(&self) -> Option<&LdlFactor> {
+        match &self.elim {
+            Elimination::Tree(_) => None,
+            Elimination::Sparse { factor, .. } => Some(factor.as_ref()),
         }
     }
 
-    /// Approximate memory held by the factorization, in bytes.
+    /// Approximate memory held by the solver, in bytes: the elimination's
+    /// arrays, plus the ground-elimination cache once
+    /// [`GroundedSolver::refactor`] has built it.
     pub fn memory_bytes(&self) -> usize {
-        self.factor.memory_bytes()
+        match &self.elim {
+            Elimination::Tree(tree) => tree.memory_bytes(),
+            Elimination::Sparse { factor, cache } => {
+                factor.memory_bytes() + cache.as_ref().map_or(0, GroundCache::memory_bytes)
+            }
+        }
     }
 
     /// Solves `L x = center(b)`, returning the mean-zero solution `L⁺ b`.
@@ -446,9 +518,8 @@ impl GroundedSolver {
 
     /// The grounded solve of every column of `b` into the matching column
     /// of `x`, before the mean-zero projection: each column is shifted by
-    /// its mean and packed into the factor's work buffer with the ground
-    /// row left out, and the ground row comes back as zero
-    /// ([`LdlFactor::solve_columns_into_scratch`]).
+    /// its mean and packed into the elimination's work buffer with the
+    /// ground row left out, and the ground row comes back as zero.
     fn solve_columns<'b, 'x>(
         &self,
         b: impl IntoIterator<Item = &'b [f64]>,
@@ -456,8 +527,12 @@ impl GroundedSolver {
         scratch: &mut GroundedScratch,
     ) {
         let b = b.into_iter().map(|col| (col, dense::mean(col)));
-        self.factor
-            .solve_columns_into_scratch(Some(self.ground), b, x, &mut scratch.work);
+        match &self.elim {
+            Elimination::Tree(tree) => tree.solve_columns(b.zip(x), &mut scratch.work),
+            Elimination::Sparse { factor, .. } => {
+                factor.solve_columns_into_scratch(Some(self.ground), b, x, &mut scratch.work)
+            }
+        }
     }
 
     /// Column spans for the blocked paths' mean-zero projection: `None`
@@ -476,7 +551,8 @@ impl GroundedSolver {
 /// The reusable work buffer of [`GroundedSolver::solve_into_scratch`] and
 /// the blocked variants ([`GroundedSolver::solve_block_into_scratch`],
 /// [`GroundedSolver::solve_many_into`]): one chunk of right-hand sides in
-/// the factor's interleaved slot layout.
+/// the sparse factor's interleaved slot layout, or one column in the tree
+/// elimination's order.
 ///
 /// One scratch serves solvers of any size and any block width (the buffer
 /// resizes lazily); keep it per call site, not shared across threads.
@@ -576,17 +652,23 @@ mod tests {
         }
     }
 
+    type Reference = Box<dyn Fn(&[f64]) -> Vec<f64>>;
+
     /// The grounded solve spelled out: factor the principal submatrix
     /// with the solver's own permutation; then per right-hand side, solve
     /// it centered with the ground row elided, re-insert the ground row
-    /// as zero, and project onto mean zero.
-    fn reference_solver(l: &CsrMatrix, s: &GroundedSolver) -> impl Fn(&[f64]) -> Vec<f64> {
+    /// as zero, and project onto mean zero. Tree-eliminated solvers get
+    /// [`tree_reference`] instead.
+    fn reference_solver(l: &CsrMatrix, s: &GroundedSolver) -> Reference {
         let g = s.ground();
+        let Some(factor) = s.factor() else {
+            return Box::new(tree_reference(l, g));
+        };
         let mut keep = vec![true; s.n()];
         keep[g] = false;
         let (reduced, _) = l.principal_submatrix(&keep);
-        let f = LdlFactor::with_permutation(&reduced, s.factor().permutation().clone()).unwrap();
-        move |b| {
+        let f = LdlFactor::with_permutation(&reduced, factor.permutation().clone()).unwrap();
+        Box::new(move |b| {
             let mean = dense::mean(b);
             let rb: Vec<f64> = (0..b.len())
                 .filter(|&i| i != g)
@@ -596,6 +678,62 @@ mod tests {
             x.insert(g, 0.0);
             dense::center(&mut x);
             x
+        })
+    }
+
+    /// The tree elimination spelled out by vertex: BFS parents from the
+    /// ground, then pivots and multipliers leaf to root from the matrix's
+    /// own entries; per right-hand side, center, sweep leaves to root,
+    /// divide, sweep root to leaves from a zero ground, and project onto
+    /// mean zero. The ground's children start the grounded forest, so
+    /// nothing flows across their edges.
+    fn tree_reference(l: &CsrMatrix, ground: usize) -> impl Fn(&[f64]) -> Vec<f64> {
+        let n = l.nrows();
+        let (mut parent, mut seen) = (vec![usize::MAX; n], vec![false; n]);
+        let mut order = vec![ground];
+        seen[ground] = true;
+        let mut head = 0;
+        while head < order.len() {
+            let u = order[head];
+            head += 1;
+            for &c in l.row(u).0 {
+                let c = c as usize;
+                if !seen[c] {
+                    seen[c] = true;
+                    parent[c] = u;
+                    order.push(c);
+                }
+            }
+        }
+        assert_eq!(order.len(), n, "not a spanning tree");
+        let mut d: Vec<f64> = (0..n).map(|v| l.get(v, v)).collect();
+        let mut mult = vec![0.0; n];
+        for &v in order[1..].iter().rev() {
+            let p = parent[v];
+            if p != ground {
+                mult[v] = l.get(p, v) / d[v];
+                d[p] -= mult[v] * l.get(p, v);
+            }
+        }
+        move |b| {
+            let mean = dense::mean(b);
+            let mut y: Vec<f64> = b.iter().map(|&v| v - mean).collect();
+            for &v in order[1..].iter().rev() {
+                if parent[v] != ground {
+                    y[parent[v]] -= mult[v] * y[v];
+                }
+            }
+            for &v in &order[1..] {
+                y[v] /= d[v];
+            }
+            y[ground] = 0.0;
+            for &v in &order[1..] {
+                if parent[v] != ground {
+                    y[v] -= mult[v] * y[parent[v]];
+                }
+            }
+            dense::center(&mut y);
+            y
         }
     }
 
@@ -607,20 +745,31 @@ mod tests {
     /// bit: single, blocked and many-RHS, at the first, middle and last
     /// ground vertex, across block widths around the chunk width, down to
     /// one- and two-vertex systems. One scratch serves every call, so
-    /// stale buffer contents would show.
+    /// stale buffer contents would show. The one- and two-vertex systems
+    /// and the grid's spanning tree take the tree elimination; the
+    /// triangle, the circuit grid and the grid take the sparse LDLᵀ.
     #[test]
     fn grounded_paths_match_explicit_elision_bitwise() {
+        let grid = grid2d(48, 48, WeightModel::Uniform { lo: 0.5, hi: 2.0 }, 9);
+        let grid_tree = grid
+            .subgraph_with_edges(sass_graph::spanning::max_weight_spanning_tree(&grid).unwrap());
         let graphs = [
-            Graph::from_edges(1, &[]).unwrap(),
-            Graph::from_edges(2, &[(0, 1, 1.5)]).unwrap(),
-            sass_graph::generators::circuit_grid(7, 5, 0.2, 3),
-            grid2d(48, 48, WeightModel::Uniform { lo: 0.5, hi: 2.0 }, 9),
+            (Graph::from_edges(1, &[]).unwrap(), true),
+            (Graph::from_edges(2, &[(0, 1, 1.5)]).unwrap(), true),
+            (
+                Graph::from_edges(3, &[(0, 1, 1.5), (1, 2, 0.5), (0, 2, 2.0)]).unwrap(),
+                false,
+            ),
+            (sass_graph::generators::circuit_grid(7, 5, 0.2, 3), false),
+            (grid, false),
+            (grid_tree, true),
         ];
         let mut scratch = GroundedScratch::new();
-        for g in &graphs {
+        for (g, is_tree) in &graphs {
             let (n, l) = (g.n(), g.laplacian());
             for ground in [0, n / 2, n - 1] {
                 let s = GroundedSolver::with_ground(&l, ground, OrderingKind::MinDegree).unwrap();
+                assert_eq!(s.factor().is_none(), *is_tree, "n = {n}: elimination kind");
                 let cols: Vec<Vec<f64>> = (0..17)
                     .map(|c| {
                         (0..n)
@@ -801,6 +950,35 @@ mod tests {
         let mut b: Vec<f64> = (0..g.n()).map(|i| ((i * 11 % 7) as f64) - 3.0).collect();
         dense::center(&mut b);
         assert_eq!(s.solve(&b), fresh.solve(&b));
+    }
+
+    /// The first `refactor` builds the ground-elimination cache — a copy
+    /// of the input pattern, a gather map and the grounded submatrix — and
+    /// the factor's own refactor cache; `memory_bytes` counts both.
+    #[test]
+    fn memory_bytes_counts_the_ground_cache() {
+        use std::mem::{size_of, size_of_val};
+        let g = grid2d(8, 8, WeightModel::Uniform { lo: 0.5, hi: 2.0 }, 7);
+        let mut edges: Vec<(usize, usize, f64)> = g
+            .edges()
+            .iter()
+            .map(|e| (e.u as usize, e.v as usize, e.weight))
+            .collect();
+        let mut s =
+            GroundedSolver::with_ground(&g.laplacian(), 5, OrderingKind::MinDegree).unwrap();
+        let (before, factor_before) = (s.memory_bytes(), s.factor().unwrap().memory_bytes());
+        let (u, v, w) = edges[12];
+        edges[12] = (u, v, w * 2.0);
+        let l2 = Graph::from_edges(g.n(), &edges).unwrap().laplacian();
+        s.refactor(&l2, &[u, v], 0.9).unwrap();
+        let factor_growth = s.factor().unwrap().memory_bytes() - factor_before;
+        let mut keep = vec![true; g.n()];
+        keep[5] = false;
+        let reduced = l2.principal_submatrix(&keep).0;
+        let cache = size_of_val(l2.indptr())
+            + (l2.nnz() + reduced.nnz()) * size_of::<u32>()
+            + reduced.memory_bytes();
+        assert!(s.memory_bytes() >= before + factor_growth + cache);
     }
 
     #[test]

@@ -6,15 +6,17 @@
 //!    generalized power iterations and as the preconditioner application.
 //!    [`GroundedSolver`] does this by *grounding* one vertex (deleting its
 //!    row/column, which makes the Laplacian SPD for a connected graph),
-//!    factorizing with the sparse LDLᵀ from [`sass_sparse`], and
-//!    re-centering solutions against the all-ones nullspace.
-//!    [`TreeSolver`] is the O(n) special case for spanning-tree Laplacians,
-//!    and [`AmgPrec`] the aggregation-based algebraic-multigrid alternative
+//!    eliminating the rest, and re-centering solutions against the
+//!    all-ones nullspace. The elimination follows the matrix's structure:
+//!    a spanning tree's Laplacian (the first densification round) is
+//!    eliminated leaf to root in O(n) with no fill, and every other matrix
+//!    is factored with the sparse LDLᵀ from [`sass_sparse`].
+//!    [`AmgPrec`] is the aggregation-based algebraic-multigrid alternative
 //!    (the paper's LAMG/SAMG role).
 //! 2. **Iterative solves with the original graph** `L_G x = b` — the
 //!    preconditioned conjugate gradient ([`pcg`]) with a pluggable
-//!    [`Preconditioner`] (identity, Jacobi, grounded-Cholesky of a
-//!    sparsifier, or tree).
+//!    [`Preconditioner`] (identity, Jacobi, or an exact grounded solve
+//!    with a sparsifier or a spanning tree).
 //!
 //! # Example
 //!
@@ -47,13 +49,13 @@ mod error;
 mod grounded;
 mod pcg;
 mod preconditioner;
-mod tree_solver;
+mod tree_factor;
 
 pub use amg::{AmgOptions, AmgPrec};
 pub use error::SolverError;
 pub use grounded::{GroundedScratch, GroundedSolver};
 pub use pcg::{pcg, pcg_scratch, pcg_with_x0, PcgOptions, PcgScratch, SolveStats};
-pub use preconditioner::{IdentityPrec, JacobiPrec, LaplacianPrec, Preconditioner, TreePrec};
+pub use preconditioner::{IdentityPrec, JacobiPrec, LaplacianPrec, Preconditioner};
 // `DenseBlock` is re-exported so batched-solve call sites
 // ([`GroundedSolver::solve_block`]) can name the multivector type without
 // importing sass-sparse directly. `LinearOperator` is re-exported for
@@ -61,7 +63,6 @@ pub use preconditioner::{IdentityPrec, JacobiPrec, LaplacianPrec, Preconditioner
 // substrate primitive, not a solver concern), and new code should name it
 // from there.
 pub use sass_sparse::{DenseBlock, LinearOperator};
-pub use tree_solver::TreeSolver;
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, SolverError>;

@@ -225,9 +225,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{GroundedSolver, IdentityPrec, JacobiPrec, LaplacianPrec, TreePrec, TreeSolver};
+    use crate::{GroundedSolver, IdentityPrec, JacobiPrec, LaplacianPrec};
     use sass_graph::generators::{grid2d, WeightModel};
-    use sass_graph::{spanning, RootedTree};
+    use sass_graph::spanning;
     use sass_sparse::ordering::OrderingKind;
     use sass_sparse::CooMatrix;
 
@@ -288,8 +288,9 @@ mod tests {
         let g = sass_graph::generators::circuit_grid(16, 16, 0.1, 2);
         let l = g.laplacian();
         let tree_ids = spanning::max_weight_spanning_tree(&g).unwrap();
-        let tree = RootedTree::new(&g, tree_ids, 0).unwrap();
-        let tp = TreePrec::new(TreeSolver::new(&g, &tree));
+        let lt = g.laplacian_of_edges(&tree_ids);
+        let tp = LaplacianPrec::new(GroundedSolver::new(&lt, OrderingKind::MinDegree).unwrap());
+        assert!(tp.solver().factor().is_none(), "a tree takes the O(n) path");
         let mut b: Vec<f64> = (0..g.n()).map(|i| ((i % 17) as f64) - 8.0).collect();
         sass_sparse::dense::center(&mut b);
         let opts = PcgOptions {

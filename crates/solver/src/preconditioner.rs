@@ -1,4 +1,4 @@
-use crate::{GroundedScratch, GroundedSolver, TreeSolver};
+use crate::{GroundedScratch, GroundedSolver};
 use sass_sparse::CsrMatrix;
 use std::cell::RefCell;
 
@@ -66,7 +66,9 @@ impl Preconditioner for JacobiPrec {
 /// sweeps, which run on a subtree-to-lane partition of the factor's
 /// elimination tree — one pool dispatch per sweep — once the factor is
 /// past the size and critical-path gates, so PCG iterations get multicore
-/// preconditioner applies for free.
+/// preconditioner applies for free. A spanning tree's Laplacian gives the
+/// classic O(n) tree preconditioner: [`GroundedSolver`] eliminates it leaf
+/// to root.
 #[derive(Debug, Clone)]
 pub struct LaplacianPrec {
     solver: GroundedSolver,
@@ -95,25 +97,6 @@ impl Preconditioner for LaplacianPrec {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
         self.solver
             .solve_into_scratch(r, z, &mut self.scratch.borrow_mut());
-    }
-}
-
-/// Preconditioning by an O(n) spanning-tree solve: `z = L_T⁺ r`.
-#[derive(Debug, Clone)]
-pub struct TreePrec {
-    solver: TreeSolver,
-}
-
-impl TreePrec {
-    /// Wraps a tree solver.
-    pub fn new(solver: TreeSolver) -> Self {
-        TreePrec { solver }
-    }
-}
-
-impl Preconditioner for TreePrec {
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
-        self.solver.solve_into(r, z);
     }
 }
 

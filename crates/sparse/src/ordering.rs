@@ -33,7 +33,7 @@
 //! has the same fill and sweeps as fast as an exact minimum degree
 //! ordering.
 
-use crate::{CsrMatrix, Permutation, Result};
+use crate::{CsrMatrix, Permutation, Result, SparseError};
 
 /// Which fill-reducing ordering to use for a factorization.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -59,14 +59,15 @@ pub enum OrderingKind {
 ///
 /// # Errors
 ///
-/// Currently infallible in practice; the `Result` is kept for future
-/// orderings that may validate their input.
+/// [`SparseError::ShapeMismatch`] from `MinDegree` when the pattern is too
+/// large for its 32-bit workspace (about 2³¹ entries); the other orderings
+/// do not fail.
 pub fn compute(a: &CsrMatrix, kind: OrderingKind) -> Result<Permutation> {
     let n = a.nrows();
     let order = match kind {
         OrderingKind::Natural => (0..n).collect(),
         OrderingKind::Rcm => rcm_order(a),
-        OrderingKind::MinDegree => amd_order(a),
+        OrderingKind::MinDegree => amd_order(a)?,
         OrderingKind::NestedDissection => nested_dissection_order(a),
     };
     Permutation::from_old_of_new(order)
@@ -207,14 +208,14 @@ fn rcm_order(a: &CsrMatrix) -> Vec<usize> {
 
 /// `-i - 2`: marks a node or element as absorbed into `i` (an involution,
 /// so `flip(flip(i)) == i`, and `flip(i) < 0` for every `i >= 0`).
-fn flip(i: isize) -> isize {
+fn flip(i: i32) -> i32 {
     -i - 2
 }
 
 /// Returns `mark`, or resets every live `w` entry to 1 and returns 2 once
 /// `mark + lemax` would overflow: either way each live entry stays below
 /// the mark returned.
-fn wclear(mark: isize, lemax: isize, w: &mut [isize]) -> isize {
+fn wclear(mark: i32, lemax: i32, w: &mut [i32]) -> i32 {
     if mark.checked_add(lemax).is_some() {
         return mark;
     }
@@ -233,33 +234,56 @@ fn emit_chain(i: usize, chain: &[usize], order: &mut Vec<usize>) {
     }
 }
 
+/// Entries of [`amd_order`]'s workspace `ci` for an `n`-row pattern with
+/// `nnz` stored entries: at most `nnz` off-diagonal entries, a fifth more
+/// for new elements, and `2n` of elbow room.
+///
+/// # Errors
+///
+/// [`SparseError::ShapeMismatch`] when that count does not fit the `i32`
+/// indices the workspace holds; every other value it stores (node
+/// numbers, degrees, `flip`ped indices, marks, which `wclear` keeps
+/// below overflow) is bounded by it.
+fn amd_workspace(n: usize, nnz: usize) -> Result<usize> {
+    nnz.checked_add(nnz / 5)
+        .and_then(|len| len.checked_add(n.checked_mul(2)?))
+        .filter(|&len| len <= i32::MAX as usize)
+        .ok_or_else(|| SparseError::ShapeMismatch {
+            context: format!(
+                "minimum degree on {n} rows and {nnz} entries needs more than \
+                 {} workspace entries",
+                i32::MAX
+            ),
+        })
+}
+
 /// Approximate minimum degree (Amestoy, Davis & Duff 1996) in the form of
 /// Davis, *Direct Methods for Sparse Linear Systems* §7.1: approximate
 /// external degrees from `|Le \ Lk|`, supervariables detected by hashing,
 /// mass elimination, element and aggressive absorption, and rows denser
 /// than `max(16, 10√n)` ordered last. One garbage-collected workspace
-/// `ci` holds every node and element list.
+/// `ci` holds every node and element list. The workspace and every
+/// per-node array hold `i32`, half the memory traffic of `isize`; the
+/// marks compare only against `mark`, so `wclear`'s more frequent resets
+/// at 32 bits do not change the order.
 ///
 /// Returns the pivots in the order they were eliminated (each pivot
 /// followed by the nodes of its supervariable and the nodes mass-
 /// eliminated with it), not a postorder of the assembly tree: see the
 /// [module docs](self).
-fn amd_order(a: &CsrMatrix) -> Vec<usize> {
+fn amd_order(a: &CsrMatrix) -> Result<Vec<usize>> {
     let n = a.nrows();
-    let ni = n as isize;
+    amd_workspace(n, a.nnz())?;
+    let ni = n as i32;
     // Off-diagonal pattern, with elbow room for the new elements.
-    let mut cp: Vec<isize> = Vec::with_capacity(n);
-    let mut ci: Vec<isize> = Vec::new();
-    let mut len = vec![0isize; n];
+    let mut cp: Vec<i32> = Vec::with_capacity(n);
+    let mut ci: Vec<i32> = Vec::new();
+    let mut len = vec![0i32; n];
     for (i, l) in len.iter_mut().enumerate() {
-        cp.push(ci.len() as isize);
+        cp.push(ci.len() as i32);
         let (cols, _) = a.row(i);
-        ci.extend(
-            cols.iter()
-                .filter(|&&c| c as usize != i)
-                .map(|&c| c as isize),
-        );
-        *l = ci.len() as isize - cp[i];
+        ci.extend(cols.iter().filter(|&&c| c as usize != i).map(|&c| c as i32));
+        *l = ci.len() as i32 - cp[i];
     }
     let mut cnz = ci.len();
     ci.resize(cnz + cnz / 5 + 2 * n, 0);
@@ -269,24 +293,24 @@ fn amd_order(a: &CsrMatrix) -> Vec<usize> {
     // dead), degree-list or hash-bucket links, |Ei| (`elen`: -1 for a
     // dead node, -2 for an element), approximate degree, and the marks
     // `w` (0 for a dead element).
-    let mut nv = vec![1isize; n];
-    let mut next = vec![-1isize; n];
-    let mut last = vec![-1isize; n];
-    let mut head = vec![-1isize; n];
-    let mut hhead = vec![-1isize; n];
-    let mut elen = vec![0isize; n];
+    let mut nv = vec![1i32; n];
+    let mut next = vec![-1i32; n];
+    let mut last = vec![-1i32; n];
+    let mut head = vec![-1i32; n];
+    let mut hhead = vec![-1i32; n];
+    let mut elen = vec![0i32; n];
     let mut degree = len.clone();
-    let mut w = vec![1isize; n];
-    let mut mark: isize = 2;
+    let mut w = vec![1i32; n];
+    let mut mark: i32 = 2;
     // Supervariable member chains, `usize::MAX`-terminated.
     let mut chain = vec![usize::MAX; n];
     let mut chain_tail: Vec<usize> = (0..n).collect();
-    let dense = ((10.0 * (n as f64).sqrt()) as isize).max(16).min(ni - 2);
+    let dense = ((10.0 * (n as f64).sqrt()) as i32).max(16).min(ni - 2);
 
     let mut order = Vec::with_capacity(n);
     let mut dense_rows = Vec::new();
-    let mut nel: isize = 0;
-    let mut lemax: isize = 0;
+    let mut nel: i32 = 0;
+    let mut lemax: i32 = 0;
     let mut mindeg = 0usize;
     for i in 0..n {
         let d = degree[i];
@@ -307,10 +331,10 @@ fn amd_order(a: &CsrMatrix) -> Vec<usize> {
         } else {
             let d = d as usize;
             if head[d] != -1 {
-                last[head[d] as usize] = i as isize;
+                last[head[d] as usize] = i as i32;
             }
             next[i] = head[d];
-            head[d] = i as isize;
+            head[d] = i as i32;
         }
     }
 
@@ -338,7 +362,7 @@ fn amd_order(a: &CsrMatrix) -> Vec<usize> {
                 if *cpj >= 0 {
                     let p = *cpj as usize;
                     *cpj = ci[p];
-                    ci[p] = flip(j as isize);
+                    ci[p] = flip(j as i32);
                 }
             }
             let (mut q, mut p) = (0usize, 0usize);
@@ -348,7 +372,7 @@ fn amd_order(a: &CsrMatrix) -> Vec<usize> {
                 if j >= 0 {
                     let j = j as usize;
                     ci[q] = cp[j];
-                    cp[j] = q as isize;
+                    cp[j] = q as i32;
                     q += 1;
                     for _ in 1..len[j] {
                         ci[q] = ci[p];
@@ -361,7 +385,7 @@ fn amd_order(a: &CsrMatrix) -> Vec<usize> {
         }
 
         // Construct the new element Lk from k's elements and nodes.
-        let mut dk: isize = 0;
+        let mut dk: i32 = 0;
         nv[k] = -nvk;
         let mut p = cp[k] as usize;
         let pk1 = if elenk == 0 { p } else { cnz };
@@ -383,7 +407,7 @@ fn amd_order(a: &CsrMatrix) -> Vec<usize> {
                 }
                 dk += nvi;
                 nv[i] = -nvi;
-                ci[pk2] = i as isize;
+                ci[pk2] = i as i32;
                 pk2 += 1;
                 if next[i] != -1 {
                     last[next[i] as usize] = last[i];
@@ -395,7 +419,7 @@ fn amd_order(a: &CsrMatrix) -> Vec<usize> {
                 }
             }
             if e != k {
-                cp[e] = flip(k as isize); // absorb e into k
+                cp[e] = flip(k as i32); // absorb e into k
                 w[e] = 0;
             }
         }
@@ -403,8 +427,8 @@ fn amd_order(a: &CsrMatrix) -> Vec<usize> {
             cnz = pk2;
         }
         degree[k] = dk;
-        cp[k] = pk1 as isize;
-        len[k] = (pk2 - pk1) as isize;
+        cp[k] = pk1 as i32;
+        len[k] = (pk2 - pk1) as i32;
         elen[k] = -2;
 
         // Scan 1: |Le \ Lk| for every element e adjacent to Lk.
@@ -435,23 +459,23 @@ fn amd_order(a: &CsrMatrix) -> Vec<usize> {
             let p2 = p1 + elen[i] as usize;
             let mut pn = p1;
             let mut h = 0usize;
-            let mut d: isize = 0;
+            let mut d: i32 = 0;
             for p in p1..p2 {
                 let e = ci[p] as usize;
                 if w[e] != 0 {
                     let dext = w[e] - mark;
                     if dext > 0 {
                         d += dext;
-                        ci[pn] = e as isize;
+                        ci[pn] = e as i32;
                         pn += 1;
                         h = h.wrapping_add(e);
                     } else {
-                        cp[e] = flip(k as isize); // aggressive absorption
+                        cp[e] = flip(k as i32); // aggressive absorption
                         w[e] = 0;
                     }
                 }
             }
-            elen[i] = (pn - p1 + 1) as isize;
+            elen[i] = (pn - p1 + 1) as i32;
             let p3 = pn;
             let p4 = p1 + len[i] as usize;
             for p in p2..p4 {
@@ -461,13 +485,13 @@ fn amd_order(a: &CsrMatrix) -> Vec<usize> {
                     continue; // dead, or in Lk
                 }
                 d += nvj;
-                ci[pn] = j as isize;
+                ci[pn] = j as i32;
                 pn += 1;
                 h = h.wrapping_add(j);
             }
             if d == 0 {
                 // Mass elimination: i has no neighbours outside Lk ∪ k.
-                cp[i] = flip(k as isize);
+                cp[i] = flip(k as i32);
                 let nvi = -nv[i];
                 dk -= nvi;
                 nel += nvi;
@@ -480,12 +504,12 @@ fn amd_order(a: &CsrMatrix) -> Vec<usize> {
                 // the list still fits in its old span.
                 ci[pn] = ci[p3];
                 ci[p3] = ci[p1];
-                ci[p1] = k as isize;
-                len[i] = (pn - p1 + 1) as isize;
+                ci[p1] = k as i32;
+                len[i] = (pn - p1 + 1) as i32;
                 let h = h % n;
                 next[i] = hhead[h];
-                hhead[h] = i as isize;
-                last[i] = h as isize;
+                hhead[h] = i as i32;
+                last[i] = h as i32;
             }
         }
         degree[k] = dk;
@@ -548,18 +572,18 @@ fn amd_order(a: &CsrMatrix) -> Vec<usize> {
             nv[i] = nvi;
             let d = (degree[i] + dk - nvi).min(ni - nel - nvi) as usize;
             if head[d] != -1 {
-                last[head[d] as usize] = i as isize;
+                last[head[d] as usize] = i as i32;
             }
             next[i] = head[d];
             last[i] = -1;
-            head[d] = i as isize;
+            head[d] = i as i32;
             mindeg = mindeg.min(d);
-            degree[i] = d as isize;
-            ci[p] = i as isize;
+            degree[i] = d as i32;
+            ci[p] = i as i32;
             p += 1;
         }
         nv[k] = 0; // k is an element now
-        len[k] = (p - pk1) as isize;
+        len[k] = (p - pk1) as i32;
         if len[k] == 0 {
             cp[k] = -1;
             w[k] = 0;
@@ -570,7 +594,7 @@ fn amd_order(a: &CsrMatrix) -> Vec<usize> {
     }
     order.extend(dense_rows);
     debug_assert_eq!(order.len(), n, "amd must order every node once");
-    order
+    Ok(order)
 }
 
 /// Nested dissection via BFS level-set separators.
@@ -704,6 +728,26 @@ mod tests {
             }
         }
         coo.to_csr()
+    }
+
+    /// The 32-bit workspace bound: sizes are counted without overflow and
+    /// anything past `i32::MAX` entries is an error, not a wrapped index.
+    #[test]
+    fn min_degree_rejects_workspaces_past_i32() {
+        assert_eq!(amd_workspace(10, 100).unwrap(), 140);
+        let cap = i32::MAX as usize;
+        assert_eq!(amd_workspace(cap / 2, 0).unwrap(), cap - 1);
+        for (n, nnz) in [
+            (cap / 2 + 1, 0),
+            (1, cap),
+            (usize::MAX / 2, 1),
+            (0, usize::MAX),
+        ] {
+            assert!(matches!(
+                amd_workspace(n, nnz),
+                Err(SparseError::ShapeMismatch { .. })
+            ));
+        }
     }
 
     fn assert_is_permutation(p: &Permutation, n: usize) {

@@ -5,10 +5,15 @@
 //! ```text
 //! cargo run --release --example sdd_solver
 //! ```
+//!
+//! The example checks the shape it prints and panics if it breaks: every
+//! PCG run converges, iterations fall as σ² tightens, and every sparsifier
+//! beats the bare spanning tree.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sass::prelude::*;
+use sass::solver::{Preconditioner, SolveStats};
 use sass_graph::spanning;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -24,46 +29,53 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         max_iter: 50_000,
         ..Default::default()
     };
+    let run = |label: &str, prec: &dyn Preconditioner| -> SolveStats {
+        let (_, s) = pcg(&lg, &b, prec, &opts);
+        println!("{label:<40}{:>10}", s.iterations);
+        assert!(s.converged, "{label}: PCG did not converge");
+        s
+    };
 
     println!("\npreconditioner                          iterations");
 
     // 1. No preconditioning.
-    let (_, s) = pcg(&lg, &b, &IdentityPrec, &opts);
-    println!(
-        "identity                                {:>10}",
-        s.iterations
-    );
+    run("identity", &IdentityPrec);
 
     // 2. Jacobi.
-    let (_, s) = pcg(&lg, &b, &JacobiPrec::new(&lg), &opts);
-    println!(
-        "jacobi                                  {:>10}",
-        s.iterations
-    );
+    run("jacobi", &JacobiPrec::new(&lg));
 
-    // 3. Spanning tree only (a sparsifier with zero off-tree edges).
+    // 3. Spanning tree only (a sparsifier with zero off-tree edges): the
+    // grounded solver eliminates a tree's Laplacian leaf to root in O(n).
     let tree_ids = spanning::max_weight_spanning_tree(&g)?;
-    let tree = RootedTree::new(&g, tree_ids, 0)?;
-    let (_, s) = pcg(&lg, &b, &TreePrec::new(TreeSolver::new(&g, &tree)), &opts);
-    println!(
-        "max-weight spanning tree                {:>10}",
-        s.iterations
-    );
+    let tree_solver = GroundedSolver::new(&g.laplacian_of_edges(&tree_ids), Default::default())?;
+    let tree = run("max-weight spanning tree", &LaplacianPrec::new(tree_solver));
 
     // 4. Similarity-aware sparsifiers at three similarity levels.
+    let mut last = tree.iterations;
     for sigma2 in [400.0, 100.0, 25.0] {
         let sp = sparsify(&g, &SparsifyConfig::new(sigma2).with_seed(3))?;
         let prec = LaplacianPrec::new(GroundedSolver::new(
             &sp.graph().laplacian(),
             Default::default(),
         )?);
-        let (_, s) = pcg(&lg, &b, &prec, &opts);
-        println!(
-            "sparsifier sigma^2 = {:<6} ({:>6} edges) {:>10}",
+        let label = format!(
+            "sparsifier sigma^2 = {:<6} ({:>6} edges)",
             sigma2,
-            sp.graph().m(),
+            sp.graph().m()
+        );
+        let s = run(&label, &prec);
+        assert!(
+            s.iterations < tree.iterations,
+            "{label}: {} iterations do not beat the tree's {}",
+            s.iterations,
+            tree.iterations
+        );
+        assert!(
+            s.iterations < last,
+            "{label}: {} iterations do not fall below the looser level's {last}",
             s.iterations
         );
+        last = s.iterations;
     }
 
     println!("\nshape to observe: iterations fall as sigma^2 tightens — the edge");

@@ -67,8 +67,7 @@ pub mod prelude {
     pub use sass_core::{sparsify, SimilarityPolicy, Sparsifier, SparsifyConfig};
     pub use sass_graph::{Graph, GraphBuilder, RootedTree};
     pub use sass_solver::{
-        pcg, GroundedSolver, IdentityPrec, JacobiPrec, LaplacianPrec, PcgOptions, TreePrec,
-        TreeSolver,
+        pcg, GroundedSolver, IdentityPrec, JacobiPrec, LaplacianPrec, PcgOptions,
     };
     pub use sass_sparse::{CooMatrix, CsrMatrix};
 }

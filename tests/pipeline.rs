@@ -155,3 +155,59 @@ fn matrix_market_round_trip_through_pipeline() {
     let sp = sparsify(&g2, &SparsifyConfig::new(60.0)).unwrap();
     assert!(sp.converged());
 }
+
+/// Count and FNV-1a hash of `ordering::compute(MinDegree)` on the grounded
+/// Laplacian (vertex 0 removed) that the pipeline factors.
+fn min_degree_fingerprint(g: &Graph) -> (usize, u64) {
+    let mut keep = vec![true; g.n()];
+    keep[0] = false;
+    let (reduced, _) = g.laplacian().principal_submatrix(&keep);
+    let perm =
+        sass::sparse::ordering::compute(&reduced, sass::sparse::ordering::OrderingKind::MinDegree)
+            .unwrap();
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in perm
+        .old_of_new()
+        .iter()
+        .flat_map(|&i| (i as u64).to_le_bytes())
+    {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+    }
+    (perm.len(), h)
+}
+
+/// Approximate minimum degree is pinned permutation for permutation on
+/// three inputs that reach its distinct paths: a scale-free graph with a
+/// hub above the dense-row threshold `max(16, 10√n)` (dense-row removal),
+/// a unit grid (supervariable detection and mass elimination), and a
+/// converged sparsifier (the near-tree matrices the pipeline factors).
+#[test]
+fn min_degree_orderings_are_pinned() {
+    let ba = gen::barabasi_albert(1500, 4, 3);
+    let mut edges: Vec<(usize, usize, f64)> = ba
+        .edges()
+        .iter()
+        .map(|e| (e.u as usize, e.v as usize, e.weight))
+        .collect();
+    let hub = ba.n();
+    edges.extend((1..hub).step_by(2).map(|v| (v, hub, 1.0)));
+    let hubbed = Graph::from_edges(hub + 1, &edges).unwrap();
+    let threshold = (10.0 * (hub as f64).sqrt()) as usize;
+    assert!(hubbed.degree(hub) > threshold.max(16));
+    let grid = gen::grid2d(60, 60, gen::WeightModel::Unit, 0);
+    let circuit = gen::circuit_grid(40, 40, 0.1, 3);
+    let sp = sparsify(&circuit, &SparsifyConfig::new(50.0)).unwrap();
+    let got = [
+        min_degree_fingerprint(&hubbed),
+        min_degree_fingerprint(&grid),
+        min_degree_fingerprint(sp.graph()),
+    ];
+    assert_eq!(
+        got,
+        [
+            (1500, 0x7529_63b6_d6d7_bb4d),
+            (3599, 0x7e04_be32_acaf_d190),
+            (1599, 0x0140_9b28_ca43_397c),
+        ]
+    );
+}

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use sass::core::{sparsify, SparsifyConfig};
 use sass::graph::{spanning, Graph, GraphBuilder, LcaIndex, RootedTree};
 use sass::prelude::*;
-use sass::sparse::dense;
+use sass::sparse::{dense, LdlFactor};
 
 /// Strategy: a connected weighted graph with `n in [3, 24]` vertices —
 /// a random spanning-tree skeleton plus random extra edges.
@@ -75,19 +75,27 @@ proptest! {
                      "trace {} vs stretch {}", trace, total);
     }
 
+    /// Two independent eliminations of one tree: the grounded solver's
+    /// leaf-to-root pass on a BFS spanning tree, against an LDLᵀ of the
+    /// explicitly grounded principal submatrix.
     #[test]
     fn tree_solver_agrees_with_direct(g in connected_graph(), seed in 0u64..100) {
         let ids = spanning::bfs_spanning_tree(&g, 0).unwrap();
-        let tree = RootedTree::new(&g, ids.to_vec(), 0).unwrap();
-        let ts = TreeSolver::new(&g, &tree);
-        let tg = g.subgraph_with_edges(ids.iter().copied());
-        let direct = GroundedSolver::new(&tg.laplacian(), Default::default()).unwrap();
+        let lt = g.laplacian_of_edges(&ids);
+        let ts = GroundedSolver::new(&lt, Default::default()).unwrap();
+        prop_assert!(ts.factor().is_none());
+        let mut keep = vec![true; g.n()];
+        keep[0] = false;
+        let (reduced, _) = lt.principal_submatrix(&keep);
+        let direct = LdlFactor::new(&reduced, Default::default()).unwrap();
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut b: Vec<f64> = (0..g.n()).map(|_| rng.gen_range(-1.0..1.0)).collect();
         dense::center(&mut b);
         let x1 = ts.solve(&b);
-        let x2 = direct.solve(&b);
+        let mut x2 = direct.solve(&b[1..]);
+        x2.insert(0, 0.0);
+        dense::center(&mut x2);
         prop_assert!(dense::rel_diff(&x1, &x2) < 1e-8);
     }
 

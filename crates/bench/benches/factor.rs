@@ -23,9 +23,9 @@
 //! One serial `order` row per workload times the fill-reducing ordering
 //! alone ([`ordering::compute`], approximate minimum degree). Then three
 //! kernels per workload — `numeric` ([`LdlFactor::with_permutation`]
-//! with that precomputed ordering), `solve` (single RHS,
-//! [`LdlFactor::solve_into_scratch`]) and `solve_block8` (one full
-//! 8-column chunk) — each at `serial` (`set_threads(1)`), `w2` and `w4`
+//! with that precomputed ordering), `solve` (one right-hand side through
+//! [`LdlFactor::solve_columns`]) and `solve_block8` (one full 8-column
+//! chunk through the same call) — each at `serial` (`set_threads(1)`), `w2` and `w4`
 //! forced pool widths, and each once per SIMD dispatch mode (the
 //! detected tier and forced `scalar`, suffixed onto the width label —
 //! the 8-wide interleaved sweeps are the rows the `kernel` module's LDLᵀ
@@ -133,7 +133,7 @@ fn bench_factor(c: &mut Criterion) {
                     &(),
                     |bch, ()| {
                         bch.iter(|| {
-                            f.solve_into_scratch(&b, &mut x, &mut work);
+                            f.solve_columns(None, [(&b[..], 0.0)], [&mut x[..]], &mut work);
                             black_box(x[0])
                         })
                     },
@@ -143,7 +143,8 @@ fn bench_factor(c: &mut Criterion) {
                     &(),
                     |bch, ()| {
                         bch.iter(|| {
-                            f.solve_block_into_scratch(&rhs, &mut xb, &mut work);
+                            let b = rhs.columns().map(|c| (c, 0.0));
+                            f.solve_columns(None, b, xb.columns_mut(), &mut work);
                             black_box(xb.col(0)[0])
                         })
                     },
@@ -182,20 +183,19 @@ fn bench_tree(c: &mut Criterion) {
                 .collect()
         })
         .collect();
-    let rhs = DenseBlock::from_columns(&cols);
     let mut x = vec![0.0; n];
-    let mut xb = DenseBlock::zeros(n, LDL_BLOCK_WIDTH);
+    let mut xb = vec![vec![0.0; n]; LDL_BLOCK_WIDTH];
     let mut scratch = GroundedScratch::new();
     group.bench_with_input(BenchmarkId::new("grounded_solve", name), &(), |bch, ()| {
         bch.iter(|| {
-            s.solve_into_scratch(&b, &mut x, &mut scratch);
+            s.solve_columns(&[&b], &mut [&mut x], &mut scratch);
             black_box(x[0])
         })
     });
     group.bench_with_input(BenchmarkId::new("grounded_solve8", name), &(), |bch, ()| {
         bch.iter(|| {
-            s.solve_block_into_scratch(&rhs, &mut xb, &mut scratch);
-            black_box(xb.col(0)[0])
+            s.solve_columns(&cols, &mut xb, &mut scratch);
+            black_box(xb[0][0])
         })
     });
     group.finish();

@@ -1,10 +1,10 @@
 //! Per-RHS loop vs blocked `solve_many` against one grounded LDLᵀ
 //! factorization — the paper's Table 2 "many right-hand sides" scenario.
 //!
-//! The per-RHS row streams the factor once per right-hand side
-//! (`GroundedSolver::solve_into_scratch` in a loop); the blocked row
-//! streams it once per `LDL_BLOCK_WIDTH`-column chunk
-//! (`GroundedSolver::solve_many_into`), so the factor's index/value arrays
+//! The per-RHS row streams the factor once per right-hand side (one
+//! `GroundedSolver::solve_columns` call per column); the blocked row
+//! streams it once per `LDL_BLOCK_WIDTH`-column chunk (one
+//! `GroundedSolver::solve_columns` call for every column), so the factor's index/value arrays
 //! are read 8× less often while the arithmetic count is identical. Both
 //! rows run at the pool's automatic width.
 //!
@@ -78,7 +78,7 @@ fn bench_solve_many(c: &mut Criterion) {
         let mut out = vec![vec![0.0; n]; ncols];
         let mut per_rhs = |scratch: &mut GroundedScratch| {
             for b in &rhs {
-                solver.solve_into_scratch(b, &mut x, scratch);
+                solver.solve_columns(&[b], &mut [&mut x], scratch);
             }
             black_box(x[0])
         };
@@ -86,7 +86,7 @@ fn bench_solve_many(c: &mut Criterion) {
             b.iter(|| per_rhs(&mut scratch))
         });
         let mut blocked = |scratch: &mut GroundedScratch| {
-            solver.solve_many_into(&rhs, &mut out, scratch);
+            solver.solve_columns(&rhs, &mut out, scratch);
             black_box(out[0][0])
         };
         group.bench_with_input(BenchmarkId::new("blocked", &name), &(), |b, ()| {

@@ -212,19 +212,19 @@ fn multi_rhs_amortization() {
     let mut x = vec![0.0; solver.n()];
     let mut out = vec![vec![0.0; solver.n()]; rhs.len()];
     for b in &rhs {
-        solver.solve_into_scratch(b, &mut x, &mut scratch);
+        solver.solve_columns(&[b], &mut [&mut x], &mut scratch);
     }
-    solver.solve_many_into(&rhs, &mut out, &mut scratch);
+    solver.solve_columns(&rhs, &mut out, &mut scratch);
     let (_, t_serial) = timeit(|| {
         for _ in 0..REPS {
             for b in &rhs {
-                solver.solve_into_scratch(b, &mut x, &mut scratch);
+                solver.solve_columns(&[b], &mut [&mut x], &mut scratch);
             }
         }
     });
     let (_, t_blocked) = timeit(|| {
         for _ in 0..REPS {
-            solver.solve_many_into(&rhs, &mut out, &mut scratch);
+            solver.solve_columns(&rhs, &mut out, &mut scratch);
         }
     });
     println!(

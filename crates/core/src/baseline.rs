@@ -23,7 +23,7 @@ use crate::{CoreError, Result};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sass_graph::{Graph, GraphBuilder};
-use sass_solver::GroundedSolver;
+use sass_solver::{GroundedScratch, GroundedSolver};
 
 /// Effective resistance of every edge, estimated by Johnson–Lindenstrauss
 /// projection: `R_eff(u,v) ≈ ‖Z(e_u − e_v)‖²` where the rows of `Z` are
@@ -34,27 +34,33 @@ use sass_solver::GroundedSolver;
 ///
 /// # Errors
 ///
-/// Propagates factorization failure of `L_G` (disconnected graph).
+/// [`CoreError::InvalidConfig`] if the solver's dimension is not `g`'s.
 ///
 /// # Example
 ///
+/// [`spielman_srivastava`] is the only caller, so the example goes through
+/// it. On a tree the projection difference across an edge is exactly
+/// `±1/√w_e`, so every estimated leverage `w_e·R_e` is exactly 1 and each of
+/// the `n − 1` edges is drawn with probability `1/(n − 1)`. A single draw is
+/// reweighted by `n − 1`, and the links that reconnect the rest copy that
+/// weight.
+///
 /// ```
-/// use sass_core::baseline::effective_resistances_jl;
+/// use sass_core::baseline::{spielman_srivastava, SsConfig};
 /// use sass_graph::Graph;
-/// use sass_solver::GroundedSolver;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// // On a tree, every edge has leverage w_e * R_e = 1 exactly.
-/// let g = Graph::from_edges(3, &[(0, 1, 2.0), (1, 2, 0.5)])?;
-/// let solver = GroundedSolver::new(&g.laplacian(), Default::default())?;
-/// let r = effective_resistances_jl(&g, &solver, 64, 1)?;
-/// for (e, ri) in g.edges().iter().zip(&r) {
-///     assert!((e.weight * ri - 1.0).abs() < 0.4); // JL is approximate
+/// let path = Graph::from_edges(5, &[(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)])?;
+/// let config = SsConfig { samples: 1, jl_dims: 8, seed: 1 };
+/// let p = spielman_srivastava(&path, &config)?;
+/// assert_eq!(p.m(), 4);
+/// for e in p.edges() {
+///     assert!((e.weight - 4.0).abs() < 1e-9, "weight {}", e.weight);
 /// }
 /// # Ok(())
 /// # }
 /// ```
-pub fn effective_resistances_jl(
+fn effective_resistances_jl(
     g: &Graph,
     solver_g: &GroundedSolver,
     k_dims: usize,
@@ -71,6 +77,7 @@ pub fn effective_resistances_jl(
     let mut r_est = vec![0.0f64; m];
     let mut y = vec![0.0f64; n];
     let mut z = vec![0.0f64; n];
+    let mut scratch = GroundedScratch::new();
     let scale = 1.0 / k_dims as f64;
     for _ in 0..k_dims.max(1) {
         // y = Bᵀ W^{1/2} q with q ∈ {±1}^m.
@@ -83,35 +90,13 @@ pub fn effective_resistances_jl(
             y[e.u as usize] += v;
             y[e.v as usize] -= v;
         }
-        solver_g.solve_into(&y, &mut z);
+        solver_g.solve_columns(&[&y], &mut [&mut z], &mut scratch);
         for (slot, e) in r_est.iter_mut().zip(g.edges()) {
             let d = z[e.u as usize] - z[e.v as usize];
             *slot += scale * d * d;
         }
     }
     Ok(r_est)
-}
-
-/// Exact effective resistance of every edge by one grounded solve per
-/// edge — `O(m)` solves, for validation and small graphs only.
-///
-/// # Errors
-///
-/// Propagates factorization failure (disconnected graph).
-pub fn effective_resistances_exact(g: &Graph, solver_g: &GroundedSolver) -> Result<Vec<f64>> {
-    let n = g.n();
-    let mut out = Vec::with_capacity(g.m());
-    let mut b = vec![0.0f64; n];
-    let mut x = vec![0.0f64; n];
-    for e in g.edges() {
-        b[e.u as usize] = 1.0;
-        b[e.v as usize] = -1.0;
-        solver_g.solve_into(&b, &mut x);
-        out.push(x[e.u as usize] - x[e.v as usize]);
-        b[e.u as usize] = 0.0;
-        b[e.v as usize] = 0.0;
-    }
-    Ok(out)
 }
 
 /// Configuration for [`spielman_srivastava`].
@@ -219,12 +204,29 @@ mod tests {
     use sass_eigen::pencil::dense_generalized_eigenvalues;
     use sass_graph::generators::{circuit_grid, fem_mesh2d, grid2d, WeightModel};
 
+    /// Exact effective resistance of every edge by one grounded solve per
+    /// edge: the reference the JL estimates are checked against.
+    fn effective_resistances_exact(g: &Graph, solver_g: &GroundedSolver) -> Vec<f64> {
+        let mut b = vec![0.0f64; g.n()];
+        g.edges()
+            .iter()
+            .map(|e| {
+                b[e.u as usize] = 1.0;
+                b[e.v as usize] = -1.0;
+                let x = solver_g.solve(&b);
+                b[e.u as usize] = 0.0;
+                b[e.v as usize] = 0.0;
+                x[e.u as usize] - x[e.v as usize]
+            })
+            .collect()
+    }
+
     #[test]
     fn foster_theorem_exact() {
         // Σ_e w_e R_eff(e) = n − 1 for any connected graph.
         let g = fem_mesh2d(8, 8, 1);
         let solver = GroundedSolver::new(&g.laplacian(), Default::default()).unwrap();
-        let r = effective_resistances_exact(&g, &solver).unwrap();
+        let r = effective_resistances_exact(&g, &solver);
         let total: f64 = g.edges().iter().zip(&r).map(|(e, &ri)| e.weight * ri).sum();
         assert!(
             (total - (g.n() as f64 - 1.0)).abs() < 1e-8,
@@ -237,7 +239,7 @@ mod tests {
     fn jl_estimates_track_exact() {
         let g = grid2d(9, 9, WeightModel::Uniform { lo: 0.5, hi: 2.0 }, 2);
         let solver = GroundedSolver::new(&g.laplacian(), Default::default()).unwrap();
-        let exact = effective_resistances_exact(&g, &solver).unwrap();
+        let exact = effective_resistances_exact(&g, &solver);
         let jl = effective_resistances_jl(&g, &solver, 64, 3).unwrap();
         for (e, j) in exact.iter().zip(&jl) {
             assert!(*j > 0.3 * e && *j < 3.0 * e, "JL {j} vs exact {e}");
@@ -263,9 +265,18 @@ mod tests {
             sass_graph::Graph::from_edges(5, &[(0, 1, 2.0), (1, 2, 0.5), (1, 3, 3.0), (3, 4, 1.0)])
                 .unwrap();
         let solver = GroundedSolver::new(&g.laplacian(), Default::default()).unwrap();
-        let r = effective_resistances_exact(&g, &solver).unwrap();
+        let r = effective_resistances_exact(&g, &solver);
         for (e, &ri) in g.edges().iter().zip(&r) {
             assert!((e.weight * ri - 1.0).abs() < 1e-9);
+        }
+        // The JL estimates land near the exact leverage of 1.
+        let jl = effective_resistances_jl(&g, &solver, 64, 1).unwrap();
+        for (e, &ri) in g.edges().iter().zip(&jl) {
+            assert!(
+                (e.weight * ri - 1.0).abs() < 0.4,
+                "JL leverage {}",
+                e.weight * ri
+            );
         }
     }
 

@@ -113,12 +113,6 @@ impl SparsifyConfig {
         self
     }
 
-    /// Sets the fill-reducing ordering used on the sparsifier.
-    pub fn with_ordering(mut self, ordering: OrderingKind) -> Self {
-        self.ordering = ordering;
-        self
-    }
-
     /// Sets the RNG seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;

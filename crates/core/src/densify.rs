@@ -23,6 +23,7 @@ use crate::similarity::prune;
 use crate::{Result, RoundStats, Sparsifier, SparsifyConfig};
 use sass_graph::{spanning, Graph, RootedTree};
 use sass_solver::GroundedSolver;
+use sass_sparse::CsrMatrix;
 
 /// Runs similarity-aware spectral sparsification on a connected graph.
 ///
@@ -98,16 +99,9 @@ pub fn sparsify(g: &Graph, config: &SparsifyConfig) -> Result<Sparsifier> {
     let mut final_solver = None;
 
     for round in 1..=config.max_rounds {
-        let lp = g.laplacian_of_edges(&current);
-        let solver = GroundedSolver::new(&lp, config.ordering)?;
-        let lambda_max = estimate_lambda_max(
-            &lg,
-            &lp,
-            &solver,
-            config.lambda_max_iters,
-            config.seed ^ (round as u64) << 8,
-        );
-        let lambda_min = estimate_lambda_min(g, &p_wdeg);
+        let round_seed = config.seed ^ (round as u64) << 8;
+        let (solver, lambda_max, lambda_min) =
+            measure(g, &lg, &current, &p_wdeg, config, round_seed)?;
         let condition = lambda_max / lambda_min;
 
         if condition <= config.sigma2 || off_tree.is_empty() {
@@ -168,16 +162,8 @@ pub fn sparsify(g: &Graph, config: &SparsifyConfig) -> Result<Sparsifier> {
 
         if round == config.max_rounds {
             // Final round used its budget; measure once more for the books.
-            let lp = g.laplacian_of_edges(&current);
-            let solver = GroundedSolver::new(&lp, config.ordering)?;
-            let lambda_max = estimate_lambda_max(
-                &lg,
-                &lp,
-                &solver,
-                config.lambda_max_iters,
-                config.seed ^ 0xdead,
-            );
-            let lambda_min = estimate_lambda_min(g, &p_wdeg);
+            let (solver, lambda_max, lambda_min) =
+                measure(g, &lg, &current, &p_wdeg, config, config.seed ^ 0xdead)?;
             let condition = lambda_max / lambda_min;
             converged = condition <= config.sigma2;
             rounds.push(RoundStats {
@@ -212,6 +198,24 @@ pub fn sparsify(g: &Graph, config: &SparsifyConfig) -> Result<Sparsifier> {
         config: config.clone(),
         solver: final_solver,
     })
+}
+
+/// Measures the sparsifier on `edge_ids`: factors its Laplacian and
+/// estimates λmax of the pencil against `lg` (power iterations seeded by
+/// `seed`) and λmin from the sparsifier's weighted degrees `p_wdeg`.
+/// Returns the factor with both estimates.
+fn measure(
+    g: &Graph,
+    lg: &CsrMatrix,
+    edge_ids: &[u32],
+    p_wdeg: &[f64],
+    config: &SparsifyConfig,
+    seed: u64,
+) -> Result<(GroundedSolver, f64, f64)> {
+    let lp = g.laplacian_of_edges(edge_ids);
+    let solver = GroundedSolver::new(&lp, config.ordering)?;
+    let lambda_max = estimate_lambda_max(lg, &lp, &solver, config.lambda_max_iters, seed);
+    Ok((solver, lambda_max, estimate_lambda_min(g, p_wdeg)))
 }
 
 #[cfg(test)]

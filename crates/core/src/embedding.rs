@@ -60,7 +60,7 @@ impl OffTreeHeat {
 ///
 /// All `r` probes advance together as one [`DenseBlock`]: each power step
 /// applies `L_G` per column and then performs one *blocked* grounded solve
-/// ([`GroundedSolver::solve_block_into_scratch`]), so the sparsifier factor
+/// ([`GroundedSolver::solve_columns`]), so the sparsifier factor
 /// is streamed once per block of probes instead of once per probe — the
 /// multi-RHS amortization the sparsifier itself is built to exploit.
 ///
@@ -173,7 +173,9 @@ pub fn probe_embedding(
                 }
             },
         );
-        solver_p.solve_block_into_scratch(&tmp, &mut h, &mut scratch);
+        let b: Vec<&[f64]> = tmp.columns().collect();
+        let mut x: Vec<&mut [f64]> = h.columns_mut().collect();
+        solver_p.solve_columns(&b, &mut x, &mut scratch);
         for col in h.columns_mut() {
             dense::normalize(col);
         }

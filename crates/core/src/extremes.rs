@@ -61,7 +61,7 @@ pub fn estimate_lambda_max(
 /// # Panics
 ///
 /// Panics if dimensions disagree.
-pub fn estimate_lambda_max_probes(
+fn estimate_lambda_max_probes(
     lg: &CsrMatrix,
     lp: &CsrMatrix,
     solver_p: &GroundedSolver,

@@ -48,7 +48,7 @@ impl Fnv1a {
     }
 
     /// Folds a `u64` in little-endian byte order.
-    pub fn write_u64(&mut self, v: u64) {
+    fn write_u64(&mut self, v: u64) {
         self.write(&v.to_le_bytes());
     }
 
@@ -56,7 +56,7 @@ impl Fnv1a {
     /// every NaN payload is distinguished — weights are validated finite
     /// and positive upstream, so this never matters in practice, but the
     /// fingerprint should not be the layer that canonicalizes floats).
-    pub fn write_f64(&mut self, v: f64) {
+    fn write_f64(&mut self, v: f64) {
         self.write(&v.to_bits().to_le_bytes());
     }
 
@@ -78,23 +78,7 @@ impl Default for Fnv1a {
 /// Stable across process runs and platforms (fixed little-endian
 /// serialization), and insensitive to construction order because
 /// [`Graph`] canonicalizes its edge list.
-///
-/// # Example
-///
-/// ```
-/// use sass_core::fingerprint::graph_fingerprint;
-/// use sass_graph::Graph;
-///
-/// # fn main() -> Result<(), sass_graph::GraphError> {
-/// let a = Graph::from_edges(3, &[(0, 1, 1.0), (1, 2, 2.0)])?;
-/// let b = Graph::from_edges(3, &[(2, 1, 2.0), (1, 0, 1.0)])?; // same content
-/// assert_eq!(graph_fingerprint(&a), graph_fingerprint(&b));
-/// let c = Graph::from_edges(3, &[(0, 1, 1.0), (1, 2, 2.5)])?; // weight differs
-/// assert_ne!(graph_fingerprint(&a), graph_fingerprint(&c));
-/// # Ok(())
-/// # }
-/// ```
-pub fn graph_fingerprint(g: &Graph) -> u64 {
+fn graph_fingerprint(g: &Graph) -> u64 {
     let mut h = Fnv1a::new();
     h.write_u64(g.n() as u64);
     h.write_u64(g.m() as u64);
@@ -113,7 +97,7 @@ pub fn graph_fingerprint(g: &Graph) -> u64 {
 /// sparsifiers on identical graphs (the converse does not hold — this is
 /// a hash). Enum knobs are folded by their discriminant index, so adding
 /// a variant changes no existing fingerprint.
-pub fn config_fingerprint(config: &SparsifyConfig) -> u64 {
+fn config_fingerprint(config: &SparsifyConfig) -> u64 {
     use crate::SimilarityPolicy;
     use sass_graph::spanning::TreeKind;
     use sass_sparse::ordering::OrderingKind;
@@ -174,6 +158,23 @@ pub fn config_fingerprint(config: &SparsifyConfig) -> u64 {
 ///
 /// This is the key `sass-serve` addresses its sparsifier cache with —
 /// see `docs/PROTOCOL.md` for the wire-level contract.
+///
+/// # Example
+///
+/// ```
+/// use sass_core::{cache_key, SparsifyConfig};
+/// use sass_graph::Graph;
+///
+/// # fn main() -> Result<(), sass_graph::GraphError> {
+/// let config = SparsifyConfig::default();
+/// let a = Graph::from_edges(3, &[(0, 1, 1.0), (1, 2, 2.0)])?;
+/// let b = Graph::from_edges(3, &[(2, 1, 2.0), (1, 0, 1.0)])?; // same content
+/// assert_eq!(cache_key(&a, &config), cache_key(&b, &config));
+/// let c = Graph::from_edges(3, &[(0, 1, 1.0), (1, 2, 2.5)])?; // weight differs
+/// assert_ne!(cache_key(&a, &config), cache_key(&c, &config));
+/// # Ok(())
+/// # }
+/// ```
 pub fn cache_key(g: &Graph, config: &SparsifyConfig) -> u64 {
     let mut h = Fnv1a::new();
     h.write_u64(graph_fingerprint(g));

@@ -10,12 +10,12 @@
 //! re-evaluates against it:
 //!
 //! - The probe iterates ([`probe_embedding`]) and the heat threshold
-//!   `θσ` are computed once at construction (or [`IncrementalSparsifier::refresh`]) and then
-//!   **frozen**. Both run against the spanning-tree backbone, whose
-//!   Laplacian the grounded solver eliminates leaf to root in `O(n)`, with
-//!   no ordering or LDLᵀ factor. Joule heat under a fixed embedding is a pure function
-//!   of each edge's endpoints and weight, so an edit dirties exactly
-//!   the edited edges' heats and no others.
+//!   `θσ` are computed once at construction and then **frozen**. Both run
+//!   against the spanning-tree backbone, whose Laplacian the grounded
+//!   solver eliminates leaf to root in `O(n)`, with no ordering or LDLᵀ
+//!   factor. Joule heat under a fixed embedding is a pure function of each
+//!   edge's endpoints and weight, so an edit dirties exactly the edited
+//!   edges' heats and no others.
 //! - The spanning-tree backbone is the **canonical** maximum-weight
 //!   tree, maintained by matroid exchange rules
 //!   ([`DynamicTree`]) — bit-identical after every edit to what
@@ -90,9 +90,9 @@ pub struct ChurnTotals {
 /// embedding, threshold, filter, factor) and freezes the scoring basis;
 /// [`IncrementalSparsifier::apply_edits`] then keeps the selection and
 /// the grounded factor exactly in sync with the evolving graph at a
-/// fraction of the from-scratch cost. Call
-/// [`IncrementalSparsifier::refresh`] to re-freeze the basis once the
-/// graph has drifted far from the one it was scored on.
+/// fraction of the from-scratch cost. To re-freeze the basis once the
+/// graph has drifted far from the one it was scored on, construct a new
+/// sparsifier on the current graph.
 ///
 /// # Example
 ///
@@ -156,7 +156,6 @@ impl IncrementalSparsifier {
 
         let tree_ids = canonical_max_weight_spanning_tree(g)?;
         let rooted = RootedTree::new(g, tree_ids.clone(), 0)?;
-        let lca = config.similarity.lca_index(&rooted);
         let lp = g.laplacian_of_edges(&tree_ids);
         let tree_solver = GroundedSolver::new(&lp, config.ordering)?;
         let lg = g.laplacian();
@@ -180,13 +179,28 @@ impl IncrementalSparsifier {
         }
         let lambda_min = estimate_lambda_min(g, &p_wdeg);
         let theta = heat_threshold(config.sigma2, lambda_min, lambda_max, config.t_steps);
+        Self::from_basis(g, config, tree_ids, rooted, embedding, theta)
+    }
 
+    /// The maintained state on `g` under a frozen basis (`embedding` and
+    /// θ) with `tree_ids` as the canonical backbone, rooted at vertex 0 in
+    /// `rooted`: the tree's LCA index, every edge's heat, the selection,
+    /// its factor and the dynamic tree. [`IncrementalSparsifier::new`] and
+    /// [`IncrementalSparsifier::oracle_rebuild`] both build through here.
+    fn from_basis(
+        g: &Graph,
+        config: &SparsifyConfig,
+        tree_ids: Vec<u32>,
+        rooted: RootedTree,
+        embedding: DenseBlock,
+        theta: f64,
+    ) -> Result<Self> {
+        let lca = config.similarity.lca_index(&rooted);
         // Score every edge once; heat under a frozen embedding is a pure
         // per-edge function, so tree/off-tree status can change later
         // without invalidating these values.
         let all_ids: Vec<u32> = (0..g.m() as u32).collect();
         let heats = heat_from_embedding(g, &all_ids, &embedding).heat;
-
         let selected = Self::select(g, &tree_ids, &rooted, lca.as_ref(), &heats, theta, config);
         let solver = GroundedSolver::new(&g.laplacian_of_edges(&selected), config.ordering)?;
         let tree = DynamicTree::new(g, &tree_ids);
@@ -508,19 +522,6 @@ impl IncrementalSparsifier {
         self.apply_edits(&[GraphEdit::RemoveEdge { u, v }])
     }
 
-    /// Re-freezes the scoring basis (embedding and threshold) against the
-    /// current graph. Accumulated [`ChurnTotals`] survive the refresh.
-    ///
-    /// # Errors
-    ///
-    /// As [`IncrementalSparsifier::new`].
-    pub fn refresh(&mut self) -> Result<()> {
-        let mut fresh = Self::new(&self.g.clone(), &self.config.clone())?;
-        fresh.totals = self.totals.clone();
-        *self = fresh;
-        Ok(())
-    }
-
     /// Ground truth for the maintained contract: re-derives tree,
     /// selection and factor **from scratch** on the current graph with
     /// the same frozen basis. After any edit sequence,
@@ -535,35 +536,15 @@ impl IncrementalSparsifier {
     pub fn oracle_rebuild(&self) -> Result<IncrementalSparsifier> {
         let tree_ids = canonical_max_weight_spanning_tree(&self.g)?;
         let rooted = RootedTree::new(&self.g, tree_ids.clone(), 0)?;
-        let lca = self.config.similarity.lca_index(&rooted);
-        let all_ids: Vec<u32> = (0..self.g.m() as u32).collect();
-        let heats = heat_from_embedding(&self.g, &all_ids, &self.embedding).heat;
-        let selected = Self::select(
+        let embedding = self.embedding.clone();
+        Self::from_basis(
             &self.g,
-            &tree_ids,
-            &rooted,
-            lca.as_ref(),
-            &heats,
-            self.theta,
             &self.config,
-        );
-        let solver =
-            GroundedSolver::new(&self.g.laplacian_of_edges(&selected), self.config.ordering)?;
-        let tree = DynamicTree::new(&self.g, &tree_ids);
-        Ok(IncrementalSparsifier {
-            g: self.g.clone(),
-            config: self.config.clone(),
-            embedding: self.embedding.clone(),
-            theta: self.theta,
-            tree,
             tree_ids,
             rooted,
-            lca,
-            heats,
-            selected,
-            solver,
-            totals: ChurnTotals::default(),
-        })
+            embedding,
+            self.theta,
+        )
     }
 
     /// The current graph.
@@ -580,11 +561,6 @@ impl IncrementalSparsifier {
     /// Sorted edge ids of the canonical spanning-tree backbone.
     pub fn tree_edge_ids(&self) -> &[u32] {
         &self.tree_ids
-    }
-
-    /// The sparsifier as a standalone graph (same vertex set).
-    pub fn sparsifier_graph(&self) -> Graph {
-        self.g.subgraph_with_edges(self.selected.iter().copied())
     }
 
     /// The maintained grounded factorization of the selected subgraph's
@@ -759,21 +735,6 @@ mod tests {
     }
 
     #[test]
-    fn refresh_refreezes_and_keeps_totals() {
-        let g = grid2d(8, 8, WeightModel::Uniform { lo: 0.5, hi: 2.0 }, 2);
-        let mut inc = IncrementalSparsifier::new(&g, &SparsifyConfig::new(60.0)).unwrap();
-        inc.add_edge(0, 63, 1.1).unwrap();
-        let batches = inc.totals().batches;
-        inc.refresh().unwrap();
-        assert_eq!(inc.totals().batches, batches);
-        check_matches_oracle(&inc);
-        // The refreshed basis equals a fresh construction on the current graph.
-        let fresh = IncrementalSparsifier::new(inc.graph(), inc.config()).unwrap();
-        assert_eq!(inc.selected_edge_ids(), fresh.selected_edge_ids());
-        assert_eq!(inc.theta(), fresh.theta());
-    }
-
-    #[test]
     fn rejects_degenerate_inputs() {
         let tiny = Graph::from_edges(1, &[]).unwrap();
         assert!(matches!(
@@ -801,6 +762,61 @@ mod tests {
             IncrementalSparsifier::new(&g, &SparsifyConfig::new(50.0).with_num_vectors(0)),
             Err(CoreError::InvalidConfig { .. })
         ));
+    }
+
+    /// FNV-1a over the little-endian bytes of `words`.
+    fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+        let mut h = crate::fingerprint::Fnv1a::new();
+        for w in words {
+            h.write(&w.to_le_bytes());
+        }
+        h.finish()
+    }
+
+    /// The served construction pinned bit for bit: θ, the selection
+    /// (count and hash of its ids), the factor's fill, and one solve's
+    /// bits, on a mesh and on a scale-free graph at σ² = 100. The values
+    /// were recorded before `new` and `oracle_rebuild` shared one
+    /// constructor.
+    #[test]
+    fn golden_construction_on_grid_and_scale_free() {
+        let cases = [
+            (
+                grid2d(24, 24, WeightModel::Uniform { lo: 0.5, hi: 2.0 }, 3),
+                (
+                    0x3f07d1624dd9858e,
+                    704,
+                    0x5c7b4f7f023aed5d,
+                    1412,
+                    0xf8fe76e5e2ebb29c,
+                ),
+            ),
+            (
+                barabasi_albert(600, 3, 5),
+                (
+                    0x3ee6e4f046b6a24a,
+                    729,
+                    0x6da7d208ba982d82,
+                    919,
+                    0xd38f1ca5cebe8f92,
+                ),
+            ),
+        ];
+        for (g, golden) in &cases {
+            let inc = IncrementalSparsifier::new(g, &SparsifyConfig::new(100.0)).unwrap();
+            let ids = inc.selected_edge_ids();
+            let n = g.n();
+            let b: Vec<f64> = (0..n).map(|i| ((i * 7 % 23) as f64) - 11.0).collect();
+            let x = inc.solver().solve(&b);
+            let got = (
+                inc.theta().to_bits(),
+                ids.len(),
+                fnv(ids.iter().map(|&id| u64::from(id))),
+                inc.solver().nnz_factor(),
+                fnv(x.iter().map(|v| v.to_bits())),
+            );
+            assert_eq!(&got, golden, "n = {n}");
+        }
     }
 
     #[test]

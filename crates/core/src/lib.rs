@@ -60,7 +60,7 @@ pub mod solve;
 pub use config::SparsifyConfig;
 pub use densify::sparsify;
 pub use error::CoreError;
-pub use fingerprint::{cache_key, config_fingerprint, graph_fingerprint};
+pub use fingerprint::cache_key;
 pub use incremental::{ChurnReport, ChurnTotals, IncrementalSparsifier};
 pub use similarity::SimilarityPolicy;
 pub use solve::SparsifierSolver;

@@ -52,11 +52,6 @@ impl Sparsifier {
         &self.graph
     }
 
-    /// Consumes the sparsifier, returning the subgraph.
-    pub fn into_graph(self) -> Graph {
-        self.graph
-    }
-
     /// Host-graph ids of the spanning-tree backbone edges.
     pub fn tree_edge_ids(&self) -> &[u32] {
         &self.tree_edges
@@ -200,6 +195,6 @@ mod tests {
         let report = sp.to_string();
         assert!(report.contains("converged"));
         assert!(report.contains("round"));
-        assert_eq!(sp.into_graph().m(), 2);
+        assert_eq!(sp.graph().m(), 2);
     }
 }

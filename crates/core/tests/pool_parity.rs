@@ -13,7 +13,7 @@ use sass_core::filter::select_edges;
 use sass_core::{sparsify, SparsifierSolver, SparsifyConfig};
 use sass_graph::generators::{circuit_grid, grid2d, WeightModel};
 use sass_graph::{spanning, Graph, RootedTree};
-use sass_solver::GroundedSolver;
+use sass_solver::{GroundedScratch, GroundedSolver};
 use sass_sparse::ordering::OrderingKind;
 use sass_sparse::{pool, DenseBlock};
 
@@ -64,8 +64,9 @@ fn off_tree_heat_bit_identical_across_worker_counts() {
     assert_parity_across_workers(|| off_tree_heat(&g, &off, &lg, &solver, 2, 6, 42).heat);
 }
 
-/// Blocked solves on two sparse LDLᵀ factors: a grid Laplacian grounded
-/// mid-graph, and the factor a sparsifier carries out of densification.
+/// Column-set solves into a [`DenseBlock`] on two sparse LDLᵀ factors: a
+/// grid Laplacian grounded mid-graph, and the factor a sparsifier carries
+/// out of densification.
 /// (`heat_setup`'s spanning tree covers the tree elimination.)
 #[test]
 fn grounded_solve_block_bit_identical_across_worker_counts() {
@@ -84,7 +85,13 @@ fn grounded_solve_block_bit_identical_across_worker_counts() {
                 })
                 .collect();
             let b = DenseBlock::from_columns(&cols);
-            assert_parity_across_workers(|| solver.solve_block(&b));
+            let b: Vec<&[f64]> = b.columns().collect();
+            assert_parity_across_workers(|| {
+                let mut x = DenseBlock::zeros(solver.n(), ncols);
+                let mut out: Vec<&mut [f64]> = x.columns_mut().collect();
+                solver.solve_columns(&b, &mut out, &mut GroundedScratch::new());
+                x
+            });
         }
     }
 }

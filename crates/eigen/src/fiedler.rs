@@ -7,11 +7,9 @@
 //! **iteratively** (PCG preconditioned by a spectral sparsifier, the
 //! paper's accelerated method).
 
-use crate::Result;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sass_solver::{pcg, GroundedSolver, PcgOptions, Preconditioner};
-use sass_sparse::ordering::OrderingKind;
+use sass_solver::{pcg_scratch, GroundedSolver, PcgOptions, PcgScratch, Preconditioner};
 use sass_sparse::{dense, CsrMatrix};
 
 /// Options for the inverse power iteration.
@@ -65,19 +63,20 @@ where
     (lambda2, x)
 }
 
-/// Fiedler pair `(λ₂, v)` via exact (direct) solves — the paper's
-/// direct-solver baseline.
+/// Fiedler pair `(λ₂, v)` via exact (direct) solves with the caller's
+/// grounded factorization of `l` — the paper's direct-solver baseline.
+/// The caller factors, so it can time the factorization apart from the
+/// inverse power steps.
 ///
-/// # Errors
+/// # Panics
 ///
-/// Propagates factorization failure (disconnected graph).
+/// Panics if `solver.n()` differs from `l`'s dimension.
 pub fn fiedler_vector_direct(
     l: &CsrMatrix,
-    ordering: OrderingKind,
+    solver: &GroundedSolver,
     opts: &FiedlerOptions,
-) -> Result<(f64, Vec<f64>)> {
-    let solver = GroundedSolver::new(l, ordering)?;
-    Ok(inverse_power(l, |x| solver.solve(x), opts))
+) -> (f64, Vec<f64>) {
+    inverse_power(l, |x| solver.solve(x), opts)
 }
 
 /// Fiedler pair `(λ₂, v)` via PCG solves with a caller-supplied
@@ -102,20 +101,18 @@ where
     M: Preconditioner + ?Sized,
 {
     let mut total_pcg = 0usize;
-    let mut warm: Option<Vec<f64>> = None;
+    // One iterate and one PCG workspace serve every step. The first solve
+    // starts from zero; after it, the iterate holds the previous solution:
+    // inverse power iterates are unit vectors with x_k → x_{k+1}, so
+    // L⁺x_k ≈ (1/λ₂)x_k is already an excellent starting guess for
+    // L⁺x_{k+1}.
+    let mut y = vec![0.0; l.nrows()];
+    let mut scratch = PcgScratch::new();
     let (lambda2, v) = inverse_power(
         l,
         |x| {
-            // Inverse power iterates are unit vectors with x_k → x_{k+1},
-            // so the previous solution L⁺x_k ≈ (1/λ₂)x_k is already an
-            // excellent starting guess for L⁺x_{k+1}.
-            let (y, stats) = match &warm {
-                Some(prev) => sass_solver::pcg_with_x0(l, x, prev, prec, pcg_opts),
-                None => pcg(l, x, prec, pcg_opts),
-            };
-            total_pcg += stats.iterations;
-            warm = Some(y.clone());
-            y
+            total_pcg += pcg_scratch(l, x, &mut y, prec, pcg_opts, &mut scratch).iterations;
+            y.clone()
         },
         opts,
     );
@@ -147,15 +144,20 @@ mod tests {
     use super::*;
     use sass_graph::generators::{grid2d, stochastic_block_model, WeightModel};
     use sass_solver::{JacobiPrec, LaplacianPrec};
+    use sass_sparse::ordering::OrderingKind;
+
+    /// [`fiedler_vector_direct`] with its own factorization of `l`.
+    fn direct(l: &CsrMatrix, ordering: OrderingKind) -> (f64, Vec<f64>) {
+        let solver = GroundedSolver::new(l, ordering).unwrap();
+        fiedler_vector_direct(l, &solver, &Default::default())
+    }
 
     #[test]
     fn path_graph_lambda2_is_analytic() {
         let g =
             sass_graph::Graph::from_edges(10, &(0..9).map(|i| (i, i + 1, 1.0)).collect::<Vec<_>>())
                 .unwrap();
-        let (l2, v) =
-            fiedler_vector_direct(&g.laplacian(), OrderingKind::Natural, &Default::default())
-                .unwrap();
+        let (l2, v) = direct(&g.laplacian(), OrderingKind::Natural);
         let exact = 2.0 - 2.0 * (std::f64::consts::PI / 10.0).cos();
         assert!((l2 - exact).abs() < 1e-7, "{l2} vs {exact}");
         // The path Fiedler vector is monotone along the path.
@@ -167,9 +169,7 @@ mod tests {
     #[test]
     fn fiedler_separates_planted_communities() {
         let g = stochastic_block_model(&[30, 30], 0.4, 0.02, 5);
-        let (_, v) =
-            fiedler_vector_direct(&g.laplacian(), OrderingKind::MinDegree, &Default::default())
-                .unwrap();
+        let (_, v) = direct(&g.laplacian(), OrderingKind::MinDegree);
         // Count sign agreement with the planted partition (up to flip).
         let planted: Vec<f64> = (0..60).map(|i| if i < 30 { 1.0 } else { -1.0 }).collect();
         let err = sign_disagreement(&v, &planted);
@@ -180,8 +180,7 @@ mod tests {
     fn pcg_backend_matches_direct() {
         let g = grid2d(8, 8, WeightModel::Uniform { lo: 0.5, hi: 2.0 }, 6);
         let l = g.laplacian();
-        let (l2_direct, v_direct) =
-            fiedler_vector_direct(&l, OrderingKind::MinDegree, &Default::default()).unwrap();
+        let (l2_direct, v_direct) = direct(&l, OrderingKind::MinDegree);
         let prec = LaplacianPrec::new(GroundedSolver::new(&l, OrderingKind::MinDegree).unwrap());
         let (l2_pcg, v_pcg, total) =
             fiedler_vector_pcg(&l, &prec, &PcgOptions::default(), &Default::default());
@@ -196,8 +195,7 @@ mod tests {
         let l = g.laplacian();
         let prec = JacobiPrec::new(&l);
         let (l2, _, _) = fiedler_vector_pcg(&l, &prec, &PcgOptions::default(), &Default::default());
-        let (l2_ref, _) =
-            fiedler_vector_direct(&l, OrderingKind::MinDegree, &Default::default()).unwrap();
+        let (l2_ref, _) = direct(&l, OrderingKind::MinDegree);
         assert!((l2 - l2_ref).abs() < 1e-6);
     }
 

@@ -278,7 +278,7 @@ impl LinearOperator for PseudoinverseOp<'_> {
 
     fn apply(&self, x: &[f64], y: &mut [f64]) {
         self.solver
-            .solve_into_scratch(x, y, &mut self.scratch.borrow_mut());
+            .solve_columns(&[x], &mut [y], &mut self.scratch.borrow_mut());
     }
 }
 

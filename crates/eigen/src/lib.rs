@@ -28,11 +28,13 @@
 //! ```
 //! use sass_graph::Graph;
 //! use sass_eigen::fiedler::{fiedler_vector_direct, FiedlerOptions};
+//! use sass_solver::GroundedSolver;
 //!
 //! # fn main() -> Result<(), sass_eigen::EigenError> {
 //! let g = Graph::from_edges(8, &(0..7).map(|i| (i, i + 1, 1.0)).collect::<Vec<_>>())?;
-//! let (lambda2, v) = fiedler_vector_direct(&g.laplacian(), Default::default(),
-//!                                          &FiedlerOptions::default())?;
+//! let l = g.laplacian();
+//! let solver = GroundedSolver::new(&l, Default::default())?;
+//! let (lambda2, v) = fiedler_vector_direct(&l, &solver, &FiedlerOptions::default());
 //! let exact = 2.0 - 2.0 * (std::f64::consts::PI / 8.0).cos();
 //! assert!((lambda2 - exact).abs() < 1e-6);
 //! assert_eq!(v.len(), 8);

@@ -91,7 +91,7 @@ impl<'a> GeneralizedPencil<'a> {
     /// # Panics
     ///
     /// Panics if `x.len()` differs from the dimension.
-    pub fn rayleigh(&self, x: &[f64]) -> f64 {
+    fn rayleigh(&self, x: &[f64]) -> f64 {
         let num = self.lg.quad_form(x);
         let den = self.lp.quad_form(x);
         num / den.max(f64::MIN_POSITIVE)
@@ -126,7 +126,7 @@ impl<'a> GeneralizedPencil<'a> {
     /// Multi-probe generalized power iteration: advances `probes` random
     /// start vectors *side by side* as one [`DenseBlock`], so every step
     /// streams the sparsifier factor once per block
-    /// ([`GroundedSolver::solve_block_into_scratch`]) instead of once per
+    /// ([`GroundedSolver::solve_columns`]) instead of once per
     /// probe. Returns the best Rayleigh-quotient estimate over the probes
     /// and its iterate — still a lower bound on `λ_max`, but with the
     /// single-probe risk of starting orthogonal to the dominant eigenvector
@@ -152,8 +152,9 @@ impl<'a> GeneralizedPencil<'a> {
             for (xc, yc) in x.columns().zip(y.columns_mut()) {
                 self.lg.apply(xc, yc);
             }
-            self.solver
-                .solve_block_into_scratch(&y, &mut x, &mut scratch);
+            let b: Vec<&[f64]> = y.columns().collect();
+            let mut out: Vec<&mut [f64]> = x.columns_mut().collect();
+            self.solver.solve_columns(&b, &mut out, &mut scratch);
             for col in x.columns_mut() {
                 if dense::normalize(col) == 0.0 {
                     // Nullspace hit (degenerate input): restart this probe.
@@ -185,7 +186,7 @@ impl LinearOperator for GeneralizedPencil<'_> {
     fn apply(&self, x: &[f64], y: &mut [f64]) {
         let (tmp, grounded) = &mut *self.scratch.borrow_mut();
         self.lg.apply(x, tmp);
-        self.solver.solve_into_scratch(tmp, y, grounded);
+        self.solver.solve_columns(&[tmp], &mut [y], grounded);
     }
 }
 

@@ -31,8 +31,7 @@ impl<'a> KdTree<'a> {
     /// Points with a non-finite coordinate (NaN or ±∞) are *excluded from
     /// the index*: they have no well-defined distance or splitting side, so
     /// indexing them would silently corrupt subtree pruning — queries never
-    /// return them, and [`KdTree::indexed_len`] reports how many points
-    /// remain searchable.
+    /// return them.
     ///
     /// # Panics
     ///
@@ -67,12 +66,6 @@ impl<'a> KdTree<'a> {
     /// Whether the tree is empty.
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
-    }
-
-    /// Number of points actually indexed — [`KdTree::len`] minus the
-    /// points excluded for non-finite coordinates.
-    pub fn indexed_len(&self) -> usize {
-        self.order.len()
     }
 
     /// The `k` nearest neighbors of `query` as `(point index, distance)`
@@ -248,7 +241,7 @@ mod tests {
         let points = vec![vec![0.0], vec![1.0], vec![2.0], vec![3.0], vec![f64::NAN]];
         let tree = KdTree::build(&points);
         assert_eq!(tree.len(), 5);
-        assert_eq!(tree.indexed_len(), 4);
+        assert_eq!(tree.order.len(), 4);
         let got = tree.k_nearest(&[3.05], 1);
         assert_eq!(got[0].0, 3);
         assert!((got[0].1 - 0.05).abs() < 1e-12);
@@ -260,7 +253,7 @@ mod tests {
         // An all-non-finite point set yields an empty (but valid) index.
         let bad = vec![vec![f64::INFINITY], vec![f64::NAN]];
         let tree = KdTree::build(&bad);
-        assert_eq!(tree.indexed_len(), 0);
+        assert!(tree.order.is_empty());
         assert!(tree.k_nearest(&[0.0], 3).is_empty());
     }
 }

@@ -1,5 +1,5 @@
 use crate::{GraphError, Result};
-use sass_sparse::{CooMatrix, CsrMatrix};
+use sass_sparse::CsrMatrix;
 
 /// A weighted undirected edge with canonical endpoint order `u < v`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,8 +68,8 @@ impl GraphBuilder {
     /// # Panics
     ///
     /// Panics if an endpoint is out of bounds or `w` is not strictly
-    /// positive and finite. Use [`GraphBuilder::try_add_edge`] for a
-    /// fallible variant.
+    /// positive and finite. [`Graph::from_edges`] is the fallible
+    /// constructor.
     pub fn add_edge(&mut self, u: usize, v: usize, w: f64) {
         self.try_add_edge(u, v, w).expect("invalid edge");
     }
@@ -80,7 +80,7 @@ impl GraphBuilder {
     ///
     /// Returns [`GraphError::VertexOutOfBounds`] or
     /// [`GraphError::NonPositiveWeight`] (non-finite weights included).
-    pub fn try_add_edge(&mut self, u: usize, v: usize, w: f64) -> Result<()> {
+    fn try_add_edge(&mut self, u: usize, v: usize, w: f64) -> Result<()> {
         if u >= self.n {
             return Err(GraphError::VertexOutOfBounds {
                 vertex: u,
@@ -157,7 +157,6 @@ pub enum GraphEdit {
 #[derive(Debug, Clone)]
 pub struct EditMap {
     old_to_new: Vec<Option<u32>>,
-    new_m: usize,
 }
 
 impl EditMap {
@@ -173,11 +172,6 @@ impl EditMap {
     /// Number of edges in the pre-edit graph.
     pub fn old_m(&self) -> usize {
         self.old_to_new.len()
-    }
-
-    /// Number of edges in the post-edit graph.
-    pub fn new_m(&self) -> usize {
-        self.new_m
     }
 }
 
@@ -243,7 +237,8 @@ impl Graph {
     ///
     /// # Errors
     ///
-    /// Same as [`GraphBuilder::try_add_edge`].
+    /// Returns [`GraphError::VertexOutOfBounds`] or
+    /// [`GraphError::NonPositiveWeight`] (non-finite weights included).
     pub fn from_edges(n: usize, list: &[(usize, usize, f64)]) -> Result<Graph> {
         let mut b = GraphBuilder::with_capacity(n, list.len());
         for &(u, v, w) in list {
@@ -404,45 +399,6 @@ impl Graph {
             data[p] = diag[k];
         }
         CsrMatrix::from_raw_parts(n, n, indptr, indices, data)
-    }
-
-    /// The symmetric normalized Laplacian `I − D^(−1/2) W D^(−1/2)` as a
-    /// CSR matrix — the operator behind normalized spectral clustering.
-    ///
-    /// Isolated vertices contribute a diagonal 0 (their row is all zero).
-    pub fn normalized_laplacian(&self) -> CsrMatrix {
-        let inv_sqrt: Vec<f64> = (0..self.n)
-            .map(|v| {
-                let d = self.weighted_degree(v);
-                if d > 0.0 {
-                    1.0 / d.sqrt()
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        let mut coo = CooMatrix::with_capacity(self.n, self.n, self.n + 2 * self.m());
-        for (v, &s) in inv_sqrt.iter().enumerate() {
-            if s > 0.0 {
-                coo.push(v, v, 1.0);
-            }
-        }
-        for e in &self.edges {
-            let w = -e.weight * inv_sqrt[e.u as usize] * inv_sqrt[e.v as usize];
-            coo.push(e.u as usize, e.v as usize, w);
-            coo.push(e.v as usize, e.u as usize, w);
-        }
-        coo.to_csr()
-    }
-
-    /// The weighted adjacency matrix `W` as a CSR matrix.
-    pub fn adjacency_matrix(&self) -> CsrMatrix {
-        let mut coo = CooMatrix::with_capacity(self.n, self.n, 2 * self.m());
-        for e in &self.edges {
-            coo.push(e.u as usize, e.v as usize, e.weight);
-            coo.push(e.v as usize, e.u as usize, e.weight);
-        }
-        coo.to_csr()
     }
 
     /// Builds the subgraph on the same vertex set containing only the edges
@@ -621,10 +577,9 @@ impl Graph {
                 edges.push(Edge { u, v, weight });
             }
         }
-        let new_m = edges.len();
         Ok((
             Graph::from_sorted_edges(self.n, edges),
-            EditMap { old_to_new, new_m },
+            EditMap { old_to_new },
         ))
     }
 
@@ -652,6 +607,7 @@ impl Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sass_sparse::CooMatrix;
 
     fn triangle() -> Graph {
         Graph::from_edges(3, &[(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0)]).unwrap()
@@ -705,21 +661,6 @@ mod tests {
             })
             .sum();
         assert!((l.quad_form(&x) - manual).abs() < 1e-12);
-    }
-
-    #[test]
-    fn normalized_laplacian_spectrum_bounds() {
-        // Eigenvalues of the normalized Laplacian lie in [0, 2]; the
-        // constant-after-D^(1/2) vector is in the nullspace.
-        let g = triangle();
-        let nl = g.normalized_laplacian();
-        assert!(nl.is_symmetric(1e-12));
-        // x = D^(1/2) 1 is the nullspace vector.
-        let x: Vec<f64> = (0..3).map(|v| g.weighted_degree(v).sqrt()).collect();
-        let y = nl.mul_vec(&x);
-        assert!(y.iter().all(|v| v.abs() < 1e-12));
-        // Quadratic forms are non-negative.
-        assert!(nl.quad_form(&[1.0, -0.5, 0.25]) >= 0.0);
     }
 
     #[test]
@@ -952,7 +893,6 @@ mod tests {
         );
         assert_eq!(map.new_id(0), None);
         assert_eq!(map.new_id(1), Some(2));
-        assert_eq!(map.new_m(), 4);
         // Add-then-remove of a brand-new pair leaves no trace.
         let (g3, _) = g
             .apply_edits(&[
@@ -986,7 +926,6 @@ mod tests {
         assert_eq!(map.new_id(1), Some(0));
         assert_eq!(map.new_id(2), Some(1));
         assert_eq!(map.old_m(), 3);
-        assert_eq!(map.new_m(), 2);
         // Merge semantics: 2.0 + 0.5.
         let id = g2.find_edge(1, 2).unwrap();
         assert_eq!(g2.edge(id as usize).weight, 2.5);

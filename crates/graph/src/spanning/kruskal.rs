@@ -1,27 +1,18 @@
 use super::count_components;
 use crate::{Graph, GraphError, Result, UnionFind};
 
-/// Kruskal spanning tree taking edges in the given weight order.
-fn kruskal(g: &Graph, descending: bool) -> Result<Vec<u32>> {
+/// Kruskal spanning tree taking edges in descending weight order.
+fn kruskal(g: &Graph) -> Result<Vec<u32>> {
     if g.n() == 0 {
         return Ok(Vec::new());
     }
     let mut ids: Vec<u32> = (0..g.m() as u32).collect();
-    if descending {
-        ids.sort_unstable_by(|&a, &b| {
-            g.edge(b as usize)
-                .weight
-                .partial_cmp(&g.edge(a as usize).weight)
-                .expect("edge weights are finite")
-        });
-    } else {
-        ids.sort_unstable_by(|&a, &b| {
-            g.edge(a as usize)
-                .weight
-                .partial_cmp(&g.edge(b as usize).weight)
-                .expect("edge weights are finite")
-        });
-    }
+    ids.sort_unstable_by(|&a, &b| {
+        g.edge(b as usize)
+            .weight
+            .partial_cmp(&g.edge(a as usize).weight)
+            .expect("edge weights are finite")
+    });
     let mut uf = UnionFind::new(g.n());
     let mut tree = Vec::with_capacity(g.n() - 1);
     for id in ids {
@@ -66,18 +57,7 @@ fn kruskal(g: &Graph, descending: bool) -> Result<Vec<u32>> {
 /// # }
 /// ```
 pub fn max_weight_spanning_tree(g: &Graph) -> Result<Vec<u32>> {
-    kruskal(g, true)
-}
-
-/// Minimum-weight spanning tree (Kruskal, ascending weights).
-///
-/// Provided for ablations; a *bad* backbone for spectral sparsification.
-///
-/// # Errors
-///
-/// Returns [`GraphError::Disconnected`] if `g` has no spanning tree.
-pub fn min_weight_spanning_tree(g: &Graph) -> Result<Vec<u32>> {
-    kruskal(g, false)
+    kruskal(g)
 }
 
 /// The strict total order behind the canonical tree: heavier wins, and
@@ -151,8 +131,6 @@ mod tests {
         let t = max_weight_spanning_tree(&g).unwrap();
         let light = g.find_edge(0, 1).unwrap();
         assert!(!t.contains(&light));
-        let tmin = min_weight_spanning_tree(&g).unwrap();
-        assert!(tmin.contains(&light));
     }
 
     #[test]

@@ -26,9 +26,7 @@ mod wilson;
 
 pub use akpw::{akpw_spanning_tree, AkpwParams};
 pub use dynamic::DynamicTree;
-pub use kruskal::{
-    canonical_max_weight_spanning_tree, max_weight_spanning_tree, min_weight_spanning_tree,
-};
+pub use kruskal::{canonical_max_weight_spanning_tree, max_weight_spanning_tree};
 pub use wilson::random_spanning_tree;
 
 use crate::{Graph, GraphError, Result};

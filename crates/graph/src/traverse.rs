@@ -89,31 +89,6 @@ pub fn is_connected(g: &Graph) -> bool {
     connected_components(g).1 == 1
 }
 
-/// A vertex of approximately maximal eccentricity, found by repeated BFS.
-///
-/// # Panics
-///
-/// Panics if the graph has no vertices.
-pub fn pseudo_peripheral_vertex(g: &Graph, start: usize) -> usize {
-    let mut u = start;
-    let mut ecc = 0usize;
-    for _ in 0..6 {
-        let dist = bfs_distances(g, u);
-        let (far, d) = dist
-            .iter()
-            .enumerate()
-            .filter(|&(_, &d)| d != usize::MAX)
-            .max_by_key(|&(_, &d)| d)
-            .expect("non-empty graph");
-        if *d <= ecc {
-            break;
-        }
-        ecc = *d;
-        u = far;
-    }
-    u
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,13 +126,6 @@ mod tests {
         assert_ne!(labels[0], labels[5]);
         assert!(!is_connected(&g));
         assert!(is_connected(&path(4)));
-    }
-
-    #[test]
-    fn pseudo_peripheral_finds_path_end() {
-        let g = path(20);
-        let v = pseudo_peripheral_vertex(&g, 10);
-        assert!(v == 0 || v == 19, "expected an endpoint, got {v}");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 /// assert!(uf.union(0, 1));
 /// assert!(!uf.union(1, 0)); // already joined
 /// assert_eq!(uf.components(), 3);
-/// assert!(uf.connected(0, 1));
+/// assert_eq!(uf.find(0), uf.find(1));
 /// ```
 #[derive(Debug, Clone)]
 pub struct UnionFind {
@@ -85,15 +85,6 @@ impl UnionFind {
         self.components -= 1;
         true
     }
-
-    /// Whether `a` and `b` are in the same set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an index is out of bounds.
-    pub fn connected(&mut self, a: usize, b: usize) -> bool {
-        self.find(a) == self.find(b)
-    }
 }
 
 #[cfg(test)]
@@ -108,8 +99,8 @@ mod tests {
         assert!(uf.union(2, 3));
         assert!(uf.union(0, 3));
         assert_eq!(uf.components(), 2);
-        assert!(uf.connected(1, 2));
-        assert!(!uf.connected(1, 4));
+        assert_eq!(uf.find(1), uf.find(2));
+        assert_ne!(uf.find(1), uf.find(4));
     }
 
     #[test]

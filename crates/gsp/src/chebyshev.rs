@@ -43,7 +43,7 @@ impl ChebyshevFilter {
     /// # Panics
     ///
     /// Panics if `lambda_max <= 0` or `degree == 0`.
-    pub fn from_response<H: Fn(f64) -> f64>(lambda_max: f64, degree: usize, h: H) -> Self {
+    fn from_response<H: Fn(f64) -> f64>(lambda_max: f64, degree: usize, h: H) -> Self {
         assert!(lambda_max > 0.0, "lambda_max must be positive");
         assert!(degree > 0, "degree must be positive");
         let k = degree;
@@ -71,7 +71,7 @@ impl ChebyshevFilter {
     /// accuracy for suppression of Gibbs oscillation around jumps in the
     /// transfer function. Essential for the ideal low-pass; harmful for
     /// smooth responses like the heat kernel.
-    pub fn with_jackson_damping(mut self) -> Self {
+    fn with_jackson_damping(mut self) -> Self {
         let kp1 = self.coeffs.len() as f64;
         let a = std::f64::consts::PI / kp1;
         for (j, c) in self.coeffs.iter_mut().enumerate() {
@@ -95,16 +95,6 @@ impl ChebyshevFilter {
         );
         Self::from_response(lambda_max, degree, |l| if l <= cutoff { 1.0 } else { 0.0 })
             .with_jackson_damping()
-    }
-
-    /// Heat-kernel filter `h(λ) = exp(−τλ)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tau` is negative.
-    pub fn heat_kernel(lambda_max: f64, tau: f64, degree: usize) -> Self {
-        assert!(tau >= 0.0, "tau must be non-negative");
-        Self::from_response(lambda_max, degree, |l| (-tau * l).exp())
     }
 
     /// Polynomial degree of the filter.
@@ -192,7 +182,7 @@ mod tests {
         let l = g.laplacian();
         let lmax = lmax_bound(&g);
         let tau = 0.7;
-        let filter = ChebyshevFilter::heat_kernel(lmax, tau, 40);
+        let filter = ChebyshevFilter::from_response(lmax, 40, |l| (-tau * l).exp());
         let (vals, vecs) = dense_symmetric_eig(&csr_to_dense(&l)).unwrap();
         let x: Vec<f64> = (0..g.n()).map(|i| ((i * 13 % 7) as f64) - 3.0).collect();
         // Exact: y = sum_i exp(-tau*lam_i) <u_i, x> u_i.
@@ -233,7 +223,7 @@ mod tests {
 
     #[test]
     fn response_matches_transfer_function() {
-        let filter = ChebyshevFilter::heat_kernel(8.0, 0.5, 48);
+        let filter = ChebyshevFilter::from_response(8.0, 48, |l| (-0.5 * l).exp());
         for lambda in [0.0f64, 0.5, 2.0, 5.0, 8.0] {
             let want = (-0.5 * lambda).exp();
             let got = filter.response(lambda);

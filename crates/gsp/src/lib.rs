@@ -7,8 +7,8 @@
 //! measure that claim, plus the spectral drawing used in the paper's
 //! Fig. 1:
 //!
-//! - [`signal`]: graph signals, smoothness (Laplacian quadratic form),
-//!   synthetic smooth/oscillatory signal generators,
+//! - [`signal`]: synthetic smooth/oscillatory signal generators
+//!   (smoothness is the Laplacian quadratic form),
 //! - [`filtering`]: per-frequency-band quadratic-form preservation between
 //!   a graph and its sparsifier,
 //! - [`drawing`]: spectral drawings (first two nontrivial eigenvectors as

@@ -1,35 +1,14 @@
-//! Graph signals and smoothness.
+//! Synthetic graph signals of controlled smoothness (the Laplacian
+//! quadratic form `xᵀLx`; smaller is smoother).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sass_solver::GroundedSolver;
+use sass_solver::{GroundedScratch, GroundedSolver};
 use sass_sparse::{dense, CsrMatrix};
-
-/// Smoothness of a signal: the Laplacian quadratic form
-/// `x L x = Σ_e w_e (x_u − x_v)²`. Smaller is smoother.
-///
-/// # Panics
-///
-/// Panics if dimensions disagree.
-pub fn smoothness(l: &CsrMatrix, x: &[f64]) -> f64 {
-    l.quad_form(x)
-}
-
-/// Normalized smoothness `xᵀLx / xᵀx` — the Rayleigh quotient, i.e. the
-/// signal's mean frequency in graph-spectral terms.
-///
-/// # Panics
-///
-/// Panics if dimensions disagree or `x` is the zero vector.
-pub fn normalized_smoothness(l: &CsrMatrix, x: &[f64]) -> f64 {
-    let xx = dense::dot(x, x);
-    assert!(xx > 0.0, "signal must be nonzero");
-    l.quad_form(x) / xx
-}
 
 /// A random "white" signal: i.i.d. uniform, mean-centered, unit norm —
 /// energy spread over the whole spectrum.
-pub fn white_signal(n: usize, seed: u64) -> Vec<f64> {
+fn white_signal(n: usize, seed: u64) -> Vec<f64> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut x: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
     dense::center(&mut x);
@@ -46,8 +25,9 @@ pub fn white_signal(n: usize, seed: u64) -> Vec<f64> {
 pub fn smooth_signal(solver: &GroundedSolver, passes: usize, seed: u64) -> Vec<f64> {
     let mut x = white_signal(solver.n(), seed);
     let mut y = vec![0.0; solver.n()];
+    let mut scratch = GroundedScratch::new();
     for _ in 0..passes {
-        solver.solve_into(&x, &mut y);
+        solver.solve_columns(&[&x], &mut [&mut y], &mut scratch);
         std::mem::swap(&mut x, &mut y);
         dense::normalize(&mut x);
     }
@@ -86,18 +66,14 @@ mod tests {
         let white = white_signal(g.n(), 1);
         let smooth = smooth_signal(&solver, 3, 1);
         let rough = oscillatory_signal(&l, 3, 1);
-        let sw = normalized_smoothness(&l, &white);
-        let ss = normalized_smoothness(&l, &smooth);
-        let sr = normalized_smoothness(&l, &rough);
+        // Unit signals: the quadratic form is the Rayleigh quotient.
+        let (sw, ss, sr) = (
+            l.quad_form(&white),
+            l.quad_form(&smooth),
+            l.quad_form(&rough),
+        );
         assert!(ss < sw, "smooth {ss} vs white {sw}");
         assert!(sw < sr, "white {sw} vs rough {sr}");
-    }
-
-    #[test]
-    fn constant_signal_has_zero_smoothness() {
-        let g = grid2d(5, 5, WeightModel::Unit, 0);
-        let l = g.laplacian();
-        assert!(smoothness(&l, &[2.0; 25]).abs() < 1e-12);
     }
 
     #[test]

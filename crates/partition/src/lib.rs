@@ -39,7 +39,9 @@ use std::fmt;
 use std::time::{Duration, Instant};
 
 use sass_core::{sparsify, SparsifyConfig};
-use sass_eigen::fiedler::{fiedler_vector_pcg, sign_disagreement, FiedlerOptions};
+use sass_eigen::fiedler::{
+    fiedler_vector_direct, fiedler_vector_pcg, sign_disagreement, FiedlerOptions,
+};
 use sass_graph::Graph;
 use sass_solver::{GroundedSolver, LaplacianPrec, PcgOptions};
 use sass_sparse::ordering::OrderingKind;
@@ -250,13 +252,7 @@ pub fn partition(g: &Graph, opts: &PartitionOptions) -> Result<Partition> {
             let setup = t0.elapsed();
             let memory = solver.memory_bytes();
             let t1 = Instant::now();
-            // Inverse power iteration with exact solves.
-            let opts_f = opts.fiedler.clone();
-            let (l2, v) = {
-                // Reuse the already-built solver rather than refactorizing.
-                let solve = |x: &[f64]| solver.solve(x);
-                inverse_power_with(&l, solve, &opts_f)
-            };
+            let (l2, v) = fiedler_vector_direct(&l, &solver, &opts.fiedler);
             (l2, v, memory, setup, t1.elapsed(), 0)
         }
         Backend::Sparsified { config, pcg } => {
@@ -340,41 +336,6 @@ fn sweep_cut(g: &Graph, fiedler: &[f64], min_balance: f64) -> Vec<i8> {
         signs[v] = 1;
     }
     signs
-}
-
-/// Inverse power iteration with a caller-provided exact solve (mirrors
-/// `sass_eigen::fiedler` but reuses an existing factorization).
-fn inverse_power_with<S>(
-    l: &sass_sparse::CsrMatrix,
-    mut solve: S,
-    opts: &FiedlerOptions,
-) -> (f64, Vec<f64>)
-where
-    S: FnMut(&[f64]) -> Vec<f64>,
-{
-    use rand::{Rng, SeedableRng};
-    use sass_sparse::dense;
-    let n = l.nrows();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(opts.seed);
-    let mut x: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-    dense::center(&mut x);
-    dense::normalize(&mut x);
-    for _ in 0..opts.max_iter {
-        let mut y = solve(&x);
-        dense::center(&mut y);
-        dense::normalize(&mut y);
-        if dense::dot(&x, &y) < 0.0 {
-            dense::scale(-1.0, &mut y);
-        }
-        let mut diff = y.clone();
-        dense::axpy(-1.0, &x, &mut diff);
-        let delta = dense::norm2(&diff);
-        x = y;
-        if delta < opts.tol {
-            break;
-        }
-    }
-    (l.quad_form(&x), x)
 }
 
 #[cfg(test)]

@@ -1,10 +1,10 @@
 use crate::tree_factor::TreeFactor;
 use crate::{Result, SolverError};
 use sass_sparse::ordering::OrderingKind;
-use sass_sparse::{dense, pool, CsrMatrix, DenseBlock, LdlFactor, RefactorStats, SparseError};
+use sass_sparse::{dense, pool, CsrMatrix, LdlFactor, RefactorStats, SparseError};
 
-/// Minimum `n × ncols` work before the blocked solves' per-column
-/// mean-zero projection goes parallel under automatic pool sizing (an
+/// Minimum `n × ncols` work before a column set's per-column mean-zero
+/// projection goes parallel under automatic pool sizing (an
 /// explicit `SASS_THREADS` / `pool::set_threads` override skips the
 /// crossover). The sparse factor's triangular solves carry their own
 /// gates inside [`LdlFactor`]: they run on a subtree-to-lane partition of
@@ -34,14 +34,14 @@ const MIN_PAR_BLOCK_WORK: usize = 32_768;
 /// Right-hand sides are centered defensively, so passing a `b` with nonzero
 /// mean solves against its projection onto `range(L)`.
 ///
-/// Every solve — single, blocked or many-RHS — moves its data once each
-/// way: the caller's full-size columns are packed straight into the
-/// elimination's work buffer, dropping the ground row and subtracting
-/// each column's mean on the way in, and unpacked with the ground entry
-/// set to zero on the way out ([`LdlFactor::solve_columns_into_scratch`]
+/// Every solve goes through [`GroundedSolver::solve_columns`] and moves
+/// its data once each way: the caller's full-size columns are packed
+/// straight into the elimination's work buffer, dropping the ground row
+/// and subtracting each column's mean on the way in, and unpacked with
+/// the ground entry set to zero on the way out ([`LdlFactor::solve_columns`]
 /// for the sparse factor). The only other pass is the mean-zero
 /// projection of each solution. Each column's result has the same bits
-/// whichever entry point solved it.
+/// whether it was solved alone or in a set.
 ///
 /// # Example
 ///
@@ -366,12 +366,15 @@ impl GroundedSolver {
 
     /// Solves `L x = center(b)`, returning the mean-zero solution `L⁺ b`.
     ///
+    /// Allocates the result and a scratch; repeated solves should hold a
+    /// [`GroundedScratch`] and call [`GroundedSolver::solve_columns`].
+    ///
     /// # Panics
     ///
     /// Panics if `b.len() != n()`.
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
         let mut x = vec![0.0; self.n];
-        self.solve_into(b, &mut x);
+        self.solve_columns(&[b], &mut [&mut x], &mut GroundedScratch::new());
         x
     }
 
@@ -389,19 +392,32 @@ impl GroundedSolver {
     /// Panics if any right-hand side has the wrong length.
     pub fn solve_many(&self, rhs: &[Vec<f64>]) -> Vec<Vec<f64>> {
         let mut out = vec![vec![0.0; self.n]; rhs.len()];
-        self.solve_many_into(rhs, &mut out, &mut GroundedScratch::new());
+        self.solve_columns(rhs, &mut out, &mut GroundedScratch::new());
         out
     }
 
-    /// [`GroundedSolver::solve_many`] into caller-provided buffers with
-    /// caller-owned scratch, so repeated batched solves against one
-    /// factorization allocate nothing after the first call. The columns
-    /// are read and written in place.
+    /// Solves `L x_c = center(b_c)` for every column `b_c` of `b` into the
+    /// matching column `x_c` of `x`, then projects each `x_c` onto mean
+    /// zero: `x_c = L⁺ b_c`. A column is anything that views as a slice
+    /// (`&[f64]`, `Vec<f64>`, a fixed array, a [`DenseBlock`] column). The
+    /// caller owns the output columns and the scratch, so repeated solves
+    /// against one factorization (power and Lanczos iterations, PCG
+    /// preconditioning, probe embeddings) allocate nothing after the first
+    /// call; a single column is a one-element array on the stack.
+    ///
+    /// [`DenseBlock`]: sass_sparse::DenseBlock
+    ///
+    /// Each column is shifted by its mean and packed into the
+    /// elimination's work buffer with the ground row left out; the ground
+    /// row comes back as zero. The mean-zero projection runs serially for
+    /// one column and spreads columns over the pool above a work
+    /// crossover, each column through the same serial code, so every
+    /// column's bits are those of a one-column solve at any pool width.
     ///
     /// # Panics
     ///
-    /// Panics if `out.len() != rhs.len()` or any vector on either side has
-    /// the wrong length.
+    /// Panics if `x.len() != b.len()` or any column on either side has
+    /// length other than `n()` — checked before any column is solved.
     ///
     /// # Example
     ///
@@ -413,130 +429,47 @@ impl GroundedSolver {
     /// let g = Graph::from_edges(3, &[(0, 1, 1.0), (1, 2, 1.0)])?;
     /// let l = g.laplacian();
     /// let solver = GroundedSolver::new(&l, Default::default())?;
-    /// let rhs = vec![vec![1.0, 0.0, -1.0], vec![0.0, 1.0, -1.0]];
-    /// let mut out = vec![vec![0.0; 3]; 2];
+    /// let (b0, b1) = ([1.0, 0.0, -1.0], [0.0, 1.0, -1.0]);
+    /// let (mut x0, mut x1) = ([0.0; 3], [0.0; 3]);
     /// let mut scratch = GroundedScratch::new();
-    /// solver.solve_many_into(&rhs, &mut out, &mut scratch);
-    /// for (b, x) in rhs.iter().zip(&out) {
-    ///     assert!(l.residual_norm(x, b) < 1e-12);
-    /// }
+    /// solver.solve_columns(&[&b0, &b1], &mut [&mut x0, &mut x1], &mut scratch);
+    /// assert!(l.residual_norm(&x0, &b0) < 1e-12);
+    /// assert!(l.residual_norm(&x1, &b1) < 1e-12);
     /// # Ok(())
     /// # }
     /// ```
-    pub fn solve_many_into(
-        &self,
-        rhs: &[Vec<f64>],
-        out: &mut [Vec<f64>],
-        scratch: &mut GroundedScratch,
-    ) {
-        assert_eq!(out.len(), rhs.len(), "solve_many: output count mismatch");
-        for b in rhs {
-            assert_eq!(b.len(), self.n, "solve_many: rhs length mismatch");
+    pub fn solve_columns<B, X>(&self, b: &[B], x: &mut [X], scratch: &mut GroundedScratch)
+    where
+        B: AsRef<[f64]>,
+        X: AsMut<[f64]> + Send,
+    {
+        assert_eq!(x.len(), b.len(), "solve: x and b column counts differ");
+        for col in b {
+            assert_eq!(col.as_ref().len(), self.n, "solve: b length mismatch");
         }
-        for x in out.iter() {
-            assert_eq!(x.len(), self.n, "solve_many: output length mismatch");
+        for col in x.iter_mut() {
+            assert_eq!(col.as_mut().len(), self.n, "solve: x length mismatch");
         }
-        self.solve_columns(
-            rhs.iter().map(Vec::as_slice),
-            out.iter_mut().map(Vec::as_mut_slice),
-            scratch,
-        );
-        match self.center_spans(out.len()) {
-            None => out.iter_mut().for_each(|x| dense::center(x)),
-            Some(spans) => pool::Pool::global().parallel_for_disjoint_mut(out, &spans, |_, xs| {
-                xs.iter_mut().for_each(|x| dense::center(x))
+        let shifted = b
+            .iter()
+            .map(|col| (col.as_ref(), dense::mean(col.as_ref())));
+        let out = x.iter_mut().map(AsMut::as_mut);
+        match &self.elim {
+            Elimination::Tree(tree) => tree.solve_columns(shifted.zip(out), &mut scratch.work),
+            Elimination::Sparse { factor, .. } => {
+                factor.solve_columns(Some(self.ground), shifted, out, &mut scratch.work)
+            }
+        }
+        match self.center_spans(x.len()) {
+            None => x.iter_mut().for_each(|col| dense::center(col.as_mut())),
+            Some(spans) => pool::Pool::global().parallel_for_disjoint_mut(x, &spans, |_, xs| {
+                xs.iter_mut().for_each(|col| dense::center(col.as_mut()))
             }),
         }
     }
 
-    /// Solves `L X = center(B)` column-wise for a block of right-hand
-    /// sides, returning the mean-zero solutions `L⁺ B`.
-    ///
-    /// The blocked counterpart of [`GroundedSolver::solve`]: centering,
-    /// ground-row elision, and the mean-zero projection are applied to every
-    /// column, and the factor solves run [`sass_sparse::LDL_BLOCK_WIDTH`]
-    /// columns per sweep.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.nrows() != n()`.
-    pub fn solve_block(&self, b: &DenseBlock) -> DenseBlock {
-        let mut x = DenseBlock::zeros(self.n, b.ncols());
-        self.solve_block_into_scratch(b, &mut x, &mut GroundedScratch::new());
-        x
-    }
-
-    /// [`GroundedSolver::solve_block`] into a caller-provided block with
-    /// caller-owned scratch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.nrows() != n()` or `x` has a different shape than `b`.
-    pub fn solve_block_into_scratch(
-        &self,
-        b: &DenseBlock,
-        x: &mut DenseBlock,
-        scratch: &mut GroundedScratch,
-    ) {
-        assert_eq!(b.nrows(), self.n, "solve_block: b row-count mismatch");
-        assert_eq!(x.nrows(), self.n, "solve_block: x row-count mismatch");
-        assert_eq!(x.ncols(), b.ncols(), "solve_block: column-count mismatch");
-        self.solve_columns(b.columns(), x.columns_mut(), scratch);
-        let n = self.n;
-        match self.center_spans(b.ncols()) {
-            None => x.columns_mut().for_each(dense::center),
-            Some(spans) => {
-                let scaled = pool::scale_spans(&spans, n);
-                pool::Pool::global().parallel_for_disjoint_mut(x.data_mut(), &scaled, |_, xs| {
-                    xs.chunks_exact_mut(n).for_each(dense::center)
-                });
-            }
-        }
-    }
-
-    /// In-place variant of [`GroundedSolver::solve`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != n()` or `x.len() != n()`.
-    pub fn solve_into(&self, b: &[f64], x: &mut [f64]) {
-        self.solve_into_scratch(b, x, &mut GroundedScratch::new());
-    }
-
-    /// [`GroundedSolver::solve_into`] with caller-owned scratch buffers, so
-    /// repeated solves against one factorization (power/Lanczos iterations,
-    /// PCG preconditioning, embeddings over many right-hand sides) allocate
-    /// nothing after the first call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != n()` or `x.len() != n()`.
-    pub fn solve_into_scratch(&self, b: &[f64], x: &mut [f64], scratch: &mut GroundedScratch) {
-        self.solve_columns([b], [&mut *x], scratch);
-        dense::center(x);
-    }
-
-    /// The grounded solve of every column of `b` into the matching column
-    /// of `x`, before the mean-zero projection: each column is shifted by
-    /// its mean and packed into the elimination's work buffer with the
-    /// ground row left out, and the ground row comes back as zero.
-    fn solve_columns<'b, 'x>(
-        &self,
-        b: impl IntoIterator<Item = &'b [f64]>,
-        x: impl IntoIterator<Item = &'x mut [f64]>,
-        scratch: &mut GroundedScratch,
-    ) {
-        let b = b.into_iter().map(|col| (col, dense::mean(col)));
-        match &self.elim {
-            Elimination::Tree(tree) => tree.solve_columns(b.zip(x), &mut scratch.work),
-            Elimination::Sparse { factor, .. } => {
-                factor.solve_columns_into_scratch(Some(self.ground), b, x, &mut scratch.work)
-            }
-        }
-    }
-
-    /// Column spans for the blocked paths' mean-zero projection: `None`
-    /// runs it serially; otherwise columns spread over the pool above
+    /// Column spans for the mean-zero projection: `None` runs it
+    /// serially; otherwise columns spread over the pool above
     /// [`MIN_PAR_BLOCK_WORK`], each running the exact serial per-column
     /// code, so the result is bit-identical at any worker count.
     fn center_spans(&self, ncols: usize) -> Option<Vec<pool::Span>> {
@@ -548,11 +481,9 @@ impl GroundedSolver {
     }
 }
 
-/// The reusable work buffer of [`GroundedSolver::solve_into_scratch`] and
-/// the blocked variants ([`GroundedSolver::solve_block_into_scratch`],
-/// [`GroundedSolver::solve_many_into`]): one chunk of right-hand sides in
-/// the sparse factor's interleaved slot layout, or one column in the tree
-/// elimination's order.
+/// The reusable work buffer of [`GroundedSolver::solve_columns`]: one
+/// chunk of right-hand sides in the sparse factor's interleaved slot
+/// layout, or one column in the tree elimination's order.
 ///
 /// One scratch serves solvers of any size and any block width (the buffer
 /// resizes lazily); keep it per call site, not shared across threads.
@@ -573,6 +504,7 @@ mod tests {
     use super::*;
     use sass_graph::generators::{grid2d, WeightModel};
     use sass_graph::Graph;
+    use sass_sparse::DenseBlock;
 
     #[test]
     fn exact_on_grid_laplacian() {
@@ -742,12 +674,13 @@ mod tests {
     }
 
     /// Every grounded solve path against [`reference_solver`], bit for
-    /// bit: single, blocked and many-RHS, at the first, middle and last
-    /// ground vertex, across block widths around the chunk width, down to
-    /// one- and two-vertex systems. One scratch serves every call, so
-    /// stale buffer contents would show. The one- and two-vertex systems
-    /// and the grid's spanning tree take the tree elimination; the
-    /// triangle, the circuit grid and the grid take the sparse LDLᵀ.
+    /// bit: `solve`, `solve_many`, and `solve_columns` on `Vec` columns and
+    /// on [`DenseBlock`] columns, at the first, middle and last ground
+    /// vertex, across column counts around the chunk width, down to one-
+    /// and two-vertex systems. One scratch serves every call, so stale
+    /// buffer contents would show. The one- and two-vertex systems and the
+    /// grid's spanning tree take the tree elimination; the triangle, the
+    /// circuit grid and the grid take the sparse LDLᵀ.
     #[test]
     fn grounded_paths_match_explicit_elision_bitwise() {
         let grid = grid2d(48, 48, WeightModel::Uniform { lo: 0.5, hi: 2.0 }, 9);
@@ -779,18 +712,23 @@ mod tests {
                     .collect();
                 let reference = reference_solver(&l, &s);
                 let want: Vec<Vec<u64>> = cols.iter().map(|b| bits(&reference(b))).collect();
-                let mut x = vec![0.0; n];
-                s.solve_into_scratch(&cols[0], &mut x, &mut scratch);
-                assert_eq!(bits(&x), want[0], "n = {n}, ground {ground}: single");
+                assert_eq!(
+                    bits(&s.solve(&cols[0])),
+                    want[0],
+                    "n = {n}, ground {ground}: solve"
+                );
                 for w in [1usize, 7, 8, 9, 15, 17] {
+                    let mut xv = vec![vec![0.0; n]; w];
+                    s.solve_columns(&cols[..w], &mut xv, &mut scratch);
                     let block = DenseBlock::from_columns(&cols[..w]);
                     let mut xb = DenseBlock::zeros(n, w);
-                    s.solve_block_into_scratch(&block, &mut xb, &mut scratch);
-                    let mut many = vec![vec![0.0; n]; w];
-                    s.solve_many_into(&cols[..w], &mut many, &mut scratch);
+                    let mut x: Vec<&mut [f64]> = xb.columns_mut().collect();
+                    s.solve_columns(&block.columns().collect::<Vec<_>>(), &mut x, &mut scratch);
+                    let many = s.solve_many(&cols[..w]);
                     for c in 0..w {
                         let what = format!("n = {n}, ground {ground}, width {w}, column {c}");
-                        assert_eq!(bits(xb.col(c)), want[c], "{what}: block");
+                        assert_eq!(bits(&xv[c]), want[c], "{what}: columns");
+                        assert_eq!(bits(xb.col(c)), want[c], "{what}: block columns");
                         assert_eq!(bits(&many[c]), want[c], "{what}: many");
                     }
                 }
@@ -804,33 +742,16 @@ mod tests {
         assert!(GroundedSolver::with_ground(&g.laplacian(), 5, OrderingKind::Natural).is_err());
     }
 
-    /// Block sizes straddling the LDL block width, including partial tails,
-    /// and a non-default ground vertex (exercising the ground-row elision
-    /// in the middle of the block rows).
-    #[test]
-    fn solve_block_matches_scalar_path_across_widths() {
-        let g = grid2d(7, 5, WeightModel::Uniform { lo: 0.5, hi: 2.0 }, 4);
-        let l = g.laplacian();
-        let s = GroundedSolver::with_ground(&l, 17, OrderingKind::MinDegree).unwrap();
-        for ncols in [1usize, 7, 8, 9, 20] {
-            let cols: Vec<Vec<f64>> = (0..ncols)
-                .map(|c| {
-                    (0..g.n())
-                        .map(|i| ((i * (2 * c + 3)) as f64 * 0.17).cos())
-                        .collect()
-                })
-                .collect();
-            let blocked = s.solve_block(&sass_sparse::DenseBlock::from_columns(&cols));
-            for (c, b) in cols.iter().enumerate() {
-                let single = s.solve(b);
-                for (bx, sx) in blocked.col(c).iter().zip(&single) {
-                    assert!(
-                        (bx - sx).abs() <= 1e-14 * sx.abs().max(1.0),
-                        "ncols={ncols} col={c}: {bx} vs {sx}"
-                    );
-                }
-            }
-        }
+    /// Solves `rhs` through [`GroundedSolver::solve_columns`] with the
+    /// given scratch.
+    fn solve_with(
+        s: &GroundedSolver,
+        rhs: &[Vec<f64>],
+        scratch: &mut GroundedScratch,
+    ) -> Vec<Vec<f64>> {
+        let mut out = vec![vec![9.0; s.n()]; rhs.len()];
+        s.solve_columns(rhs, &mut out, scratch);
+        out
     }
 
     #[test]
@@ -841,35 +762,28 @@ mod tests {
         let rhs: Vec<Vec<f64>> = (0..11)
             .map(|k: usize| (0..36).map(|i| ((i + 3 * k) as f64 * 0.2).sin()).collect())
             .collect();
-        let mut out = vec![vec![0.0; 36]; 11];
         let mut scratch = GroundedScratch::new();
-        s.solve_many_into(&rhs, &mut out, &mut scratch);
-        assert_eq!(out, s.solve_many(&rhs));
+        assert_eq!(solve_with(&s, &rhs, &mut scratch), s.solve_many(&rhs));
         // Second batch through the same scratch (different count) still
-        // matches — buffers reshape rather than accumulate stale state.
+        // matches — buffers resize rather than accumulate stale state.
         let rhs2: Vec<Vec<f64>> = rhs.into_iter().take(3).collect();
-        let mut out2 = vec![vec![0.0; 36]; 3];
-        s.solve_many_into(&rhs2, &mut out2, &mut scratch);
-        assert_eq!(out2, s.solve_many(&rhs2));
+        assert_eq!(solve_with(&s, &rhs2, &mut scratch), s.solve_many(&rhs2));
     }
 
     /// Regression: a 1-vertex system reduces to zero-row blocks; the
-    /// blocked path must still zero the ground row (and not leak stale
+    /// column solve must still zero the ground row (and not leak stale
     /// scratch contents from a previous, larger batch).
     #[test]
     fn one_vertex_system_with_primed_scratch() {
         let big = Graph::from_edges(2, &[(0, 1, 1.0)]).unwrap();
         let s2 = GroundedSolver::new(&big.laplacian(), OrderingKind::Natural).unwrap();
         let mut scratch = GroundedScratch::new();
-        let mut out2 = vec![vec![0.0; 2]];
-        s2.solve_many_into(&[vec![1.0, -1.0]], &mut out2, &mut scratch);
+        let out2 = solve_with(&s2, &[vec![1.0, -1.0]], &mut scratch);
         assert!((out2[0][0] - 0.5).abs() < 1e-15);
 
         let tiny = Graph::from_edges(1, &[]).unwrap();
         let s1 = GroundedSolver::new(&tiny.laplacian(), OrderingKind::Natural).unwrap();
-        let mut out1 = vec![vec![9.0]];
-        s1.solve_many_into(&[vec![5.0]], &mut out1, &mut scratch);
-        assert_eq!(out1, vec![vec![0.0]]);
+        assert_eq!(solve_with(&s1, &[vec![5.0]], &mut scratch), vec![vec![0.0]]);
         assert_eq!(s1.solve_many(&[vec![5.0]]), vec![vec![0.0]]);
         assert_eq!(s1.solve(&[5.0]), vec![0.0]);
     }
@@ -1017,7 +931,51 @@ mod tests {
         let g = Graph::from_edges(3, &[(0, 1, 1.0), (1, 2, 1.0)]).unwrap();
         let s = GroundedSolver::new(&g.laplacian(), OrderingKind::Natural).unwrap();
         assert!(s.solve_many(&[]).is_empty());
-        let mut scratch = GroundedScratch::new();
-        s.solve_many_into(&[], &mut [], &mut scratch);
+        s.solve_columns::<&[f64], &mut [f64]>(&[], &mut [], &mut GroundedScratch::new());
+    }
+
+    /// A tree-eliminated and a factored solver on the same vertex count,
+    /// for the column-count checks below.
+    fn tree_and_factored() -> [GroundedSolver; 2] {
+        let path = Graph::from_edges(3, &[(0, 1, 1.0), (1, 2, 1.0)]).unwrap();
+        let triangle = Graph::from_edges(3, &[(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]).unwrap();
+        let solvers = [path, triangle]
+            .map(|g| GroundedSolver::new(&g.laplacian(), OrderingKind::Natural).unwrap());
+        assert!(solvers[0].factor().is_none() && solvers[1].factor().is_some());
+        solvers
+    }
+
+    #[test]
+    #[should_panic(expected = "column counts differ")]
+    fn surplus_b_column_panics_on_tree_solver() {
+        let [tree, _] = tree_and_factored();
+        let b = [1.0, 0.0, -1.0];
+        tree.solve_columns(&[&b, &b], &mut [&mut [0.0; 3]], &mut GroundedScratch::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "column counts differ")]
+    fn surplus_x_column_panics_on_tree_solver() {
+        let [tree, _] = tree_and_factored();
+        let (mut x0, mut x1) = ([0.0; 3], [0.0; 3]);
+        let b = [1.0, 0.0, -1.0];
+        tree.solve_columns(&[&b], &mut [&mut x0, &mut x1], &mut GroundedScratch::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "column counts differ")]
+    fn surplus_b_column_panics_on_factored_solver() {
+        let [_, factored] = tree_and_factored();
+        let b = [1.0, 0.0, -1.0];
+        factored.solve_columns(&[&b, &b], &mut [&mut [0.0; 3]], &mut GroundedScratch::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "column counts differ")]
+    fn surplus_x_column_panics_on_factored_solver() {
+        let [_, factored] = tree_and_factored();
+        let (mut x0, mut x1) = ([0.0; 3], [0.0; 3]);
+        let b = [1.0, 0.0, -1.0];
+        factored.solve_columns(&[&b], &mut [&mut x0, &mut x1], &mut GroundedScratch::new());
     }
 }

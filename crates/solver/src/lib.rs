@@ -54,15 +54,12 @@ mod tree_factor;
 pub use amg::{AmgOptions, AmgPrec};
 pub use error::SolverError;
 pub use grounded::{GroundedScratch, GroundedSolver};
-pub use pcg::{pcg, pcg_scratch, pcg_with_x0, PcgOptions, PcgScratch, SolveStats};
+pub use pcg::{pcg, pcg_scratch, PcgOptions, PcgScratch, SolveStats};
 pub use preconditioner::{IdentityPrec, JacobiPrec, LaplacianPrec, Preconditioner};
-// `DenseBlock` is re-exported so batched-solve call sites
-// ([`GroundedSolver::solve_block`]) can name the multivector type without
-// importing sass-sparse directly. `LinearOperator` is re-exported for
-// compatibility: the trait moved down into `sass-sparse` (operators are a
-// substrate primitive, not a solver concern), and new code should name it
-// from there.
-pub use sass_sparse::{DenseBlock, LinearOperator};
+// `LinearOperator` is re-exported for compatibility: the trait moved down
+// into `sass-sparse` (operators are a substrate primitive, not a solver
+// concern), and new code should name it from there.
+pub use sass_sparse::LinearOperator;
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, SolverError>;

@@ -103,27 +103,6 @@ where
     (x, stats)
 }
 
-/// [`pcg`] with an explicit starting guess.
-///
-/// # Panics
-///
-/// Panics if vector lengths differ from the operator dimension.
-pub fn pcg_with_x0<A, M>(
-    a: &A,
-    b: &[f64],
-    x0: &[f64],
-    m: &M,
-    opts: &PcgOptions,
-) -> (Vec<f64>, SolveStats)
-where
-    A: LinearOperator + ?Sized,
-    M: Preconditioner + ?Sized,
-{
-    let mut x = x0.to_vec();
-    let stats = pcg_scratch(a, b, &mut x, m, opts, &mut PcgScratch::new());
-    (x, stats)
-}
-
 /// The allocation-free core of [`pcg`]: `x` carries the starting guess in
 /// and the solution out, and all working vectors live in `scratch`.
 ///
@@ -358,8 +337,15 @@ mod tests {
         let mut b: Vec<f64> = (0..100).map(|i| ((i * 13 % 7) as f64) - 3.0).collect();
         sass_sparse::dense::center(&mut b);
         let m = JacobiPrec::new(&l);
-        let (x, _) = pcg(&l, &b, &m, &PcgOptions::default());
-        let (_, stats) = pcg_with_x0(&l, &b, &x, &m, &PcgOptions::default());
+        let (mut x, _) = pcg(&l, &b, &m, &PcgOptions::default());
+        let stats = pcg_scratch(
+            &l,
+            &b,
+            &mut x,
+            &m,
+            &PcgOptions::default(),
+            &mut PcgScratch::new(),
+        );
         assert!(stats.iterations <= 1);
     }
 }

@@ -96,7 +96,7 @@ impl LaplacianPrec {
 impl Preconditioner for LaplacianPrec {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
         self.solver
-            .solve_into_scratch(r, z, &mut self.scratch.borrow_mut());
+            .solve_columns(&[r], &mut [z], &mut self.scratch.borrow_mut());
     }
 }
 

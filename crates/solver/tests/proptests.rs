@@ -64,8 +64,9 @@ proptest! {
         }
     }
 
-    /// The scratch variant returns the same solutions as the allocating
-    /// one, batch after batch through one reused scratch.
+    /// The caller-scratch column solve returns the same solutions as the
+    /// allocating `solve_many`, batch after batch through one reused
+    /// scratch.
     #[test]
     fn solve_many_into_matches_solve_many(g in connected_graph(), seed in 0u64..1000) {
         let l = g.laplacian();
@@ -74,7 +75,7 @@ proptest! {
         for count in [9usize, 2] {
             let rhs = random_rhs(g.n(), count, seed.wrapping_add(count as u64));
             let mut out = vec![vec![0.0; g.n()]; count];
-            solver.solve_many_into(&rhs, &mut out, &mut scratch);
+            solver.solve_columns(&rhs, &mut out, &mut scratch);
             prop_assert_eq!(out, solver.solve_many(&rhs));
         }
     }
@@ -99,7 +100,6 @@ proptest! {
     fn empty_rhs_list_is_empty_answer(g in connected_graph()) {
         let solver = GroundedSolver::new(&g.laplacian(), OrderingKind::Natural).unwrap();
         prop_assert!(solver.solve_many(&[]).is_empty());
-        let mut scratch = GroundedScratch::new();
-        solver.solve_many_into(&[], &mut [], &mut scratch);
+        solver.solve_columns::<&[f64], &mut [f64]>(&[], &mut [], &mut GroundedScratch::new());
     }
 }

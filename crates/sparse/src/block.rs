@@ -4,9 +4,9 @@
 //! A [`DenseBlock`] holds `k` vectors of length `n` in one contiguous
 //! column-major buffer, so each column is an ordinary `&[f64]` slice that
 //! plugs straight into the existing per-vector kernels ([`crate::dense`],
-//! [`crate::CsrMatrix::mul_vec_into`]), while blocked kernels
-//! ([`crate::LdlFactor::solve_block_into_scratch`]) can sweep all columns in
-//! one pass over a factor's indices.
+//! [`crate::CsrMatrix::mul_vec_into`]), while column-set solves
+//! ([`crate::LdlFactor::solve_columns`] over [`DenseBlock::columns`]) can
+//! sweep all columns in one pass over a factor's indices.
 
 use crate::kernel::AlignedVec;
 
@@ -16,9 +16,8 @@ use crate::kernel::AlignedVec;
 /// therefore contiguous slices, cheap to hand to single-vector kernels.
 ///
 /// The buffer is a cache-line-aligned [`AlignedVec`]. The blocked LDLᵀ
-/// sweeps never read it: [`crate::LdlFactor::solve_block_into_scratch`]
-/// packs each chunk into the caller's interleaved work buffer and sweeps
-/// that. Block storage is read by the per-column SpMV and dense passes of
+/// sweeps never read it: [`crate::LdlFactor::solve_columns`] packs each
+/// chunk into the caller's interleaved work buffer and sweeps that. Block storage is read by the per-column SpMV and dense passes of
 /// the blocked power iterations, by the pack/unpack copies around the
 /// blocked solves, and by [`crate::kernel::joule_heat`]'s gathers over a
 /// probe embedding. Backing the block with a plain `Vec<f64>` instead
@@ -102,16 +101,6 @@ impl DenseBlock {
         &self.data[c * self.nrows..(c + 1) * self.nrows]
     }
 
-    /// Column `c` as a mutable contiguous slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c >= ncols()`.
-    pub fn col_mut(&mut self, c: usize) -> &mut [f64] {
-        assert!(c < self.ncols, "column {c} out of range");
-        &mut self.data[c * self.nrows..(c + 1) * self.nrows]
-    }
-
     /// Iterates over the columns as slices.
     ///
     /// Always yields exactly [`DenseBlock::ncols`] items — for a zero-row
@@ -143,23 +132,6 @@ impl DenseBlock {
     pub fn data_mut(&mut self) -> &mut [f64] {
         &mut self.data
     }
-
-    /// Reshapes in place to `nrows × ncols`, reusing the allocation.
-    ///
-    /// Contents after the call are unspecified (a scratch-buffer primitive;
-    /// callers overwrite every entry).
-    pub fn reshape(&mut self, nrows: usize, ncols: usize) {
-        self.nrows = nrows;
-        self.ncols = ncols;
-        self.data.resize(nrows * ncols, 0.0);
-    }
-
-    /// Consumes the block, returning its columns as owned vectors.
-    pub fn into_columns(self) -> Vec<Vec<f64>> {
-        (0..self.ncols)
-            .map(|c| self.data[c * self.nrows..(c + 1) * self.nrows].to_vec())
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -184,28 +156,15 @@ mod tests {
         assert_eq!(b.col(1), &[4.0, 5.0, 6.0]);
         let collected: Vec<Vec<f64>> = b.columns().map(<[f64]>::to_vec).collect();
         assert_eq!(collected, cols);
-        assert_eq!(b.into_columns(), cols);
     }
 
     #[test]
     fn col_mut_writes_through() {
         let mut b = DenseBlock::zeros(2, 2);
-        b.col_mut(1)[0] = 7.0;
-        assert_eq!(b.data(), &[0.0, 0.0, 7.0, 0.0]);
         for (i, col) in b.columns_mut().enumerate() {
-            col[1] = i as f64;
+            col[1] = i as f64 + 7.0;
         }
-        assert_eq!(b.col(0)[1], 0.0);
-        assert_eq!(b.col(1)[1], 1.0);
-    }
-
-    #[test]
-    fn reshape_reuses_buffer() {
-        let mut b = DenseBlock::zeros(4, 4);
-        b.reshape(2, 3);
-        assert_eq!(b.nrows(), 2);
-        assert_eq!(b.ncols(), 3);
-        assert_eq!(b.data().len(), 6);
+        assert_eq!(b.data(), &[0.0, 7.0, 0.0, 8.0]);
     }
 
     #[test]
@@ -213,19 +172,17 @@ mod tests {
         let b = DenseBlock::from_columns(&[]);
         assert_eq!(b.ncols(), 0);
         assert_eq!(b.columns().count(), 0);
-        assert!(b.into_columns().is_empty());
     }
 
     /// Regression: a zero-row block must still yield `ncols` (empty)
     /// columns so paired iteration with a nonzero-height block stays in
-    /// lockstep — the `n = 1` grounded solve reduces to exactly this shape.
+    /// lockstep.
     #[test]
     fn zero_row_block_yields_all_columns() {
         let mut b = DenseBlock::zeros(0, 3);
         assert_eq!(b.columns().count(), 3);
         assert!(b.columns().all(<[f64]>::is_empty));
         assert_eq!(b.columns_mut().count(), 3);
-        assert_eq!(b.clone().into_columns().len(), 3);
     }
 
     #[test]

@@ -68,8 +68,7 @@ impl CooMatrix {
     ///
     /// # Panics
     ///
-    /// Panics if `row` or `col` is out of bounds. Use [`CooMatrix::try_push`]
-    /// for a fallible variant.
+    /// Panics if `row` or `col` is out of bounds.
     pub fn push(&mut self, row: usize, col: usize, val: f64) {
         if self.try_push(row, col, val).is_err() {
             panic!(
@@ -85,7 +84,7 @@ impl CooMatrix {
     ///
     /// Returns [`SparseError::IndexOutOfBounds`] if the indices do not fit
     /// the matrix shape.
-    pub fn try_push(&mut self, row: usize, col: usize, val: f64) -> Result<()> {
+    fn try_push(&mut self, row: usize, col: usize, val: f64) -> Result<()> {
         if row >= self.nrows || col >= self.ncols {
             return Err(SparseError::IndexOutOfBounds {
                 row,

@@ -341,42 +341,6 @@ impl CsrMatrix {
         }
         coo
     }
-
-    /// Frobenius norm of `A − B`; both patterns may differ.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn frobenius_diff(&self, other: &CsrMatrix) -> f64 {
-        assert_eq!(self.nrows, other.nrows, "frobenius_diff: row mismatch");
-        assert_eq!(self.ncols, other.ncols, "frobenius_diff: col mismatch");
-        let mut acc = 0.0;
-        for i in 0..self.nrows {
-            let (ca, va) = self.row(i);
-            let (cb, vb) = other.row(i);
-            let (mut pa, mut pb) = (0, 0);
-            while pa < ca.len() || pb < cb.len() {
-                let a_col = ca.get(pa).copied().unwrap_or(u32::MAX);
-                let b_col = cb.get(pb).copied().unwrap_or(u32::MAX);
-                let d = if a_col == b_col {
-                    let d = va[pa] - vb[pb];
-                    pa += 1;
-                    pb += 1;
-                    d
-                } else if a_col < b_col {
-                    let d = va[pa];
-                    pa += 1;
-                    d
-                } else {
-                    let d = -vb[pb];
-                    pb += 1;
-                    d
-                };
-                acc += d * d;
-            }
-        }
-        acc.sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -456,15 +420,6 @@ mod tests {
     fn get_missing_is_zero() {
         let a = laplacian_path3();
         assert_eq!(a.get(0, 2), 0.0);
-    }
-
-    #[test]
-    fn frobenius_diff_detects_changes() {
-        let a = laplacian_path3();
-        let mut b = a.clone();
-        assert_eq!(a.frobenius_diff(&b), 0.0);
-        b.data_mut()[0] += 3.0;
-        assert!((a.frobenius_diff(&b) - 3.0).abs() < 1e-14);
     }
 
     #[test]

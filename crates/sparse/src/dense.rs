@@ -22,12 +22,6 @@ pub fn norm2(x: &[f64]) -> f64 {
     dot(x, x).sqrt()
 }
 
-/// Infinity norm `‖x‖∞`.
-#[inline]
-pub fn norm_inf(x: &[f64]) -> f64 {
-    x.iter().fold(0.0, |m, &v| m.max(v.abs()))
-}
-
 /// `y ← y + alpha · x`.
 ///
 /// # Panics
@@ -47,16 +41,6 @@ pub fn scale(alpha: f64, x: &mut [f64]) {
     for xi in x.iter_mut() {
         *xi *= alpha;
     }
-}
-
-/// Copies `src` into `dst`.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn copy(src: &[f64], dst: &mut [f64]) {
-    dst.copy_from_slice(src);
 }
 
 /// Arithmetic mean of `x` (0.0 for an empty slice).
@@ -133,7 +117,6 @@ mod tests {
         let x = [3.0, 4.0];
         assert_eq!(dot(&x, &x), 25.0);
         assert_eq!(norm2(&x), 5.0);
-        assert_eq!(norm_inf(&[-7.0, 2.0]), 7.0);
     }
 
     #[test]
@@ -144,9 +127,6 @@ mod tests {
         assert_eq!(y, [12.0, 24.0]);
         scale(0.5, &mut y);
         assert_eq!(y, [6.0, 12.0]);
-        let mut z = [0.0, 0.0];
-        copy(&y, &mut z);
-        assert_eq!(z, y);
     }
 
     #[test]

@@ -168,13 +168,13 @@ impl<T: Copy> AlignedVec<T> {
     }
 
     /// The elements as a slice.
-    pub fn as_slice(&self) -> &[T] {
+    fn as_slice(&self) -> &[T] {
         // SAFETY: `len` elements starting at `ptr` are initialized.
         unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
     }
 
     /// The elements as a mutable slice.
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
+    fn as_mut_slice(&mut self) -> &mut [T] {
         // SAFETY: as `as_slice`, with exclusive access through `&mut self`.
         unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
     }

@@ -4,8 +4,7 @@
 use crate::etree::{PartitionShape, SubtreePartition};
 use crate::ordering::{self, OrderingKind};
 use crate::pool;
-use crate::{CsrMatrix, DenseBlock, Permutation, Result, SparseError};
-use std::cell::RefCell;
+use crate::{CsrMatrix, Permutation, Result, SparseError};
 
 /// Columns per sweep in the blocked solves: one pass over `L`'s indices
 /// updates up to this many right-hand sides, amortizing factor traffic.
@@ -32,15 +31,6 @@ const PAR_FACTOR_MIN_NNZ: usize = 10_000;
 /// Trunk-heavy etrees — scale-free sparsifiers, whose hubs pile up in the
 /// trunk — stay serial; an override skips the gate with the crossovers.
 const PAR_MAX_CRITICAL_PCT: usize = 65;
-
-thread_local! {
-    /// Per-thread work buffer backing the non-scratch solve entry points:
-    /// [`LdlFactor::solve`], [`LdlFactor::solve_into`],
-    /// [`LdlFactor::solve_block`] and [`LdlFactor::solve_block_into`] all
-    /// route through the scratch path with this buffer, so they stop
-    /// allocating per call after their first use on a given thread.
-    static SOLVE_WORK: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
-}
 
 /// Sparse `P A Pᵀ = L D Lᵀ` factorization of a symmetric matrix.
 ///
@@ -985,114 +975,17 @@ impl LdlFactor {
         self.slot.iter().map(|&q| self.d[q as usize]).collect()
     }
 
-    /// Solves `A x = b`, allocating the result.
+    /// Solves `A x = b`, allocating the result and a work buffer. Repeated
+    /// solves should hold their own buffer and call
+    /// [`LdlFactor::solve_columns`].
     ///
     /// # Panics
     ///
     /// Panics if `b.len() != n`.
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
         let mut x = vec![0.0; self.n];
-        self.solve_into(b, &mut x);
+        self.solve_columns(None, [(b, 0.0)], [&mut x[..]], &mut Vec::new());
         x
-    }
-
-    /// Solves `A x = b` into a caller-provided buffer.
-    ///
-    /// Routes through the scratch path with a per-thread work buffer, so
-    /// repeated calls allocate nothing after the first on a given thread.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != n` or `x.len() != n`.
-    pub fn solve_into(&self, b: &[f64], x: &mut [f64]) {
-        SOLVE_WORK.with(|work| self.solve_into_scratch(b, x, &mut work.borrow_mut()));
-    }
-
-    /// [`LdlFactor::solve_into`] with a caller-owned work buffer, so
-    /// repeated solves (iterative refinement, shift-invert Lanczos, PCG
-    /// preconditioning) allocate nothing after the first call.
-    ///
-    /// Above a work crossover, on a partition whose critical path pays —
-    /// or always, under an explicit `SASS_THREADS` / [`pool::set_threads`]
-    /// override — the forward and backward substitutions each make one
-    /// dispatch over the elimination-tree partition ([`crate::etree`]),
-    /// producing results identical to the serial sweeps at every worker
-    /// count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != n` or `x.len() != n`.
-    pub fn solve_into_scratch(&self, b: &[f64], x: &mut [f64], work: &mut Vec<f64>) {
-        self.solve_columns_into_scratch(None, [(b, 0.0)], [x], work);
-    }
-
-    /// Solves `A X = B` for a block of right-hand sides, allocating the
-    /// result.
-    ///
-    /// Bit-identical to calling [`LdlFactor::solve`] per column, but sweeps
-    /// the factor once per [`LDL_BLOCK_WIDTH`]-column chunk: one pass over
-    /// `L`'s indices updates every column of the chunk, so factor traffic
-    /// is amortized across the block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.nrows() != n`.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use sass_sparse::{CooMatrix, DenseBlock, LdlFactor, ordering::OrderingKind};
-    ///
-    /// # fn main() -> Result<(), sass_sparse::SparseError> {
-    /// let mut coo = CooMatrix::new(2, 2);
-    /// coo.push(0, 0, 2.0); coo.push(1, 1, 2.0);
-    /// coo.push_sym(0, 1, 1.0);
-    /// let f = LdlFactor::new(&coo.to_csr(), OrderingKind::Natural)?;
-    /// let b = DenseBlock::from_columns(&[vec![3.0, 3.0], vec![2.0, 1.0]]);
-    /// let x = f.solve_block(&b);
-    /// assert!((x.col(0)[0] - 1.0).abs() < 1e-14);
-    /// assert!((x.col(1)[0] - 1.0).abs() < 1e-14);
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn solve_block(&self, b: &DenseBlock) -> DenseBlock {
-        let mut x = DenseBlock::zeros(self.n, b.ncols());
-        self.solve_block_into(b, &mut x);
-        x
-    }
-
-    /// [`LdlFactor::solve_block`] into a caller-provided block.
-    ///
-    /// Routes through the scratch path with a per-thread work buffer, so
-    /// repeated calls allocate nothing after the first on a given thread.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.nrows() != n` or `x` has a different shape than `b`.
-    pub fn solve_block_into(&self, b: &DenseBlock, x: &mut DenseBlock) {
-        SOLVE_WORK.with(|work| self.solve_block_into_scratch(b, x, &mut work.borrow_mut()));
-    }
-
-    /// [`LdlFactor::solve_block_into`] with a caller-owned work buffer, so
-    /// repeated blocked solves allocate nothing after the first call.
-    ///
-    /// Runs [`LdlFactor::solve_columns_into_scratch`] with no ground row
-    /// and zero shifts; see there for the work buffer's layout.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.nrows() != n` or `x` has a different shape than `b`.
-    pub fn solve_block_into_scratch(
-        &self,
-        b: &DenseBlock,
-        x: &mut DenseBlock,
-        work: &mut Vec<f64>,
-    ) {
-        assert_eq!(b.nrows(), self.n, "solve_block: b row-count mismatch");
-        assert_eq!(x.nrows(), self.n, "solve_block: x row-count mismatch");
-        assert_eq!(x.ncols(), b.ncols(), "solve_block: column-count mismatch");
-        let b = b.columns().map(|col| (col, 0.0));
-        self.solve_columns_into_scratch(None, b, x.columns_mut(), work);
     }
 
     /// Solves `A y_c = b_c − s_c` for every pair `(b_c, s_c)` of `b` into
@@ -1120,16 +1013,38 @@ impl LdlFactor {
     ///   zeroed.
     ///
     /// Both copies run on the calling thread. A single right-hand side is
-    /// a chunk of one, so every solve entry point shares this path and
-    /// the same sweep kernels, and a blocked solve is bit-identical to
-    /// per-column solves.
+    /// a chunk of one, so every solve shares this path and the same sweep
+    /// kernels, and a blocked solve is bit-identical to per-column solves.
+    /// `work` is caller-owned and resized lazily, so repeated solves
+    /// (iterative refinement, shift-invert Lanczos, PCG preconditioning)
+    /// allocate nothing after the first call.
     ///
     /// # Panics
     ///
     /// Panics if a column of `b` or `x` has the wrong length, if `x`
     /// yields a different number of columns than `b`, or if `ground` is
     /// past the caller's last row.
-    pub fn solve_columns_into_scratch<'b, 'x>(
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use sass_sparse::{CooMatrix, DenseBlock, LdlFactor, ordering::OrderingKind};
+    ///
+    /// # fn main() -> Result<(), sass_sparse::SparseError> {
+    /// let mut coo = CooMatrix::new(2, 2);
+    /// coo.push(0, 0, 2.0); coo.push(1, 1, 2.0);
+    /// coo.push_sym(0, 1, 1.0);
+    /// let f = LdlFactor::new(&coo.to_csr(), OrderingKind::Natural)?;
+    /// let b = DenseBlock::from_columns(&[vec![3.0, 3.0], vec![2.0, 1.0]]);
+    /// let mut x = DenseBlock::zeros(2, 2);
+    /// let mut work = Vec::new();
+    /// f.solve_columns(None, b.columns().map(|c| (c, 0.0)), x.columns_mut(), &mut work);
+    /// assert!((x.col(0)[0] - 1.0).abs() < 1e-14);
+    /// assert!((x.col(1)[0] - 1.0).abs() < 1e-14);
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn solve_columns<'b, 'x>(
         &self,
         ground: Option<usize>,
         b: impl IntoIterator<Item = (&'b [f64], f64)>,
@@ -1179,7 +1094,7 @@ impl LdlFactor {
     }
 
     /// Pack, sweep and unpack of one chunk of exactly `K` columns (see
-    /// [`LdlFactor::solve_columns_into_scratch`]), monomorphized so the
+    /// [`LdlFactor::solve_columns`]), monomorphized so the
     /// per-row copy loops unroll and the sweeps use the fixed-width
     /// kernels.
     fn solve_chunk<const K: usize>(
@@ -1427,7 +1342,14 @@ impl LdlFactor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CooMatrix;
+    use crate::{CooMatrix, DenseBlock};
+
+    /// Every column of `b` through one [`LdlFactor::solve_columns`] call.
+    fn blocked(f: &LdlFactor, b: &DenseBlock, work: &mut Vec<f64>) -> DenseBlock {
+        let mut x = DenseBlock::zeros(b.nrows(), b.ncols());
+        f.solve_columns(None, b.columns().map(|c| (c, 0.0)), x.columns_mut(), work);
+        x
+    }
 
     /// The factor's etree partitioned for `lanes` lanes, independent of the
     /// pool width the factor was built at (other tests in this binary
@@ -1689,20 +1611,6 @@ mod tests {
         assert!(f.memory_bytes() > values_and_indices);
     }
 
-    #[test]
-    fn solve_into_matches_solve() {
-        let a = spd_tridiag(16);
-        let f = LdlFactor::new(&a, OrderingKind::Rcm).unwrap();
-        let b = vec![1.0; 16];
-        let x1 = f.solve(&b);
-        let mut x2 = vec![0.0; 16];
-        f.solve_into(&b, &mut x2);
-        assert_eq!(x1, x2);
-        let mut x3 = vec![0.0; 16];
-        f.solve_into_scratch(&b, &mut x3, &mut Vec::new());
-        assert_eq!(x1, x3);
-    }
-
     /// Blocked solves must match the per-RHS path across full blocks,
     /// partial tail blocks, and multi-chunk widths.
     #[test]
@@ -1718,7 +1626,7 @@ mod tests {
                             .collect()
                     })
                     .collect();
-                let blocked = f.solve_block(&DenseBlock::from_columns(&cols));
+                let blocked = blocked(&f, &DenseBlock::from_columns(&cols), &mut Vec::new());
                 for (c, col) in cols.iter().enumerate() {
                     let single = f.solve(col);
                     for (bx, sx) in blocked.col(c).iter().zip(&single) {
@@ -1875,13 +1783,14 @@ mod tests {
         let a = spd_tridiag(12);
         let f = LdlFactor::new(&a, OrderingKind::Rcm).unwrap();
         let mut work = Vec::new();
+        let wide = DenseBlock::from_columns(&vec![vec![0.5; 12]; LDL_BLOCK_WIDTH + 1]);
+        blocked(&f, &wide, &mut work);
+        // A narrower block through the primed buffer matches a fresh one.
         let b = DenseBlock::from_columns(&[vec![1.0; 12], vec![-2.0; 12]]);
-        let mut x = DenseBlock::zeros(12, 2);
-        f.solve_block_into_scratch(&b, &mut x, &mut work);
-        let again = f.solve_block(&b);
-        assert_eq!(x, again);
-        // Zero-column block is a no-op.
-        let empty = f.solve_block(&DenseBlock::zeros(12, 0));
+        assert_eq!(blocked(&f, &b, &mut work), blocked(&f, &b, &mut Vec::new()));
+        assert_eq!(blocked(&f, &b, &mut work).col(1), f.solve(&[-2.0; 12]));
+        // Zero columns are a no-op.
+        let empty = blocked(&f, &DenseBlock::zeros(12, 0), &mut work);
         assert_eq!(empty.ncols(), 0);
     }
 }

@@ -14,7 +14,7 @@
 
 use sass_sparse::ordering::{self, OrderingKind};
 use sass_sparse::pool::{self, Pool};
-use sass_sparse::{CooMatrix, CsrMatrix, DenseBlock, LdlFactor, RefactorOutcome};
+use sass_sparse::{CooMatrix, CsrMatrix, LdlFactor, RefactorOutcome};
 
 /// A `side × side` grid Laplacian plus `shift · I` (SPD).
 fn shifted_grid(side: usize, shift: f64) -> CsrMatrix {
@@ -75,8 +75,11 @@ fn every_ldl_phase_dispatches_once_per_direction() {
                     .collect()
             })
             .collect();
-        let rhs = DenseBlock::from_columns(&cols);
-        let (_, blocked) = dispatches(|| f.solve_block(&rhs));
+        let mut x = vec![vec![0.0; n]; ncols];
+        let (_, blocked) = dispatches(|| {
+            let b = cols.iter().map(|c| (&c[..], 0.0));
+            f.solve_columns(None, b, x.iter_mut().map(|c| &mut c[..]), &mut Vec::new())
+        });
         assert_eq!(blocked, 2 * chunks, "{ncols}-column block solve");
     }
 

@@ -15,7 +15,7 @@
 
 use proptest::prelude::*;
 use sass_sparse::ordering::OrderingKind;
-use sass_sparse::{pool, CooMatrix, CsrMatrix, DenseBlock, LdlFactor, SparseError};
+use sass_sparse::{pool, CooMatrix, CsrMatrix, LdlFactor, SparseError};
 
 /// Serializes every test in this binary that overrides the global pool's
 /// lane count: the serial reference must really be computed at one lane,
@@ -60,8 +60,15 @@ fn factor_fingerprint(a: &CsrMatrix, kind: OrderingKind) -> (Vec<f64>, Vec<f64>,
                 .collect()
         })
         .collect();
-    let blocked = f.solve_block(&DenseBlock::from_columns(&cols));
-    (f.d(), x, blocked.into_columns())
+    let mut blocked = vec![vec![0.0; n]; cols.len()];
+    let b = cols.iter().map(|c| (&c[..], 0.0));
+    f.solve_columns(
+        None,
+        b,
+        blocked.iter_mut().map(|c| &mut c[..]),
+        &mut Vec::new(),
+    );
+    (f.d(), x, blocked)
 }
 
 /// Random sparse SPD matrix (diagonally dominant), `n in [2, 40]`.
@@ -171,7 +178,9 @@ fn singleton_and_empty_parity() {
         let shape = f.partition_shape();
         assert_eq!((shape.lanes, shape.trunk_cols, shape.total_work), (0, 0, 0));
         let x = f.solve(&[]);
-        let bx = f.solve_block(&DenseBlock::zeros(0, 3));
+        let mut bx = vec![Vec::new(); 3];
+        let b = [(&[][..], 0.0); 3];
+        f.solve_columns(None, b, bx.iter_mut().map(|c| &mut c[..]), &mut Vec::new());
         (x, bx)
     });
 }

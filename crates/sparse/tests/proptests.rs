@@ -211,7 +211,7 @@ proptest! {
     #[test]
     fn ldl_block_solve_matches_per_column(a in spd_matrix(), seed in 0u64..1000) {
         use rand::{Rng, SeedableRng};
-        use sass_sparse::{DenseBlock, LdlFactor, LDL_BLOCK_WIDTH};
+        use sass_sparse::{LdlFactor, LDL_BLOCK_WIDTH};
         let n = a.nrows();
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let f = LdlFactor::new(&a, OrderingKind::MinDegree).unwrap();
@@ -219,10 +219,12 @@ proptest! {
             let cols: Vec<Vec<f64>> = (0..ncols)
                 .map(|_| (0..n).map(|_| rng.gen_range(-5.0f64..5.0)).collect())
                 .collect();
-            let blocked = f.solve_block(&DenseBlock::from_columns(&cols));
+            let mut blocked = vec![vec![0.0; n]; ncols];
+            let b = cols.iter().map(|c| (&c[..], 0.0));
+            f.solve_columns(None, b, blocked.iter_mut().map(|c| &mut c[..]), &mut Vec::new());
             for (c, col) in cols.iter().enumerate() {
                 let single = f.solve(col);
-                for (bx, sx) in blocked.col(c).iter().zip(&single) {
+                for (bx, sx) in blocked[c].iter().zip(&single) {
                     prop_assert!(
                         (bx - sx).abs() <= 1e-14 * sx.abs().max(1.0),
                         "ncols={} col={}: {} vs {}", ncols, c, bx, sx

@@ -134,11 +134,13 @@ fn corrupted_transpose_trips_the_backward_read_tracker() {
 #[test]
 #[should_panic(expected = "backward-block step at column 4 (trunk) reads column 3 (trunk)")]
 fn corrupted_transpose_trips_the_blocked_backward_read_tracker() {
-    use sass_sparse::{ordering::OrderingKind, DenseBlock, LdlFactor};
+    use sass_sparse::{ordering::OrderingKind, LdlFactor};
     let n = 16;
     let mut f = LdlFactor::new(&path_system(n, 4.0), OrderingKind::Natural).unwrap();
     f.corrupt_transpose_for_test(4, 3);
-    let _ = f.solve_block(&DenseBlock::from_columns(&vec![vec![1.0; n]; 8]));
+    let (b, mut x) = (vec![1.0; n], vec![vec![0.0; n]; 8]);
+    let x = x.iter_mut().map(|c| &mut c[..]);
+    f.solve_columns(None, [(&b[..], 0.0); 8], x, &mut Vec::new());
 }
 
 /// Disjoint dispatches of every shape stay silent at every width.

@@ -16,7 +16,7 @@
 use proptest::prelude::*;
 use sass_sparse::kernel::{self, SimdLevel};
 use sass_sparse::ordering::OrderingKind;
-use sass_sparse::{pool, CooMatrix, CsrMatrix, DenseBlock, LdlFactor};
+use sass_sparse::{pool, CooMatrix, CsrMatrix, LdlFactor};
 
 /// Serializes tests that override the global SIMD level or the global
 /// pool's lane count. (`unwrap_or_else` keeps the guard usable after a
@@ -136,8 +136,15 @@ fn ldl_fingerprint(a: &CsrMatrix) -> (Vec<f64>, Vec<f64>, Vec<Vec<f64>>) {
                 .collect()
         })
         .collect();
-    let blocked = f.solve_block(&DenseBlock::from_columns(&cols));
-    (f.d(), x, blocked.into_columns())
+    let mut blocked = vec![vec![0.0; n]; cols.len()];
+    let b = cols.iter().map(|c| (&c[..], 0.0));
+    f.solve_columns(
+        None,
+        b,
+        blocked.iter_mut().map(|c| &mut c[..]),
+        &mut Vec::new(),
+    );
+    (f.d(), x, blocked)
 }
 
 proptest! {

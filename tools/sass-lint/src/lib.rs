@@ -5,9 +5,10 @@
 //! never contract into FMA (bit-exactness), `#[target_feature]` functions
 //! are only reachable through the detection-guarded dispatch module,
 //! library code never panics through `unwrap`/`expect`, environment
-//! reads go through the sanctioned config sites, and shared mutable
+//! reads go through the sanctioned config sites, shared mutable
 //! state never leaks out as `static mut` or an unsanctioned
-//! `UnsafeCell`. This crate enforces all six mechanically, with
+//! `UnsafeCell`, and every `pub fn` has a consumer outside its own file.
+//! This crate enforces all seven mechanically, with
 //! `file:line` findings and a `lint.toml` allowlist for the (rare)
 //! justified exception.
 //!
@@ -17,7 +18,7 @@
 //! full parser — the rules are written so that the lexer's view (idents
 //! per line, comment text per line, brace depth) is enough.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -252,7 +253,7 @@ fn prev_nonspace(line: &str, upto: usize) -> Option<char> {
 // Rules
 // ---------------------------------------------------------------------------
 
-/// The six enforced invariants. String ids are what `--disable` and the
+/// The seven enforced invariants. String ids are what `--disable` and the
 /// allowlist use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rule {
@@ -275,16 +276,22 @@ pub enum Rule {
     /// analysis, so possession is what trips, with `cell-allow` naming
     /// the files whose cells are audited by hand.
     StaticMut,
+    /// Every `pub fn` outside `#[cfg(test)]` in the configured paths is
+    /// named on a code line of some other scanned file — a call, an
+    /// import, a path — other than a `pub use` re-export. Comments and
+    /// strings are masked, so a doc mention is not a consumer.
+    PubConsumer,
 }
 
 impl Rule {
-    pub const ALL: [Rule; 6] = [
+    pub const ALL: [Rule; 7] = [
         Rule::UnsafeSafety,
         Rule::NoFma,
         Rule::TargetFeature,
         Rule::NoUnwrap,
         Rule::EnvReads,
         Rule::StaticMut,
+        Rule::PubConsumer,
     ];
 
     pub fn id(self) -> &'static str {
@@ -295,6 +302,7 @@ impl Rule {
             Rule::NoUnwrap => "no-unwrap",
             Rule::EnvReads => "env-reads",
             Rule::StaticMut => "static-mut-escape",
+            Rule::PubConsumer => "pub-consumer",
         }
     }
 
@@ -343,6 +351,9 @@ pub struct Config {
     /// Files allowed to name `UnsafeCell` (sanctioned interior-mutability
     /// sites). `static mut` has no sanctioned home.
     pub cell_allow: Vec<String>,
+    /// Path prefixes whose `pub fn`s must have a consumer in another file
+    /// (empty = everywhere).
+    pub consumer_paths: Vec<String>,
     /// Path prefixes to skip entirely.
     pub exclude: Vec<String>,
     /// Justified exceptions, as `path:line:rule-id` entries. Entries that
@@ -359,6 +370,7 @@ impl Default for Config {
             unwrap_paths: Vec::new(),
             env_allow: Vec::new(),
             cell_allow: Vec::new(),
+            consumer_paths: Vec::new(),
             exclude: Vec::new(),
             allow: Vec::new(),
         }
@@ -428,6 +440,7 @@ impl Config {
             ("no-unwrap", "paths") => self.unwrap_paths = parse_string_array(value)?,
             ("env-reads", "allow") => self.env_allow = parse_string_array(value)?,
             ("static-mut-escape", "cell-allow") => self.cell_allow = parse_string_array(value)?,
+            ("pub-consumer", "paths") => self.consumer_paths = parse_string_array(value)?,
             ("exclude", "paths") => self.exclude = parse_string_array(value)?,
             ("allow", "findings") => self.allow = parse_string_array(value)?,
             _ => return Err(format!("unknown key `{key}` in section `[{section}]`")),
@@ -758,6 +771,97 @@ pub fn check_target_feature_callers(
     out
 }
 
+/// A `pub fn` definition (pass A of the consumer rule).
+#[derive(Debug, Clone)]
+pub struct PubFnDef {
+    pub file: String,
+    pub line: usize,
+    pub name: String,
+}
+
+/// Collects `pub fn NAME` definitions on code lines outside `#[cfg(test)]`
+/// regions. `pub(crate) fn`, `pub const fn` and macro-generated
+/// `pub fn $name` are not collected.
+pub fn collect_pub_fns(fv: &FileView) -> Vec<PubFnDef> {
+    let test_mask = test_region_mask(&fv.lines);
+    let mut defs = Vec::new();
+    for (i, lv) in fv.lines.iter().enumerate() {
+        if test_mask[i] {
+            continue;
+        }
+        let ids = idents(&lv.code);
+        for w in ids.windows(3) {
+            let [(_, vis), (_, kw), (pos, name)] = [w[0], w[1], w[2]];
+            let metavar = pos > 0 && lv.code.as_bytes()[pos - 1] == b'$';
+            if vis == "pub" && kw == "fn" && !metavar {
+                defs.push(PubFnDef {
+                    file: fv.rel.clone(),
+                    line: i + 1,
+                    name: name.to_string(),
+                });
+            }
+        }
+    }
+    defs
+}
+
+/// Identifiers on `fv`'s code lines, skipping `pub use` re-export
+/// statements (which may span lines up to their `;`).
+fn consumer_idents(fv: &FileView) -> BTreeSet<&str> {
+    let mut out = BTreeSet::new();
+    let mut in_reexport = false;
+    for lv in &fv.lines {
+        let ids = idents(&lv.code);
+        if !in_reexport {
+            // `pub use`, or `pub(crate) use` and kin: the visibility's
+            // parenthesized path sits between `pub` and `use`.
+            let rest = lv.code.trim_start().strip_prefix("pub");
+            in_reexport = rest.is_some_and(|r| {
+                let r = r.trim_start();
+                let r = match r.strip_prefix('(') {
+                    Some(inner) => inner.split_once(')').map_or("", |(_, after)| after),
+                    None => r,
+                };
+                r.trim_start().starts_with("use") && ids.iter().any(|&(_, w)| w == "use")
+            });
+        }
+        if in_reexport {
+            in_reexport = !lv.code.contains(';');
+            continue;
+        }
+        out.extend(ids.into_iter().map(|(_, w)| w));
+    }
+    out
+}
+
+/// Pass B of the consumer rule: flags each `pub fn` in the configured
+/// paths whose name appears in no other file's consumer identifiers.
+pub fn check_pub_consumers(files: &[FileView], defs: &[PubFnDef]) -> Vec<Finding> {
+    let mut files_naming: HashMap<&str, Vec<&str>> = HashMap::new();
+    for fv in files {
+        for w in consumer_idents(fv) {
+            files_naming.entry(w).or_default().push(fv.rel.as_str());
+        }
+    }
+    defs.iter()
+        .filter(|d| {
+            files_naming
+                .get(d.name.as_str())
+                .is_none_or(|fs| fs.iter().all(|f| *f == d.file))
+        })
+        .map(|d| Finding {
+            file: d.file.clone(),
+            line: d.line,
+            rule: Rule::PubConsumer.id(),
+            message: format!(
+                "`pub fn {}` is named by no other file outside a `pub use`; delete it, \
+                 make it private, or move it under `#[cfg(test)]`",
+                d.name
+            ),
+        })
+        .collect()
+}
+
 // ---------------------------------------------------------------------------
 // Workspace runner
 // ---------------------------------------------------------------------------
@@ -830,6 +934,14 @@ pub fn check_workspace(
             defs.extend(collect_target_feature_defs(fv));
         }
         findings.extend(check_target_feature_callers(&files, &defs, cfg));
+    }
+    if !disabled.iter().any(|d| d == Rule::PubConsumer.id()) {
+        let defs: Vec<PubFnDef> = files
+            .iter()
+            .filter(|fv| path_matches(&fv.rel, &cfg.consumer_paths))
+            .flat_map(collect_pub_fns)
+            .collect();
+        findings.extend(check_pub_consumers(&files, &defs));
     }
 
     // Allowlist: drop findings with a matching `path:line:rule` entry and
@@ -991,6 +1103,25 @@ mod tests {
             ..Config::default()
         };
         assert!(check_file(&FileView::new("x.rs", src), &cfg, &[]).is_empty());
+    }
+
+    #[test]
+    fn pub_consumer_rule_skips_reexports_metavars_and_tests() {
+        let def_src = "pub fn used() {}\npub fn reexported() {}\npub(crate) fn scoped() {}\n\
+                       macro_rules! m { ($g:ident) => { pub fn $g() {} }; }\n\
+                       #[cfg(test)]\nmod tests {\n    pub fn helper() {}\n}\n";
+        let user_src = "pub(crate) use crate::a::{\n    reexported,\n};\n\
+                        // reexported() in a comment\nfn f() { used(); }\n";
+        let files = vec![
+            FileView::new("a.rs", def_src),
+            FileView::new("b.rs", user_src),
+        ];
+        let defs: Vec<PubFnDef> = files.iter().flat_map(collect_pub_fns).collect();
+        let names: Vec<&str> = defs.iter().map(|d| d.name.as_str()).collect();
+        assert_eq!(names, ["used", "reexported"]);
+        let f = check_pub_consumers(&files, &defs);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!((f[0].file.as_str(), f[0].line), ("a.rs", 2));
     }
 
     #[test]

@@ -10,7 +10,7 @@ use sass_lint::{check_workspace, Config, Rule};
 const USAGE: &str = "usage: sass-lint check [--root DIR] [--config FILE] [--disable RULE]...
 
 Rules: unsafe-safety, no-fma, target-feature-callers, no-unwrap, env-reads,
-       static-mut-escape.
+       static-mut-escape, pub-consumer.
 Reads DIR/lint.toml by default (built-in defaults if absent).";
 
 fn main() -> ExitCode {

@@ -118,6 +118,30 @@ fn target_feature_fixture() {
 }
 
 #[test]
+fn pub_consumer_fixture() {
+    let rule = Rule::PubConsumer;
+    let cfg = Config::default();
+    // trip.rs's `orphan` is named elsewhere only by clean.rs's multi-line
+    // `pub use` and a doc comment; clean.rs's `consumed` is called from
+    // trip.rs.
+    let findings = run_rule(rule, &cfg);
+    assert_trips_only_in(&findings, rule);
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert!(
+        findings[0].message.contains("`pub fn orphan`"),
+        "{findings:?}"
+    );
+    assert!(run_all_disabled(rule, &cfg).is_empty());
+
+    // Outside the configured paths a `pub fn` is not collected.
+    let elsewhere = Config {
+        consumer_paths: vec!["clean.rs".to_string()],
+        ..Config::default()
+    };
+    assert!(run_rule(rule, &elsewhere).is_empty());
+}
+
+#[test]
 fn allowlist_suppresses_and_reports_stale_entries() {
     let rule = Rule::NoUnwrap;
 

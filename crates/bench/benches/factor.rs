@@ -12,13 +12,18 @@
 //!   (σ² = 200 on a circuit grid) — deep etree, light trunk, many small
 //!   subtrees for the lanes.
 //!
-//! A fourth shape, `tree_grid_140x140`, is the spanning-tree round's
-//! matrix: the canonical max-weight spanning tree of serve-mixed's 140²
-//! grid. Its rows time [`GroundedSolver`] itself at the automatic pool
-//! width — `grounded_new` (construction from the Laplacian),
+//! Two more shapes time [`GroundedSolver`] itself at the automatic pool
+//! width — `grounded_new` (construction from the Laplacian: the peel of
+//! every degree-≤2 vertex, then the ordering and LDLᵀ of the core),
 //! `grounded_solve` (one right-hand side) and `grounded_solve8` (one
-//! 8-column block) — since a tree-patterned matrix takes the solver's
-//! leaf-to-root elimination rather than an ordering and an LDLᵀ factor.
+//! 8-column block):
+//!
+//! - `tree_grid_140x140`, the spanning-tree round's matrix: the canonical
+//!   max-weight spanning tree of serve-mixed's 140² grid, peeled whole,
+//!   leaf to root, with an empty core;
+//! - `served_grid_140x140`, the sparsifier serve-mixed serves on that
+//!   grid: the selection [`IncrementalSparsifier::new`] makes at σ² = 100
+//!   with the workload's seed, about two thirds peeled.
 //!
 //! One serial `order` row per workload times the fill-reducing ordering
 //! alone ([`ordering::compute`], approximate minimum degree). Then three
@@ -43,7 +48,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use sass_bench::{record_simd_provenance, simd_modes};
-use sass_core::{sparsify, SparsifyConfig};
+use sass_core::{sparsify, IncrementalSparsifier, SparsifyConfig};
 use sass_graph::generators::{barabasi_albert, circuit_grid, grid2d, WeightModel};
 use sass_graph::spanning;
 use sass_solver::{GroundedScratch, GroundedSolver};
@@ -133,7 +138,7 @@ fn bench_factor(c: &mut Criterion) {
                     &(),
                     |bch, ()| {
                         bch.iter(|| {
-                            f.solve_columns(None, [(&b[..], 0.0)], [&mut x[..]], &mut work);
+                            f.solve_columns([&b[..]], [&mut x[..]], &mut work);
                             black_box(x[0])
                         })
                     },
@@ -143,8 +148,7 @@ fn bench_factor(c: &mut Criterion) {
                     &(),
                     |bch, ()| {
                         bch.iter(|| {
-                            let b = rhs.columns().map(|c| (c, 0.0));
-                            f.solve_columns(None, b, xb.columns_mut(), &mut work);
+                            f.solve_columns(rhs.columns(), xb.columns_mut(), &mut work);
                             black_box(xb.col(0)[0])
                         })
                     },
@@ -157,24 +161,35 @@ fn bench_factor(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_tree(c: &mut Criterion) {
+fn bench_grounded(c: &mut Criterion) {
     let g = grid2d(140, 140, WeightModel::Uniform { lo: 0.5, hi: 2.0 }, 140);
-    let ids = spanning::canonical_max_weight_spanning_tree(&g).expect("connected grid");
-    let l = g.laplacian_of_edges(&ids);
-    let name = "tree_grid_140x140";
-    let n = g.n();
+    let tree = spanning::canonical_max_weight_spanning_tree(&g).expect("connected grid");
+    let served = IncrementalSparsifier::new(&g, &SparsifyConfig::new(100.0).with_seed(0x5a55_c0de))
+        .expect("served sparsifier");
     let mut group = c.benchmark_group("factor");
     group.sample_size(10);
+    for (name, ids) in [
+        ("tree_grid_140x140", &tree[..]),
+        ("served_grid_140x140", served.selected_edge_ids()),
+    ] {
+        grounded_rows(&mut group, name, &g.laplacian_of_edges(ids));
+    }
+    group.finish();
+}
+
+/// The `grounded_{new,solve,solve8}` rows of one Laplacian.
+fn grounded_rows(group: &mut criterion::BenchmarkGroup<'_>, name: &str, l: &CsrMatrix) {
+    let n = l.nrows();
     group.bench_with_input(BenchmarkId::new("grounded_new", name), &(), |bch, ()| {
         bch.iter(|| {
             black_box(
-                GroundedSolver::new(&l, OrderingKind::MinDegree)
+                GroundedSolver::new(l, OrderingKind::MinDegree)
                     .unwrap()
                     .nnz_factor(),
             )
         })
     });
-    let s = GroundedSolver::new(&l, OrderingKind::MinDegree).unwrap();
+    let s = GroundedSolver::new(l, OrderingKind::MinDegree).unwrap();
     let b: Vec<f64> = (0..n).map(|i| ((i * 7 + 1) as f64 * 0.23).sin()).collect();
     let cols: Vec<Vec<f64>> = (0..LDL_BLOCK_WIDTH)
         .map(|k| {
@@ -198,8 +213,7 @@ fn bench_tree(c: &mut Criterion) {
             black_box(xb[0][0])
         })
     });
-    group.finish();
 }
 
-criterion_group!(benches, bench_factor, bench_tree);
+criterion_group!(benches, bench_factor, bench_grounded);
 criterion_main!(benches);

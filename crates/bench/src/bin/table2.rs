@@ -188,8 +188,9 @@ fn multi_rhs_amortization() {
         .expect("factorize sparsifier");
     // Elimination-tree partition of the sparsifier factor: the trunk plus
     // the heaviest lane is the critical path a partitioned solve still
-    // walks, which decides whether the solves spread over the pool. A
-    // sparsifier that is a bare spanning tree has no such factor.
+    // walks, which decides whether the solves spread over the pool. The
+    // factor covers the core left after the peel; a sparsifier that peels
+    // whole (a bare spanning tree) has none.
     match solver.factor() {
         Some(f) => {
             let shape = f.partition_shape();
@@ -204,7 +205,7 @@ fn multi_rhs_amortization() {
             );
         }
         None => println!(
-            "  sparsifier is a spanning tree: eliminated leaf to root, nnz(L) = {}",
+            "  sparsifier peels whole (no core to factor): nnz(L) = {}",
             solver.nnz_factor()
         ),
     }

@@ -41,12 +41,13 @@ pub struct SparsifyConfig {
     pub tree: TreeKind,
     /// Redundant-edge pruning policy (paper step 6).
     pub similarity: SimilarityPolicy,
-    /// Fill-reducing ordering for the sparsifier factorization, done
-    /// once per densification round that factors more than a spanning
-    /// tree: round 1's bare tree, like the incremental sparsifier's tree
-    /// stage, is eliminated leaf to root with no ordering
-    /// ([`GroundedSolver`](sass_solver::GroundedSolver) picks that by
-    /// structure). The last round's factor is the one
+    /// Fill-reducing ordering for the sparsifier factorization's core.
+    /// [`GroundedSolver`](sass_solver::GroundedSolver) first peels every
+    /// vertex of degree at most two (the ground excluded), and the
+    /// ordering applies to the Schur complement that remains, once per
+    /// densification round; round 1's bare tree, like the incremental
+    /// sparsifier's tree stage, peels whole and is never ordered. The
+    /// last round's factor is the one
     /// [`Sparsifier::build_solver`](crate::Sparsifier::build_solver)
     /// returns. The default, approximate minimum degree, orders a
     /// near-tree sparsifier in a fraction of its numeric factorization

@@ -4,9 +4,12 @@
 //! generalized eigenvalues, stop if `λmax/λmin ≤ σ²`, otherwise embed the
 //! remaining off-tree edges, filter them by normalized Joule heat against
 //! `θσ`, prune mutually-similar candidates, add the survivors, repeat.
-//! Round 1's sparsifier is the bare spanning tree, which
-//! [`GroundedSolver`] eliminates leaf to root in `O(n)`; later rounds
-//! order and factor the tree plus the added edges with the sparse LDLᵀ.
+//! Every round's factor comes from [`GroundedSolver`], which peels every
+//! vertex of degree at most two in `O(n + nnz)` and orders and factors
+//! only the remaining core with the sparse LDLᵀ. Round 1's sparsifier,
+//! the bare spanning tree, peels whole, leaf to root; in later rounds the
+//! tree's pendant branches and the chains between recovered edges peel
+//! away, and the core is what the configured ordering sees.
 //!
 //! Each round's sparsifier Laplacian comes straight from
 //! [`Graph::laplacian_of_edges`] over the current edge ids in selection
@@ -387,9 +390,17 @@ mod tests {
     /// from AMD plus the sparse LDLᵀ to the leaf-to-root elimination: the
     /// two eliminations round differently, so those three values moved by
     /// about 1e-13 relative. `SPARSE_TREE_ROUND` keeps the values the
-    /// sparse LDLᵀ gave, and the test bounds the drift from them. Every
-    /// other value — round 1's λmin and counts, rounds 2–6 and the edge
-    /// set — is unchanged by that move, and nothing else may move it.
+    /// sparse LDLᵀ gave, and the test bounds the drift from them.
+    ///
+    /// Rounds 2–6's λmax, condition and threshold were re-recorded when
+    /// the grounded solver began peeling every degree-≤2 vertex before
+    /// factoring the core: the peel eliminates in a different order than
+    /// AMD over the whole matrix, so those values moved by rounding (about
+    /// 1e-13 relative). `WHOLE_MATRIX_ROUNDS` keeps the values the
+    /// whole-matrix LDLᵀ gave, and the test bounds the drift from them.
+    /// Every other value — the counts, every λmin, round 1 (the tree peels
+    /// exactly as the leaf-to-root elimination did) and the edge set — is
+    /// unchanged by either move, and nothing else may move it.
     #[test]
     fn golden_rounds_and_edges_on_circuit_grid() {
         let g = circuit_grid(24, 24, 0.1, 3);
@@ -412,22 +423,38 @@ mod tests {
         #[rustfmt::skip]
         const GOLDEN_FLOATS: [[u64; 4]; 6] = [
             [0x4099975635ebb07b, 0x3ff0000000000000, 0x4099975635ebb07b, 0x3e5c7888bdbcb474],
-            [0x40501057afe93a1f, 0x3fefffffffffffff, 0x40501057afe93a20, 0x3fd2425fa7ef2936],
-            [0x404a08b1f1c2a1dd, 0x3fefffffffffffff, 0x404a08b1f1c2a1de, 0x3fea216b35d66523],
-            [0x4049b7a65c3f2f93, 0x3fefffffffffffff, 0x4049b7a65c3f2f94, 0x3febc76af09269ec],
-            [0x4049a6dac27bb4a5, 0x3fefffffffffffff, 0x4049a6dac27bb4a6, 0x3fec22d313c3b5aa],
-            [0x403ed192d642dd2f, 0x3fefffffffffffff, 0x403ed192d642dd30, 0x3ff0000000000000],
+            [0x40501057afe939f8, 0x3fefffffffffffff, 0x40501057afe939f9, 0x3fd2425fa7ef2a13],
+            [0x404a08b1f1c2a408, 0x3fefffffffffffff, 0x404a08b1f1c2a409, 0x3fea216b35d65a42],
+            [0x4049b7a65c3f2e4a, 0x3fefffffffffffff, 0x4049b7a65c3f2e4b, 0x3febc76af09270dd],
+            [0x4049a6dac27bb323, 0x3fefffffffffffff, 0x4049a6dac27bb324, 0x3fec22d313c3bdf1],
+            [0x403ed192d642dcf1, 0x3fefffffffffffff, 0x403ed192d642dcf2, 0x3ff0000000000000],
         ];
         // Round 1's λmax, condition and threshold under AMD plus the
         // sparse LDLᵀ of the tree.
         const SPARSE_TREE_ROUND: [u64; 3] =
             [0x4099975635ebac32, 0x4099975635ebac32, 0x3e5c7888bdbccc4a];
+        // Rounds 2–6's λmax, condition and threshold under the LDLᵀ of the
+        // whole grounded matrix.
+        #[rustfmt::skip]
+        const WHOLE_MATRIX_ROUNDS: [[u64; 3]; 5] = [
+            [0x40501057afe93a1f, 0x40501057afe93a20, 0x3fd2425fa7ef2936],
+            [0x404a08b1f1c2a1dd, 0x404a08b1f1c2a1de, 0x3fea216b35d66523],
+            [0x4049b7a65c3f2f93, 0x4049b7a65c3f2f94, 0x3febc76af09269ec],
+            [0x4049a6dac27bb4a5, 0x4049a6dac27bb4a6, 0x3fec22d313c3b5aa],
+            [0x403ed192d642dd2f, 0x403ed192d642dd30, 0x3ff0000000000000],
+        ];
         assert_eq!(counts, GOLDEN_COUNTS);
         assert_eq!(floats, GOLDEN_FLOATS);
         let round1 = [floats[0][0], floats[0][2], floats[0][3]];
         for ((new, old), tol) in round1.iter().zip(SPARSE_TREE_ROUND).zip([1e-9, 1e-9, 1e-8]) {
             let (new, old) = (f64::from_bits(*new), f64::from_bits(old));
             assert!((new - old).abs() <= tol * old.abs(), "{new} vs {old}");
+        }
+        for (round, old) in floats[1..].iter().zip(WHOLE_MATRIX_ROUNDS) {
+            for (&new, old) in [round[0], round[2], round[3]].iter().zip(old) {
+                let (new, old) = (f64::from_bits(new), f64::from_bits(old));
+                assert!((new - old).abs() <= 1e-9 * old.abs(), "{new} vs {old}");
+            }
         }
         assert!(sp.rounds().iter().map(|r| r.round).eq(1..=6));
         assert!(sp.converged());

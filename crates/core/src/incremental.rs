@@ -12,8 +12,11 @@
 //! - The probe iterates ([`probe_embedding`]) and the heat threshold
 //!   `θσ` are computed once at construction and then **frozen**. Both run
 //!   against the spanning-tree backbone, whose Laplacian the grounded
-//!   solver eliminates leaf to root in `O(n)`, with no ordering or LDLᵀ
-//!   factor. Joule heat under a fixed embedding is a pure function of each
+//!   solver peels whole, leaf to root in `O(n)`, with an empty core and no
+//!   ordering or LDLᵀ factor. The served factor of the selection peels
+//!   its degree-≤2 vertices the same way and factors only the core;
+//!   value-only edits replay the peel and patch the core's
+//!   elimination-tree closure. Joule heat under a fixed embedding is a pure function of each
 //!   edge's endpoints and weight, so an edit dirties exactly the edited
 //!   edges' heats and no others.
 //! - The spanning-tree backbone is the **canonical** maximum-weight
@@ -777,7 +780,11 @@ mod tests {
     /// (count and hash of its ids), the factor's fill, and one solve's
     /// bits, on a mesh and on a scale-free graph at σ² = 100. The values
     /// were recorded before `new` and `oracle_rebuild` shared one
-    /// constructor.
+    /// constructor. The fill and the solve's bits were re-recorded when
+    /// the grounded solver began peeling every degree-≤2 vertex before
+    /// factoring the core (mesh fill 1412 → 1408; solve hashes
+    /// 0xf8fe76e5e2ebb29c and 0xd38f1ca5cebe8f92 before); θ and the
+    /// selection did not move.
     #[test]
     fn golden_construction_on_grid_and_scale_free() {
         let cases = [
@@ -787,8 +794,8 @@ mod tests {
                     0x3f07d1624dd9858e,
                     704,
                     0x5c7b4f7f023aed5d,
-                    1412,
-                    0xf8fe76e5e2ebb29c,
+                    1408,
+                    0xefbdfd8dddc9616f,
                 ),
             ),
             (
@@ -798,7 +805,7 @@ mod tests {
                     729,
                     0x6da7d208ba982d82,
                     919,
-                    0xd38f1ca5cebe8f92,
+                    0x652010f0641f06ae,
                 ),
             ),
         ];

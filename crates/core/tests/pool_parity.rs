@@ -50,10 +50,7 @@ fn heat_setup(side: usize, seed: u64) -> (Graph, Vec<u32>, GroundedSolver) {
     let off = tree.off_tree_edges(&g);
     let p = g.subgraph_with_edges(tree_ids);
     let solver = GroundedSolver::new(&p.laplacian(), OrderingKind::MinDegree).unwrap();
-    assert!(
-        solver.factor().is_none(),
-        "a spanning tree takes the tree elimination"
-    );
+    assert!(solver.factor().is_none(), "a spanning tree peels whole");
     (g, off, solver)
 }
 
@@ -67,7 +64,7 @@ fn off_tree_heat_bit_identical_across_worker_counts() {
 /// Column-set solves into a [`DenseBlock`] on two sparse LDLᵀ factors: a
 /// grid Laplacian grounded mid-graph, and the factor a sparsifier carries
 /// out of densification.
-/// (`heat_setup`'s spanning tree covers the tree elimination.)
+/// (`heat_setup`'s spanning tree covers a solve with no core.)
 #[test]
 fn grounded_solve_block_bit_identical_across_worker_counts() {
     let g = grid2d(7, 6, WeightModel::Uniform { lo: 0.5, hi: 2.0 }, 11);

@@ -9,7 +9,7 @@
 //!
 //! - **Solve batching.** Concurrent solve requests against the same
 //!   cached factor are coalesced into one blocked multi-RHS pass
-//!   ([`GroundedSolver::solve_many`](sass_solver::GroundedSolver::solve_many)),
+//!   ([`GroundedSolver::solve_columns`](sass_solver::GroundedSolver::solve_columns)),
 //!   so the factor's forward/backward sweeps are shared across clients
 //!   instead of re-walked once per right-hand side. The executor drains
 //!   everything queued as soon as it wakes; requests that arrive during

@@ -19,10 +19,12 @@
 //! The executor waits on the queue's condvar and, once woken, drains
 //! every queued job at once. Every drained job with the same cache key
 //! is coalesced into **one**
-//! [`GroundedSolver::solve_many`](sass_solver::GroundedSolver::solve_many)
+//! [`GroundedSolver::solve_columns`](sass_solver::GroundedSolver::solve_columns)
 //! pass — concurrent clients solving against the same cached factor
 //! share its sweeps through the blocked multi-RHS path instead of
-//! re-walking the factor once per right-hand side. Nothing waits for
+//! re-walking the factor once per right-hand side. Every pass packs
+//! into the one work buffer the executor keeps for the server's life,
+//! so a pass allocates only its reply columns. Nothing waits for
 //! a batch to form: solves that arrive while a pass runs queue up and
 //! join the next drain, so passes widen with load and a lone client
 //! pays no gather delay. Each response reports `batch_cols`, the total
@@ -49,6 +51,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use sass_core::{cache_key, IncrementalSparsifier};
+use sass_solver::GroundedScratch;
 
 use crate::cache::SparsifierCache;
 use crate::protocol::{
@@ -162,7 +165,7 @@ struct Shared {
     limits: Limits,
     max_batch_cols: usize,
     /// Fault injection for tests: a pass on this key panics while it
-    /// holds the state lock, as a panicking `solve_many` would.
+    /// holds the state lock, as a panicking solve would.
     #[cfg(test)]
     panic_key: Mutex<Option<u64>>,
 }
@@ -562,8 +565,10 @@ fn submit_solve(
 }
 
 /// The executor: wait for work, drain the whole queue, group by key,
-/// one blocked pass per group.
+/// one blocked pass per group. One solve scratch serves every pass for
+/// the server's life.
 fn executor_loop(shared: &Arc<Shared>) {
+    let mut scratch = GroundedScratch::new();
     loop {
         let jobs: Vec<SolveJob> = {
             let mut q = lock(&shared.queue);
@@ -586,24 +591,26 @@ fn executor_loop(shared: &Arc<Shared>) {
             }
             q.drain(..).collect()
         };
-        dispatch_jobs(jobs, shared);
+        dispatch_jobs(jobs, shared, &mut scratch);
     }
 }
 
 /// Groups drained jobs by cache key, splits each group into chunks of
 /// at most `max_batch_cols` columns (at job granularity — a single job
 /// larger than the cap still runs whole), and serves each chunk with
-/// one `solve_many` pass over the concatenated columns.
+/// one blocked solve pass over the concatenated columns through
+/// `scratch`.
 ///
 /// A panicking pass must not take the executor down with it: nothing
 /// would drain the queue again and every later solve would block
 /// forever. Unwinding drops the pass's reply senders unanswered, which
 /// their handlers report as `Internal`; the other passes still run.
 /// Asserting unwind safety is sound because a pass reads its entry
-/// through a shared borrow and counts its solves only after
-/// `solve_many` returns: an unwound pass leaves the entry untouched and
-/// counts nothing.
-fn dispatch_jobs(jobs: Vec<SolveJob>, shared: &Arc<Shared>) {
+/// through a shared borrow and counts its solves only after the solve
+/// returns, and every solve overwrites the part of `scratch` it reads:
+/// an unwound pass leaves the entry untouched, counts nothing, and
+/// leaves nothing a later pass reads.
+fn dispatch_jobs(jobs: Vec<SolveJob>, shared: &Arc<Shared>, scratch: &mut GroundedScratch) {
     let mut groups: Vec<(u64, Vec<SolveJob>)> = Vec::new();
     for job in jobs {
         match groups.iter_mut().find(|(k, _)| *k == job.key) {
@@ -611,8 +618,10 @@ fn dispatch_jobs(jobs: Vec<SolveJob>, shared: &Arc<Shared>) {
             None => groups.push((job.key, vec![job])),
         }
     }
-    let pass = |key: u64, chunk: Vec<SolveJob>| {
-        let _ = panic::catch_unwind(AssertUnwindSafe(|| serve_group(key, chunk, shared)));
+    let mut pass = |key: u64, chunk: Vec<SolveJob>| {
+        let _ = panic::catch_unwind(AssertUnwindSafe(|| {
+            serve_group(key, chunk, shared, scratch)
+        }));
     };
     let cap = shared.max_batch_cols;
     for (key, group) in groups {
@@ -632,7 +641,12 @@ fn dispatch_jobs(jobs: Vec<SolveJob>, shared: &Arc<Shared>) {
     }
 }
 
-fn serve_group(key: u64, group: Vec<SolveJob>, shared: &Arc<Shared>) {
+fn serve_group(
+    key: u64,
+    group: Vec<SolveJob>,
+    shared: &Arc<Shared>,
+    scratch: &mut GroundedScratch,
+) {
     let now = Instant::now();
     let (live, expired): (Vec<SolveJob>, Vec<SolveJob>) =
         group.into_iter().partition(|j| j.deadline >= now);
@@ -690,7 +704,8 @@ fn serve_group(key: u64, group: Vec<SolveJob>, shared: &Arc<Shared>) {
     if *lock(&shared.panic_key) == Some(key) {
         panic!("injected panic in the pass on key {key:#x}");
     }
-    let xs = entry.solver().solve_many(&all_cols);
+    let mut xs = vec![vec![0.0; n]; all_cols.len()];
+    entry.solver().solve_columns(&all_cols, &mut xs, scratch);
     let counters = &mut state.counters;
     counters.solves += live.len() as u64;
     counters.batches += 1;
@@ -857,6 +872,46 @@ mod tests {
         }
         let s = stats(&server);
         assert_eq!((s.solves, s.batches, s.max_batch), (5, 2, 3));
+    }
+
+    /// Passes alternate between two cached entries of different sizes at
+    /// several widths, all through the executor's one scratch, and answer
+    /// bit for bit as a fresh `solve_many` does.
+    #[test]
+    fn passes_alternating_between_sizes_share_one_scratch() {
+        let (server, entries) = server_with(256, &[5]);
+        let config = SparsifyConfig::new(100.0).with_seed(7);
+        let g = grid2d(5, 9, WeightModel::Uniform { lo: 0.5, hi: 2.0 }, 3);
+        let small = IncrementalSparsifier::new(&g, &config).expect("sparsifier");
+        let small_key = cache_key(&g, &config);
+        lock(&server.shared.state)
+            .cache
+            .insert(small_key, small.clone());
+        let (big_key, big) = &entries[0];
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (round, width) in [1usize, 9, 3, 8, 2].into_iter().enumerate() {
+            for (key, local) in [(*big_key, big), (small_key, &small)] {
+                let n = local.graph().n();
+                let cols: Vec<Vec<f64>> = (0..width)
+                    .map(|c| {
+                        (0..n)
+                            .map(|i| ((i * (c + 2) + round) as f64 * 0.3).sin())
+                            .collect()
+                    })
+                    .collect();
+                let jobs: Vec<_> = cols.iter().map(|b| (key, b.clone())).collect();
+                let replies = enqueue(&server.shared, &jobs, later());
+                let want = local.solver().solve_many(&cols);
+                for (rx, w) in replies.iter().zip(&want) {
+                    let (xs, batch_cols) = rx
+                        .recv_timeout(WAIT)
+                        .expect("the executor answers")
+                        .expect("the solve succeeds");
+                    assert_eq!(batch_cols as usize, width);
+                    assert_eq!(bits(&xs[0]), bits(w), "n = {n}, width {width}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -20,6 +20,7 @@
 use crate::{GroundedScratch, Preconditioner, Result, SolverError};
 use sass_sparse::ordering::OrderingKind;
 use sass_sparse::{dense, CooMatrix, CsrMatrix};
+use std::cell::RefCell;
 
 /// Options controlling AMG hierarchy construction and cycling.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,7 +57,22 @@ struct Level {
     n_coarse: usize,
 }
 
+/// The work buffers of one level's part of a V-cycle: the fine residual
+/// (also the smoother's), the restricted right-hand side and the coarse
+/// correction.
+#[derive(Debug, Clone)]
+struct LevelScratch {
+    r: Vec<f64>,
+    rc: Vec<f64>,
+    xc: Vec<f64>,
+}
+
 /// Aggregation-based AMG V-cycle preconditioner for SDD matrices.
+///
+/// Every application reuses one set of per-level buffers and one coarse
+/// solve scratch, so PCG iterations allocate nothing (which makes the
+/// preconditioner `!Sync`, as [`LaplacianPrec`](crate::LaplacianPrec) is;
+/// clone it per thread).
 ///
 /// # Example
 ///
@@ -81,6 +97,7 @@ pub struct AmgPrec {
     levels: Vec<Level>,
     coarse: crate::GroundedSolver,
     options: AmgOptions,
+    scratch: RefCell<(Vec<LevelScratch>, GroundedScratch)>,
 }
 
 /// Greedy strength-based aggregation: each unaggregated vertex merges with
@@ -190,10 +207,19 @@ impl AmgPrec {
             current = coarse;
         }
         let coarse = crate::GroundedSolver::new(&current, OrderingKind::MinDegree)?;
+        let buffers = levels
+            .iter()
+            .map(|l| LevelScratch {
+                r: vec![0.0; l.a.nrows()],
+                rc: vec![0.0; l.n_coarse],
+                xc: vec![0.0; l.n_coarse],
+            })
+            .collect();
         Ok(AmgPrec {
             levels,
             coarse,
             options: options.clone(),
+            scratch: RefCell::new((buffers, GroundedScratch::new())),
         })
     }
 
@@ -202,48 +228,52 @@ impl AmgPrec {
         self.levels.len() + 1
     }
 
-    /// Damped-Jacobi sweeps: `x ← x + ω D⁻¹ (b − A x)`.
-    fn smooth(&self, level: &Level, b: &[f64], x: &mut [f64], sweeps: usize) {
-        let n = level.a.nrows();
-        let mut r = vec![0.0; n];
+    /// Damped-Jacobi sweeps: `x ← x + ω D⁻¹ (b − A x)`, with `r` as the
+    /// residual buffer.
+    fn smooth(&self, level: &Level, b: &[f64], x: &mut [f64], r: &mut [f64], sweeps: usize) {
         for _ in 0..sweeps {
-            level.a.mul_vec_into(x, &mut r);
+            level.a.mul_vec_into(x, r);
             for ((xi, &bi), (&ri, &di)) in x.iter_mut().zip(b).zip(r.iter().zip(&level.inv_diag)) {
                 *xi += self.options.jacobi_weight * di * (bi - ri);
             }
         }
     }
 
-    /// One symmetric V-cycle starting at `depth`.
-    fn vcycle(&self, depth: usize, b: &[f64], x: &mut [f64]) {
-        if depth == self.levels.len() {
-            self.coarse
-                .solve_columns(&[b], &mut [x], &mut GroundedScratch::new());
+    /// One symmetric V-cycle starting at `depth`, with `buffers` the
+    /// buffers of this level and every coarser one.
+    fn vcycle(
+        &self,
+        depth: usize,
+        b: &[f64],
+        x: &mut [f64],
+        buffers: &mut [LevelScratch],
+        coarse: &mut GroundedScratch,
+    ) {
+        let Some((LevelScratch { r, rc, xc }, coarser)) = buffers.split_first_mut() else {
+            self.coarse.solve_columns(&[b], &mut [x], coarse);
             return;
-        }
+        };
         let level = &self.levels[depth];
-        let n = level.a.nrows();
         for xi in x.iter_mut() {
             *xi = 0.0;
         }
-        self.smooth(level, b, x, self.options.smoothing_sweeps);
+        self.smooth(level, b, x, r, self.options.smoothing_sweeps);
         // Residual and restriction.
-        let mut r = vec![0.0; n];
-        level.a.mul_vec_into(x, &mut r);
+        level.a.mul_vec_into(x, r);
         for (ri, bi) in r.iter_mut().zip(b) {
             *ri = bi - *ri;
         }
-        let mut rc = vec![0.0; level.n_coarse];
+        rc.fill(0.0);
         for (i, &a_of_i) in level.agg.iter().enumerate() {
             rc[a_of_i as usize] += r[i];
         }
-        // Coarse correction.
-        let mut xc = vec![0.0; level.n_coarse];
-        self.vcycle(depth + 1, &rc, &mut xc);
+        // Coarse correction; the next level (or the direct solve)
+        // overwrites all of `xc`.
+        self.vcycle(depth + 1, rc, xc, coarser, coarse);
         for (i, &a_of_i) in level.agg.iter().enumerate() {
             x[i] += xc[a_of_i as usize];
         }
-        self.smooth(level, b, x, self.options.smoothing_sweeps);
+        self.smooth(level, b, x, r, self.options.smoothing_sweeps);
     }
 }
 
@@ -254,7 +284,8 @@ impl Preconditioner for AmgPrec {
             self.levels.first().map_or(self.coarse.n(), |l| l.a.nrows()),
             "amg: dimension mismatch"
         );
-        self.vcycle(0, r, z);
+        let (buffers, coarse) = &mut *self.scratch.borrow_mut();
+        self.vcycle(0, r, z, buffers, coarse);
         dense::center(z);
     }
 }
@@ -341,6 +372,26 @@ mod tests {
             (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0),
             "asymmetry: {a} vs {b}"
         );
+    }
+
+    /// The reused buffers carry nothing between applications: one
+    /// preconditioner applied 20 times gives the bits of a fresh one per
+    /// application.
+    #[test]
+    fn reused_buffers_match_fresh_applications() {
+        let g = circuit_grid(24, 24, 0.15, 2);
+        let l = g.laplacian();
+        let amg = AmgPrec::new(&l, &Default::default()).unwrap();
+        assert!(amg.depth() >= 2);
+        for k in 0..20 {
+            let r = centered_rhs(g.n(), 100 + k);
+            let (mut z, mut want) = (vec![0.0; g.n()], vec![0.0; g.n()]);
+            amg.apply(&r, &mut z);
+            AmgPrec::new(&l, &Default::default())
+                .unwrap()
+                .apply(&r, &mut want);
+            assert!(z.iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits()));
+        }
     }
 
     #[test]

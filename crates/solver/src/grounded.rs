@@ -1,16 +1,15 @@
-use crate::tree_factor::TreeFactor;
+use crate::peel::Peel;
 use crate::{Result, SolverError};
 use sass_sparse::ordering::OrderingKind;
-use sass_sparse::{dense, pool, CsrMatrix, LdlFactor, RefactorStats, SparseError};
+use sass_sparse::{dense, pool, CsrMatrix, LdlFactor, RefactorStats, LDL_BLOCK_WIDTH};
 
 /// Minimum `n × ncols` work before a column set's per-column mean-zero
 /// projection goes parallel under automatic pool sizing (an
 /// explicit `SASS_THREADS` / `pool::set_threads` override skips the
-/// crossover). The sparse factor's triangular solves carry their own
-/// gates inside [`LdlFactor`]: they run on a subtree-to-lane partition of
-/// the elimination tree once the factor is big enough and its trunk light
-/// enough. The tree elimination's sweeps run serially, one column at a
-/// time.
+/// crossover). The core factor's triangular solves carry their own gates
+/// inside [`LdlFactor`]: they run on a subtree-to-lane partition of the
+/// elimination tree once the factor is big enough and its trunk light
+/// enough. The peeled records' sweeps run serially.
 const MIN_PAR_BLOCK_WORK: usize = 32_768;
 
 /// Exact solver for (connected) graph-Laplacian systems via *grounding*.
@@ -22,26 +21,31 @@ const MIN_PAR_BLOCK_WORK: usize = 32_768;
 /// side with `Σb = 0`, returning the unique solution with zero mean (i.e.
 /// `x = L⁺ b`).
 ///
-/// The elimination is chosen by the matrix's structure, with no knob:
+/// One elimination serves every matrix, with no knob:
 ///
-/// - a **tree-patterned** matrix — a spanning tree's Laplacian, or any
-///   matrix whose off-diagonal pattern is a spanning tree — is eliminated
-///   leaf to root from the ground in `O(n)`, with no fill, no ordering and
-///   no elimination-tree partition;
-/// - every other matrix is factored by the sparse LDLᵀ ([`LdlFactor`])
-///   under the requested fill-reducing ordering.
+/// - the **peel** eliminates every vertex whose degree (ground excluded) is
+///   at most two in `O(n + nnz)`: pendant trees leaf to root from the
+///   ground, then degree-2 chains, each adding at most one fill entry;
+/// - only the remaining **core** — the Schur complement, still SPD — goes
+///   to the requested fill-reducing ordering and the sparse LDLᵀ
+///   ([`LdlFactor`]).
+///
+/// A spanning tree's Laplacian is peeled whole, leaf to root, with no fill,
+/// no ordering and an empty core; a sparsifier's backbone and most of its
+/// recovered edges peel away, leaving a small core.
 ///
 /// Right-hand sides are centered defensively, so passing a `b` with nonzero
 /// mean solves against its projection onto `range(L)`.
 ///
 /// Every solve goes through [`GroundedSolver::solve_columns`] and moves
 /// its data once each way: the caller's full-size columns are packed
-/// straight into the elimination's work buffer, dropping the ground row
-/// and subtracting each column's mean on the way in, and unpacked with
-/// the ground entry set to zero on the way out ([`LdlFactor::solve_columns`]
-/// for the sparse factor). The only other pass is the mean-zero
-/// projection of each solution. Each column's result has the same bits
-/// whether it was solved alone or in a set.
+/// straight into the elimination's work buffer in elimination order,
+/// dropping the ground row and subtracting each column's mean on the way
+/// in; the peeled rows and the core factor's slot range are swept in
+/// place ([`LdlFactor::sweep_chunk`]); and every row is unpacked with the
+/// ground entry set to zero on the way out. The only other pass is the
+/// mean-zero projection of each solution. Each column's result has the
+/// same bits whether it was solved alone or in a set.
 ///
 /// # Example
 ///
@@ -64,100 +68,7 @@ pub struct GroundedSolver {
     n: usize,
     ground: usize,
     ordering: OrderingKind,
-    elim: Elimination,
-}
-
-/// How the grounded matrix is eliminated, chosen by its structure in
-/// [`GroundedSolver::with_ground`].
-#[derive(Debug, Clone)]
-enum Elimination {
-    /// A tree-patterned matrix, eliminated leaf to root.
-    Tree(TreeFactor),
-    /// Any other matrix: the sparse LDLᵀ of the grounded submatrix, plus
-    /// the lazy cache of the ground-row/column elimination, keyed on the
-    /// incoming Laplacian's sparsity pattern: on a hit the reduced
-    /// matrix's values are refreshed through `gather` instead of
-    /// rebuilding the submatrix (see [`GroundedSolver::refactor`]).
-    Sparse {
-        factor: Box<LdlFactor>,
-        cache: Option<GroundCache>,
-    },
-}
-
-/// See [`Elimination::Sparse`]: `gather[q]` is the position in the full
-/// Laplacian's value array feeding `reduced.data()[q]` — exactly the
-/// entries outside the ground row and column, in row-major order, which is
-/// what [`CsrMatrix::principal_submatrix`] keeps.
-#[derive(Debug, Clone)]
-struct GroundCache {
-    l_p: Vec<usize>,
-    l_i: Vec<u32>,
-    gather: Vec<u32>,
-    reduced: CsrMatrix,
-}
-
-impl GroundCache {
-    /// Builds the grounded submatrix of `l` and records `l`'s pattern and,
-    /// for every entry outside the ground row and column in row-major
-    /// order, the source position feeding the corresponding reduced-matrix
-    /// slot.
-    fn new(l: &CsrMatrix, ground: usize) -> Self {
-        assert!(
-            l.nnz() < u32::MAX as usize,
-            "ground cache gather indices must fit in u32"
-        );
-        let reduced = grounded_submatrix(l, ground);
-        let indptr = l.indptr();
-        let indices = l.indices();
-        let mut gather = Vec::with_capacity(reduced.nnz());
-        for i in 0..l.nrows() {
-            if i == ground {
-                continue;
-            }
-            for (p, &col) in indices
-                .iter()
-                .enumerate()
-                .take(indptr[i + 1])
-                .skip(indptr[i])
-            {
-                if col as usize != ground {
-                    gather.push(p as u32);
-                }
-            }
-        }
-        debug_assert_eq!(gather.len(), reduced.nnz());
-        GroundCache {
-            l_p: indptr.to_vec(),
-            l_i: indices.to_vec(),
-            gather,
-            reduced,
-        }
-    }
-
-    fn memory_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.l_p.len() * size_of::<usize>()
-            + (self.l_i.len() + self.gather.len()) * size_of::<u32>()
-            + self.reduced.memory_bytes()
-    }
-}
-
-/// `l` with the ground's row and column deleted.
-fn grounded_submatrix(l: &CsrMatrix, ground: usize) -> CsrMatrix {
-    let mut keep = vec![true; l.nrows()];
-    keep[ground] = false;
-    l.principal_submatrix(&keep).0
-}
-
-/// The sparse LDLᵀ of a grounded submatrix, with a vanishing pivot
-/// reported as [`SolverError::GroundedSingular`].
-fn sparse_factor(reduced: &CsrMatrix, ordering: OrderingKind) -> Result<Box<LdlFactor>> {
-    LdlFactor::new(reduced, ordering)
-        .map(Box::new)
-        .map_err(|e| match e {
-            SparseError::ZeroPivot { .. } => SolverError::GroundedSingular,
-            e => e.into(),
-        })
+    pub(crate) peel: Peel,
 }
 
 impl GroundedSolver {
@@ -166,9 +77,16 @@ impl GroundedSolver {
     /// # Errors
     ///
     /// Returns [`SolverError::ShapeMismatch`] for a rectangular matrix,
-    /// and [`SolverError::GroundedSingular`] when factorization hits a zero
-    /// pivot — which for a Laplacian means the underlying graph is
-    /// disconnected.
+    /// and [`SolverError::GroundedSingular`] when the matrix's pattern is
+    /// disconnected from the ground, a row lacks its diagonal, or the
+    /// elimination hits a zero pivot — which for a Laplacian means the
+    /// underlying graph is disconnected.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row's column indices are not strictly ascending (every
+    /// constructor in `sass-sparse` produces sorted rows), or if the
+    /// matrix's stored entries and rows together reach 2³¹.
     pub fn new(l: &CsrMatrix, ordering: OrderingKind) -> Result<Self> {
         Self::with_ground(l, 0, ordering)
     }
@@ -179,6 +97,10 @@ impl GroundedSolver {
     ///
     /// See [`GroundedSolver::new`]; additionally rejects an out-of-range
     /// ground vertex.
+    ///
+    /// # Panics
+    ///
+    /// See [`GroundedSolver::new`].
     pub fn with_ground(l: &CsrMatrix, ground: usize, ordering: OrderingKind) -> Result<Self> {
         let n = l.nrows();
         if n != l.ncols() {
@@ -195,20 +117,7 @@ impl GroundedSolver {
             n,
             ground,
             ordering,
-            elim: Self::eliminate(l, ground, ordering)?,
-        })
-    }
-
-    /// The structure choice behind [`GroundedSolver::with_ground`]: the
-    /// leaf-to-root elimination for a tree-patterned `l`, otherwise the
-    /// sparse LDLᵀ of the grounded submatrix under `ordering`.
-    fn eliminate(l: &CsrMatrix, ground: usize, ordering: OrderingKind) -> Result<Elimination> {
-        if let Some(tree) = TreeFactor::try_new(l, ground)? {
-            return Ok(Elimination::Tree(tree));
-        }
-        Ok(Elimination::Sparse {
-            factor: sparse_factor(&grounded_submatrix(l, ground), ordering)?,
-            cache: None,
+            peel: Peel::new(l, ground, ordering)?,
         })
     }
 
@@ -221,28 +130,30 @@ impl GroundedSolver {
     /// `(u, v)` that is `u` and `v` (the ground vertex may be included and
     /// is ignored).
     ///
-    /// The new matrix goes through the same structure choice as
-    /// [`GroundedSolver::with_ground`]:
+    /// The peel's structure depends only on the sparsity pattern, so:
     ///
-    /// - a tree-patterned `l` is eliminated afresh, leaf to root, in
-    ///   `O(n)`;
-    /// - otherwise a sparse LDLᵀ factor whose grounded pattern still
-    ///   matches re-runs numeric factorization only on the elimination-tree
-    ///   ancestor closure of the changed columns
-    ///   ([`LdlFactor::refactor_partial`]); `crossover` is the
-    ///   affected-fraction threshold past which the whole numeric phase is
-    ///   re-run on the existing symbolic analysis;
-    /// - anything else — a changed pattern, or a tree that gained an edge —
-    ///   is factored from scratch under a fresh ordering.
+    /// - when `l` has the pattern the solver was built for, the peel's
+    ///   numeric pass is replayed on the new values in its original order,
+    ///   and the core factor re-runs numeric factorization only on the
+    ///   elimination-tree ancestor closure of the core rows whose values
+    ///   changed ([`LdlFactor::refactor_partial`]); `crossover` is the
+    ///   affected-fraction threshold past which the core's whole numeric
+    ///   phase is re-run on its existing symbolic analysis;
+    /// - a changed pattern is eliminated from scratch, with a fresh
+    ///   ordering of the new core, and reports `full: true` with every
+    ///   grounded column counted.
     ///
-    /// A tree elimination and a from-scratch factorization report
-    /// `full: true` with every grounded column counted.
+    /// On a replay, `cols_refactored` counts the core's re-run columns plus
+    /// the peeled columns the edit reaches: the changed vertices' records
+    /// and every record whose pivot or entries a reached record updates.
+    /// The replay recomputes the other records' `O(1)` steps too, and they
+    /// reproduce their values bit for bit.
     ///
     /// After a successful return the solver is exactly the solver
     /// [`GroundedSolver::with_ground`] would build for `l` — bit-identical
-    /// when the pattern is unchanged (skipped columns keep values that a
-    /// from-scratch run would reproduce, re-run columns execute the same
-    /// factorization steps on the same inputs).
+    /// when the pattern is unchanged (the replay runs the build's own
+    /// numeric pass on the new values, and re-run core columns execute the
+    /// same factorization steps on the same inputs).
     ///
     /// # Errors
     ///
@@ -273,51 +184,8 @@ impl GroundedSolver {
                 ),
             });
         }
-        let rebuilt = RefactorStats {
-            cols_refactored: self.n - 1,
-            total_cols: self.n - 1,
-            full: true,
-        };
-        if let Some(tree) = TreeFactor::try_new(l, self.ground)? {
-            self.elim = Elimination::Tree(tree);
-            return Ok(rebuilt);
-        }
-        let Elimination::Sparse { factor, cache } = &mut self.elim else {
-            self.elim = Self::eliminate(l, self.ground, self.ordering)?;
-            return Ok(rebuilt);
-        };
-        // Ground elimination: on a pattern hit against the cached
-        // Laplacian, refresh the reduced matrix's values through the
-        // stored gather map (the submatrix keeps full-matrix entries in
-        // row-major order, so a pattern-equal input routes values to the
-        // same slots); otherwise rebuild the submatrix and the map.
-        let reduced = match cache {
-            Some(c) if c.l_p == l.indptr() && c.l_i == l.indices() => {
-                let src = l.data();
-                for (dst, &p) in c.reduced.data_mut().iter_mut().zip(&c.gather) {
-                    *dst = src[p as usize];
-                }
-                &c.reduced
-            }
-            _ => &cache.insert(GroundCache::new(l, self.ground)).reduced,
-        };
-        // Grounded row index of vertex v: vertices above the ground shift
-        // down by one; the ground row itself does not exist in the reduced
-        // system (its incident-edge updates land on the other endpoints).
-        let changed_rows: Vec<usize> = changed_vertices
-            .iter()
-            .filter(|&&v| v != self.ground)
-            .map(|&v| if v > self.ground { v - 1 } else { v })
-            .collect();
-        match factor.refactor_partial(reduced, &changed_rows, crossover) {
-            Ok(sass_sparse::RefactorOutcome::Patched(stats)) => Ok(stats),
-            Ok(sass_sparse::RefactorOutcome::PatternChanged) => {
-                *factor = sparse_factor(reduced, self.ordering)?;
-                Ok(rebuilt)
-            }
-            Err(SparseError::ZeroPivot { .. }) => Err(SolverError::GroundedSingular),
-            Err(e) => Err(e.into()),
-        }
+        self.peel
+            .refactor(l, changed_vertices, crossover, self.ordering)
     }
 
     /// Dimension of the original (ungrounded) system.
@@ -330,38 +198,28 @@ impl GroundedSolver {
         self.ground
     }
 
-    /// Off-diagonal nonzeros of the factor's `L` (memory/fill proxy). A
-    /// tree-patterned matrix has no fill: one entry per vertex whose tree
-    /// parent is not the ground, `n − 1 − deg(ground)`.
+    /// Off-diagonal nonzeros of the factor's `L` (memory/fill proxy): the
+    /// peel's multipliers plus the core factor's `nnz(L)`. A spanning tree
+    /// has one entry per vertex whose tree parent is not the ground,
+    /// `n − 1 − deg(ground)`.
     pub fn nnz_factor(&self) -> usize {
-        match &self.elim {
-            Elimination::Tree(tree) => tree.nnz_l(),
-            Elimination::Sparse { factor, .. } => factor.nnz_l(),
-        }
+        self.peel.nnz()
     }
 
-    /// The sparse LDLᵀ factorization of the grounded Laplacian, or `None`
-    /// when the Laplacian is tree-patterned and eliminated leaf to root
-    /// instead. Exposes the elimination-tree observability surface
-    /// ([`LdlFactor::partition_shape`], [`LdlFactor::memory_bytes`]) the
-    /// bench binaries report.
+    /// The sparse LDLᵀ factorization of the core — the Schur complement
+    /// left after the peel — or `None` when the peel eliminated every
+    /// vertex (a spanning tree, a cycle). Exposes the elimination-tree
+    /// observability surface ([`LdlFactor::partition_shape`],
+    /// [`LdlFactor::memory_bytes`]) the bench binaries report.
     pub fn factor(&self) -> Option<&LdlFactor> {
-        match &self.elim {
-            Elimination::Tree(_) => None,
-            Elimination::Sparse { factor, .. } => Some(factor.as_ref()),
-        }
+        self.peel.core()
     }
 
-    /// Approximate memory held by the solver, in bytes: the elimination's
-    /// arrays, plus the ground-elimination cache once
-    /// [`GroundedSolver::refactor`] has built it.
+    /// Approximate memory held by the solver, in bytes: the peel's records
+    /// and the pattern [`GroundedSolver::refactor`] replays on, the core
+    /// matrix, and the core factor with its own refactor cache.
     pub fn memory_bytes(&self) -> usize {
-        match &self.elim {
-            Elimination::Tree(tree) => tree.memory_bytes(),
-            Elimination::Sparse { factor, cache } => {
-                factor.memory_bytes() + cache.as_ref().map_or(0, GroundCache::memory_bytes)
-            }
-        }
+        self.peel.memory_bytes()
     }
 
     /// Solves `L x = center(b)`, returning the mean-zero solution `L⁺ b`.
@@ -382,10 +240,10 @@ impl GroundedSolver {
     /// the paper's Table 2 motivation ("multiple RHS vectors").
     ///
     /// Right-hand sides are processed in blocks of
-    /// [`sass_sparse::LDL_BLOCK_WIDTH`] columns: one sweep over the LDLᵀ
-    /// factor's indices advances the whole block, so factor traffic is paid
-    /// once per block instead of once per vector. Results are bit-identical
-    /// to per-RHS [`GroundedSolver::solve`].
+    /// [`sass_sparse::LDL_BLOCK_WIDTH`] columns: one sweep over the peel's
+    /// records and the core factor's indices advances the whole block, so
+    /// factor traffic is paid once per block instead of once per vector.
+    /// Results are bit-identical to per-RHS [`GroundedSolver::solve`].
     ///
     /// # Panics
     ///
@@ -407,12 +265,13 @@ impl GroundedSolver {
     ///
     /// [`DenseBlock`]: sass_sparse::DenseBlock
     ///
-    /// Each column is shifted by its mean and packed into the
-    /// elimination's work buffer with the ground row left out; the ground
-    /// row comes back as zero. The mean-zero projection runs serially for
-    /// one column and spreads columns over the pool above a work
-    /// crossover, each column through the same serial code, so every
-    /// column's bits are those of a one-column solve at any pool width.
+    /// Columns go through the elimination [`LDL_BLOCK_WIDTH`] at a time,
+    /// each column shifted by its mean and packed with the ground row left
+    /// out; the ground row comes back as zero. The mean-zero projection
+    /// runs serially for one column and spreads columns over the pool
+    /// above a work crossover, each column through the same serial code, so
+    /// every column's bits are those of a one-column solve at any pool
+    /// width.
     ///
     /// # Panics
     ///
@@ -450,14 +309,17 @@ impl GroundedSolver {
         for col in x.iter_mut() {
             assert_eq!(col.as_mut().len(), self.n, "solve: x length mismatch");
         }
-        let shifted = b
-            .iter()
-            .map(|col| (col.as_ref(), dense::mean(col.as_ref())));
-        let out = x.iter_mut().map(AsMut::as_mut);
-        match &self.elim {
-            Elimination::Tree(tree) => tree.solve_columns(shifted.zip(out), &mut scratch.work),
-            Elimination::Sparse { factor, .. } => {
-                factor.solve_columns(Some(self.ground), shifted, out, &mut scratch.work)
+        let work = &mut scratch.work;
+        for (b, x) in b.chunks(LDL_BLOCK_WIDTH).zip(x.chunks_mut(LDL_BLOCK_WIDTH)) {
+            match b.len() {
+                1 => self.chunk::<1, _, _>(b, x, work),
+                2 => self.chunk::<2, _, _>(b, x, work),
+                3 => self.chunk::<3, _, _>(b, x, work),
+                4 => self.chunk::<4, _, _>(b, x, work),
+                5 => self.chunk::<5, _, _>(b, x, work),
+                6 => self.chunk::<6, _, _>(b, x, work),
+                7 => self.chunk::<7, _, _>(b, x, work),
+                _ => self.chunk::<LDL_BLOCK_WIDTH, _, _>(b, x, work),
             }
         }
         match self.center_spans(x.len()) {
@@ -466,6 +328,25 @@ impl GroundedSolver {
                 xs.iter_mut().for_each(|col| dense::center(col.as_mut()))
             }),
         }
+    }
+
+    /// One chunk of exactly `K` columns through [`Peel::solve_chunk`],
+    /// each shifted by its mean.
+    fn chunk<const K: usize, B, X>(&self, b: &[B], x: &mut [X], work: &mut Vec<f64>)
+    where
+        B: AsRef<[f64]>,
+        X: AsMut<[f64]>,
+    {
+        let (Ok(b), Ok(x)) = (<&[B; K]>::try_from(b), <&mut [X; K]>::try_from(x)) else {
+            unreachable!("solve_columns hands out chunks of exactly K columns");
+        };
+        let b = b.each_ref().map(AsRef::as_ref);
+        self.peel.solve_chunk(
+            b,
+            b.map(dense::mean),
+            &mut x.each_mut().map(AsMut::as_mut),
+            work,
+        );
     }
 
     /// Column spans for the mean-zero projection: `None` runs it
@@ -482,11 +363,12 @@ impl GroundedSolver {
 }
 
 /// The reusable work buffer of [`GroundedSolver::solve_columns`]: one
-/// chunk of right-hand sides in the sparse factor's interleaved slot
-/// layout, or one column in the tree elimination's order.
+/// chunk of right-hand sides in the elimination's row order, `K` values
+/// per row.
 ///
 /// One scratch serves solvers of any size and any block width (the buffer
-/// resizes lazily); keep it per call site, not shared across threads.
+/// resizes lazily, and every pack overwrites it); keep it per call site,
+/// not shared across threads.
 #[derive(Debug, Clone, Default)]
 pub struct GroundedScratch {
     work: Vec<f64>,
@@ -586,31 +468,162 @@ mod tests {
 
     type Reference = Box<dyn Fn(&[f64]) -> Vec<f64>>;
 
-    /// The grounded solve spelled out: factor the principal submatrix
-    /// with the solver's own permutation; then per right-hand side, solve
-    /// it centered with the ground row elided, re-insert the ground row
-    /// as zero, and project onto mean zero. Tree-eliminated solvers get
-    /// [`tree_reference`] instead.
-    fn reference_solver(l: &CsrMatrix, s: &GroundedSolver) -> Reference {
-        let g = s.ground();
+    /// One eliminated vertex of [`peel_reference`]: its neighbours at
+    /// elimination, ascending, with their multipliers, and its pivot.
+    struct Record {
+        v: usize,
+        nbrs: Vec<(usize, f64)>,
+        d: f64,
+    }
+
+    /// The peel plus the core spelled out by vertex, with a map per entry:
+    ///
+    /// - BFS parents from the ground; leaf to root, every vertex with no
+    ///   live neighbour, or with its parent (not the ground) as its only
+    ///   one, is eliminated with `l = a_pv / d_v`, `d_p −= l · a_pv`;
+    /// - a FIFO seeded in index order eliminates every vertex of degree at
+    ///   most two, neighbours `a < b` ascending, adding `−l_a · a_vb` to
+    ///   entry `(a, b)` — merged into an existing entry, whose endpoints
+    ///   then lose a degree and may join the queue (`a` first), or new;
+    /// - the live rest is the core, factored with the solver's own
+    ///   permutation.
+    ///
+    /// Per right-hand side: center, sweep the records forward, solve the
+    /// core, sweep the records backward (`x_v = y_v / d_v − Σ l_a x_a`),
+    /// zero the ground and project onto mean zero. Returns whether the
+    /// core is empty, and the reference.
+    fn peel_reference(l: &CsrMatrix, s: &GroundedSolver) -> (bool, Reference) {
+        use std::collections::{BTreeMap, BTreeSet};
+        let (n, g) = (l.nrows(), s.ground());
+        let key = |u: usize, w: usize| (u.min(w), u.max(w));
+        let mut val = BTreeMap::new();
+        let mut adj = vec![BTreeSet::new(); n];
+        let mut d: Vec<f64> = (0..n).map(|v| l.get(v, v)).collect();
+        for u in (0..n).filter(|&u| u != g) {
+            for &w in l.row(u).0 {
+                let w = w as usize;
+                if w != u && w != g {
+                    adj[u].insert(w);
+                    val.insert(key(u, w), l.get(u, w));
+                }
+            }
+        }
+        let (mut parent, mut order) = (vec![usize::MAX; n], vec![g]);
+        parent[g] = g;
+        let mut head = 0;
+        while head < order.len() {
+            let u = order[head];
+            head += 1;
+            for &c in l.row(u).0 {
+                if parent[c as usize] == usize::MAX {
+                    parent[c as usize] = u;
+                    order.push(c as usize);
+                }
+            }
+        }
+        let mut records = Vec::new();
+        let mut alive = vec![true; n];
+        alive[g] = false;
+        for &v in order[1..].iter().rev() {
+            let p = parent[v];
+            let nbrs = match adj[v].len() {
+                0 => vec![],
+                1 if p != g => {
+                    let l_pv = l.get(p, v) / d[v];
+                    d[p] -= l_pv * l.get(p, v);
+                    adj[p].remove(&v);
+                    vec![(p, l_pv)]
+                }
+                _ => continue,
+            };
+            records.push(Record { v, nbrs, d: d[v] });
+            alive[v] = false;
+        }
+        let mut queued: Vec<bool> = (0..n).map(|v| alive[v] && adj[v].len() <= 2).collect();
+        let mut fifo: std::collections::VecDeque<usize> = (0..n).filter(|&v| queued[v]).collect();
+        while let Some(v) = fifo.pop_front() {
+            let nb: Vec<usize> = adj[v].iter().copied().collect();
+            let dv = d[v];
+            let a_v: Vec<f64> = nb.iter().map(|&a| val[&key(v, a)]).collect();
+            let ls: Vec<f64> = a_v.iter().map(|&a| a / dv).collect();
+            for ((&a, &l_a), &a_va) in nb.iter().zip(&ls).zip(&a_v) {
+                d[a] -= l_a * a_va;
+                adj[a].remove(&v);
+            }
+            let mut lowered = nb.clone();
+            if let [a, b] = nb[..] {
+                let merged = val.contains_key(&key(a, b));
+                *val.entry(key(a, b)).or_insert(0.0) -= ls[0] * a_v[1];
+                if !merged {
+                    adj[a].insert(b);
+                    adj[b].insert(a);
+                    lowered.clear();
+                }
+            }
+            for x in lowered {
+                if adj[x].len() <= 2 && !queued[x] {
+                    queued[x] = true;
+                    fifo.push_back(x);
+                }
+            }
+            records.push(Record {
+                v,
+                nbrs: nb.into_iter().zip(ls).collect(),
+                d: dv,
+            });
+            alive[v] = false;
+        }
+        let core: Vec<usize> = (0..n).filter(|&v| alive[v]).collect();
         let Some(factor) = s.factor() else {
-            return Box::new(tree_reference(l, g));
+            assert!(core.is_empty(), "the solver has no core factor");
+            return (true, Box::new(move |b| sweep(&records, None, g, b)));
         };
-        let mut keep = vec![true; s.n()];
-        keep[g] = false;
-        let (reduced, _) = l.principal_submatrix(&keep);
-        let f = LdlFactor::with_permutation(&reduced, factor.permutation().clone()).unwrap();
-        Box::new(move |b| {
-            let mean = dense::mean(b);
-            let rb: Vec<f64> = (0..b.len())
-                .filter(|&i| i != g)
-                .map(|i| b[i] - mean)
-                .collect();
-            let mut x = f.solve(&rb);
-            x.insert(g, 0.0);
-            dense::center(&mut x);
-            x
-        })
+        let mut coo = sass_sparse::CooMatrix::new(core.len(), core.len());
+        for (i, &u) in core.iter().enumerate() {
+            coo.push(i, i, d[u]);
+            for (j, &w) in core.iter().enumerate() {
+                if w != u && adj[u].contains(&w) {
+                    coo.push(i, j, val[&key(u, w)]);
+                }
+            }
+        }
+        let f = LdlFactor::with_permutation(&coo.to_csr(), factor.permutation().clone()).unwrap();
+        (
+            false,
+            Box::new(move |b| sweep(&records, Some((&core, &f)), g, b)),
+        )
+    }
+
+    /// The per-right-hand-side half of [`peel_reference`].
+    fn sweep(
+        records: &[Record],
+        core: Option<(&[usize], &LdlFactor)>,
+        g: usize,
+        b: &[f64],
+    ) -> Vec<f64> {
+        let mean = dense::mean(b);
+        let mut y: Vec<f64> = b.iter().map(|&v| v - mean).collect();
+        for r in records {
+            for &(a, l) in &r.nbrs {
+                y[a] -= l * y[r.v];
+            }
+        }
+        if let Some((core, f)) = core {
+            let yc: Vec<f64> = core.iter().map(|&u| y[u]).collect();
+            for (&u, x) in core.iter().zip(f.solve(&yc)) {
+                y[u] = x;
+            }
+        }
+        for r in records.iter().rev() {
+            let mut x = y[r.v] / r.d;
+            for &(a, l) in &r.nbrs {
+                x -= l * y[a];
+            }
+            y[r.v] = x;
+        }
+        y[g] = 0.0;
+        dense::center(&mut y);
+        y
     }
 
     /// The tree elimination spelled out by vertex: BFS parents from the
@@ -673,14 +686,15 @@ mod tests {
         x.iter().map(|v| v.to_bits()).collect()
     }
 
-    /// Every grounded solve path against [`reference_solver`], bit for
+    /// Every grounded solve path against a spelled-out reference, bit for
     /// bit: `solve`, `solve_many`, and `solve_columns` on `Vec` columns and
     /// on [`DenseBlock`] columns, at the first, middle and last ground
     /// vertex, across column counts around the chunk width, down to one-
     /// and two-vertex systems. One scratch serves every call, so stale
     /// buffer contents would show. The one- and two-vertex systems and the
-    /// grid's spanning tree take the tree elimination; the triangle, the
-    /// circuit grid and the grid take the sparse LDLᵀ.
+    /// grid's spanning tree are checked against [`tree_reference`]; the
+    /// triangle (peeled whole), the circuit grid and the grid (peel plus a
+    /// core) against [`peel_reference`].
     #[test]
     fn grounded_paths_match_explicit_elision_bitwise() {
         let grid = grid2d(48, 48, WeightModel::Uniform { lo: 0.5, hi: 2.0 }, 9);
@@ -702,7 +716,15 @@ mod tests {
             let (n, l) = (g.n(), g.laplacian());
             for ground in [0, n / 2, n - 1] {
                 let s = GroundedSolver::with_ground(&l, ground, OrderingKind::MinDegree).unwrap();
-                assert_eq!(s.factor().is_none(), *is_tree, "n = {n}: elimination kind");
+                let reference = if *is_tree {
+                    assert!(s.factor().is_none(), "n = {n}: a tree has no core");
+                    Box::new(tree_reference(&l, ground))
+                } else {
+                    let (no_core, reference) = peel_reference(&l, &s);
+                    assert_eq!(s.factor().is_none(), no_core, "n = {n}: core");
+                    assert_eq!(no_core, n == 3, "n = {n}: only the triangle peels whole");
+                    reference
+                };
                 let cols: Vec<Vec<f64>> = (0..17)
                     .map(|c| {
                         (0..n)
@@ -710,7 +732,6 @@ mod tests {
                             .collect()
                     })
                     .collect();
-                let reference = reference_solver(&l, &s);
                 let want: Vec<Vec<u64>> = cols.iter().map(|b| bits(&reference(b))).collect();
                 assert_eq!(
                     bits(&s.solve(&cols[0])),
@@ -866,9 +887,9 @@ mod tests {
         assert_eq!(s.solve(&b), fresh.solve(&b));
     }
 
-    /// The first `refactor` builds the ground-elimination cache — a copy
-    /// of the input pattern, a gather map and the grounded submatrix — and
-    /// the factor's own refactor cache; `memory_bytes` counts both.
+    /// The first `refactor` copies the input pattern — the key later
+    /// refactors replay the peel on — and builds the core factor's own
+    /// refactor cache; `memory_bytes` counts both.
     #[test]
     fn memory_bytes_counts_the_ground_cache() {
         use std::mem::{size_of, size_of_val};
@@ -886,13 +907,9 @@ mod tests {
         let l2 = Graph::from_edges(g.n(), &edges).unwrap().laplacian();
         s.refactor(&l2, &[u, v], 0.9).unwrap();
         let factor_growth = s.factor().unwrap().memory_bytes() - factor_before;
-        let mut keep = vec![true; g.n()];
-        keep[5] = false;
-        let reduced = l2.principal_submatrix(&keep).0;
-        let cache = size_of_val(l2.indptr())
-            + (l2.nnz() + reduced.nnz()) * size_of::<u32>()
-            + reduced.memory_bytes();
-        assert!(s.memory_bytes() >= before + factor_growth + cache);
+        let pattern = size_of_val(l2.indptr()) + l2.nnz() * size_of::<u32>();
+        assert!(factor_growth > 0);
+        assert_eq!(s.memory_bytes(), before + factor_growth + pattern);
     }
 
     #[test]
@@ -934,12 +951,15 @@ mod tests {
         s.solve_columns::<&[f64], &mut [f64]>(&[], &mut [], &mut GroundedScratch::new());
     }
 
-    /// A tree-eliminated and a factored solver on the same vertex count,
-    /// for the column-count checks below.
+    /// A solver peeled whole (a path) and one with a core factor (the
+    /// complete graph on five vertices), for the column-count checks below,
+    /// which run before any length check.
     fn tree_and_factored() -> [GroundedSolver; 2] {
-        let path = Graph::from_edges(3, &[(0, 1, 1.0), (1, 2, 1.0)]).unwrap();
-        let triangle = Graph::from_edges(3, &[(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]).unwrap();
-        let solvers = [path, triangle]
+        let path = Graph::from_edges(5, &[(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)]);
+        let k5: Vec<_> = (0..5)
+            .flat_map(|u| (u + 1..5).map(move |v| (u, v, 1.0)))
+            .collect();
+        let solvers = [path.unwrap(), Graph::from_edges(5, &k5).unwrap()]
             .map(|g| GroundedSolver::new(&g.laplacian(), OrderingKind::Natural).unwrap());
         assert!(solvers[0].factor().is_none() && solvers[1].factor().is_some());
         solvers

@@ -7,10 +7,12 @@
 //!    [`GroundedSolver`] does this by *grounding* one vertex (deleting its
 //!    row/column, which makes the Laplacian SPD for a connected graph),
 //!    eliminating the rest, and re-centering solutions against the
-//!    all-ones nullspace. The elimination follows the matrix's structure:
-//!    a spanning tree's Laplacian (the first densification round) is
-//!    eliminated leaf to root in O(n) with no fill, and every other matrix
-//!    is factored with the sparse LDLᵀ from [`sass_sparse`].
+//!    all-ones nullspace. One elimination serves every matrix: the peel
+//!    removes every vertex of degree at most two in `O(n + nnz)` —
+//!    pendant trees leaf to root, then degree-2 chains with at most one
+//!    fill entry each — and only the remaining core is ordered and
+//!    factored with the sparse LDLᵀ from [`sass_sparse`]. A spanning
+//!    tree's Laplacian (the first densification round) peels whole.
 //!    [`AmgPrec`] is the aggregation-based algebraic-multigrid alternative
 //!    (the paper's LAMG/SAMG role).
 //! 2. **Iterative solves with the original graph** `L_G x = b` — the
@@ -48,8 +50,8 @@ mod amg;
 mod error;
 mod grounded;
 mod pcg;
+mod peel;
 mod preconditioner;
-mod tree_factor;
 
 pub use amg::{AmgOptions, AmgPrec};
 pub use error::SolverError;

@@ -962,6 +962,12 @@ impl LdlFactor {
         base
     }
 
+    /// Slot of every row of the factored matrix: the chunk row
+    /// [`LdlFactor::sweep_chunk`] reads and writes that row's values at.
+    pub fn slots(&self) -> &[u32] {
+        &self.slot_of_old
+    }
+
     /// The fill-reducing permutation used by this factor.
     pub fn permutation(&self) -> &Permutation {
         &self.perm
@@ -984,33 +990,25 @@ impl LdlFactor {
     /// Panics if `b.len() != n`.
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
         let mut x = vec![0.0; self.n];
-        self.solve_columns(None, [(b, 0.0)], [&mut x[..]], &mut Vec::new());
+        self.solve_columns([b], [&mut x[..]], &mut Vec::new());
         x
     }
 
-    /// Solves `A y_c = b_c − s_c` for every pair `(b_c, s_c)` of `b` into
-    /// the matching column `x_c` of `x`, where `b_c` and `x_c` are given in
-    /// the caller's own row numbering: the factor's rows, plus one
-    /// *ground* row at index `g` when `ground` is `Some(g)`. The ground row
-    /// has no factor row — its `b` entries are ignored and its `x` entries
-    /// are set to zero; caller rows above it map to factor rows one lower.
-    /// With `ground = None` and zero shifts this is a plain solve
-    /// (`b − 0.0` is `b` bit for bit).
+    /// Solves `A x_c = b_c` for every column `b_c` of `b` into the matching
+    /// column `x_c` of `x`.
     ///
     /// Columns go through the factor [`LDL_BLOCK_WIDTH`] at a time, each
     /// chunk in one pass that moves its data once:
     ///
-    /// - **pack** — caller row by caller row, the chunk's `k` shifted
-    ///   entries land in one contiguous `k`-wide row of `work` at the
-    ///   factor slot of that row (`work[slot · k + c]`; one cache line for
-    ///   a full chunk), skipping the ground row;
-    /// - **sweep** — the forward, diagonal and backward sweeps run on that
-    ///   interleaved buffer, touching a chunk row contiguously per factor
-    ///   entry; above a work crossover (or under a forced pool override)
-    ///   they run on the etree partition;
-    /// - **unpack** — caller row by caller row again, each slot row is
-    ///   copied out to the `k` output columns, and the ground row is
-    ///   zeroed.
+    /// - **pack** — row by row, the chunk's `k` entries land in one
+    ///   contiguous `k`-wide row of `work` at the factor slot of that row
+    ///   (`work[slot · k + c]`; one cache line for a full chunk);
+    /// - **sweep** — [`LdlFactor::sweep_chunk`]: the forward, diagonal and
+    ///   backward sweeps run on that interleaved buffer, touching a chunk
+    ///   row contiguously per factor entry; above a work crossover (or
+    ///   under a forced pool override) they run on the etree partition;
+    /// - **unpack** — row by row again, each slot row is copied out to the
+    ///   `k` output columns.
     ///
     /// Both copies run on the calling thread. A single right-hand side is
     /// a chunk of one, so every solve shares this path and the same sweep
@@ -1021,9 +1019,8 @@ impl LdlFactor {
     ///
     /// # Panics
     ///
-    /// Panics if a column of `b` or `x` has the wrong length, if `x`
-    /// yields a different number of columns than `b`, or if `ground` is
-    /// past the caller's last row.
+    /// Panics if a column of `b` or `x` has the wrong length, or if `x`
+    /// yields a different number of columns than `b`.
     ///
     /// # Example
     ///
@@ -1038,7 +1035,7 @@ impl LdlFactor {
     /// let b = DenseBlock::from_columns(&[vec![3.0, 3.0], vec![2.0, 1.0]]);
     /// let mut x = DenseBlock::zeros(2, 2);
     /// let mut work = Vec::new();
-    /// f.solve_columns(None, b.columns().map(|c| (c, 0.0)), x.columns_mut(), &mut work);
+    /// f.solve_columns(b.columns(), x.columns_mut(), &mut work);
     /// assert!((x.col(0)[0] - 1.0).abs() < 1e-14);
     /// assert!((x.col(1)[0] - 1.0).abs() < 1e-14);
     /// # Ok(())
@@ -1046,45 +1043,36 @@ impl LdlFactor {
     /// ```
     pub fn solve_columns<'b, 'x>(
         &self,
-        ground: Option<usize>,
-        b: impl IntoIterator<Item = (&'b [f64], f64)>,
+        b: impl IntoIterator<Item = &'b [f64]>,
         x: impl IntoIterator<Item = &'x mut [f64]>,
         work: &mut Vec<f64>,
     ) {
-        let rows = self.n + usize::from(ground.is_some());
-        if let Some(g) = ground {
-            assert!(
-                g < rows,
-                "solve: ground row {g} out of range for {rows} rows"
-            );
-        }
         let (mut b, mut x) = (b.into_iter(), x.into_iter());
         loop {
             let mut bc: [&[f64]; LDL_BLOCK_WIDTH] = [&[]; LDL_BLOCK_WIDTH];
-            let mut shift = [0.0f64; LDL_BLOCK_WIDTH];
             let mut xc: [&mut [f64]; LDL_BLOCK_WIDTH] = Default::default();
             let mut k = 0;
             while k < LDL_BLOCK_WIDTH {
-                let Some((col, s)) = b.next() else { break };
+                let Some(col) = b.next() else { break };
                 let Some(out) = x.next() else {
                     panic!("solve: fewer x columns than b columns");
                 };
-                assert_eq!(col.len(), rows, "solve: b length mismatch");
-                assert_eq!(out.len(), rows, "solve: x length mismatch");
-                (bc[k], shift[k], xc[k]) = (col, s, out);
+                assert_eq!(col.len(), self.n, "solve: b length mismatch");
+                assert_eq!(out.len(), self.n, "solve: x length mismatch");
+                (bc[k], xc[k]) = (col, out);
                 k += 1;
             }
-            let (b, s, x) = (&bc, &shift, &mut xc);
+            let (b, x) = (&bc, &mut xc);
             match k {
                 0 => break,
-                1 => self.solve_chunk::<1>(ground, b, s, x, work),
-                2 => self.solve_chunk::<2>(ground, b, s, x, work),
-                3 => self.solve_chunk::<3>(ground, b, s, x, work),
-                4 => self.solve_chunk::<4>(ground, b, s, x, work),
-                5 => self.solve_chunk::<5>(ground, b, s, x, work),
-                6 => self.solve_chunk::<6>(ground, b, s, x, work),
-                7 => self.solve_chunk::<7>(ground, b, s, x, work),
-                _ => self.solve_chunk::<LDL_BLOCK_WIDTH>(ground, b, s, x, work),
+                1 => self.solve_chunk::<1>(b, x, work),
+                2 => self.solve_chunk::<2>(b, x, work),
+                3 => self.solve_chunk::<3>(b, x, work),
+                4 => self.solve_chunk::<4>(b, x, work),
+                5 => self.solve_chunk::<5>(b, x, work),
+                6 => self.solve_chunk::<6>(b, x, work),
+                7 => self.solve_chunk::<7>(b, x, work),
+                _ => self.solve_chunk::<LDL_BLOCK_WIDTH>(b, x, work),
             }
             if k < LDL_BLOCK_WIDTH {
                 break;
@@ -1099,9 +1087,7 @@ impl LdlFactor {
     /// kernels.
     fn solve_chunk<const K: usize>(
         &self,
-        ground: Option<usize>,
         b: &[&[f64]; LDL_BLOCK_WIDTH],
-        shift: &[f64; LDL_BLOCK_WIDTH],
         x: &mut [&mut [f64]; LDL_BLOCK_WIDTH],
         work: &mut Vec<f64>,
     ) {
@@ -1109,39 +1095,17 @@ impl LdlFactor {
         // zeroing.
         work.resize(self.n * K, 0.0);
         let w = &mut work[..self.n * K];
-        // Caller rows below the ground are factor rows 0..g; those above
-        // it are factor rows g.., one lower. Without a ground, `above` is
-        // empty.
-        let g = ground.unwrap_or(self.n);
-        let (below, above) = self.slot_of_old.split_at(g);
-        let pack = |w: &mut [f64], i: usize, q: u32| {
+        for (i, &q) in self.slot_of_old.iter().enumerate() {
             let row = &mut w[q as usize * K..][..K];
             for c in 0..K {
-                row[c] = b[c][i] - shift[c];
+                row[c] = b[c][i];
             }
-        };
-        for (i, &q) in below.iter().enumerate() {
-            pack(w, i, q);
-        }
-        for (i, &q) in above.iter().enumerate() {
-            pack(w, g + 1 + i, q);
         }
         self.sweep_chunk::<K>(w);
-        let mut unpack = |i: usize, q: u32| {
+        for (i, &q) in self.slot_of_old.iter().enumerate() {
             let row = &w[q as usize * K..][..K];
             for c in 0..K {
                 x[c][i] = row[c];
-            }
-        };
-        for (i, &q) in below.iter().enumerate() {
-            unpack(i, q);
-        }
-        for (i, &q) in above.iter().enumerate() {
-            unpack(g + 1 + i, q);
-        }
-        if ground.is_some() {
-            for col in &mut x[..K] {
-                col[g] = 0.0;
             }
         }
     }
@@ -1320,9 +1284,21 @@ impl LdlFactor {
         std::slice::from_raw_parts_mut(base.add(q * K), K).copy_from_slice(&acc);
     }
 
-    /// Forward / diagonal / backward sweeps over one interleaved chunk of
-    /// exactly `K` right-hand sides.
-    fn sweep_chunk<const K: usize>(&self, w: &mut [f64]) {
+    /// Solves in place on one chunk of exactly `K` right-hand sides laid
+    /// out by slot: row `q` of the chunk is `w[q·K..(q + 1)·K]`, the `K`
+    /// values of the factored matrix's row `i` sit in row
+    /// [`LdlFactor::slots`]`()[i]`, and the forward, diagonal and backward
+    /// sweeps run on it as in [`LdlFactor::solve_columns`] (which packs
+    /// into this layout and calls this sweep). A caller that packs its own
+    /// chunk — an outer elimination sweeping its rows around this factor's
+    /// — skips the second copy; each column's result is bit-identical to
+    /// a one-column solve at any `K` and pool width.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w.len() != n · K`.
+    pub fn sweep_chunk<const K: usize>(&self, w: &mut [f64]) {
+        assert_eq!(w.len(), self.n * K, "sweep: chunk length mismatch");
         let wp = pool::SendPtr::new(w.as_mut_ptr());
         self.sweep(
             K,
@@ -1347,7 +1323,7 @@ mod tests {
     /// Every column of `b` through one [`LdlFactor::solve_columns`] call.
     fn blocked(f: &LdlFactor, b: &DenseBlock, work: &mut Vec<f64>) -> DenseBlock {
         let mut x = DenseBlock::zeros(b.nrows(), b.ncols());
-        f.solve_columns(None, b.columns().map(|c| (c, 0.0)), x.columns_mut(), work);
+        f.solve_columns(b.columns(), x.columns_mut(), work);
         x
     }
 

@@ -77,8 +77,8 @@ fn every_ldl_phase_dispatches_once_per_direction() {
             .collect();
         let mut x = vec![vec![0.0; n]; ncols];
         let (_, blocked) = dispatches(|| {
-            let b = cols.iter().map(|c| (&c[..], 0.0));
-            f.solve_columns(None, b, x.iter_mut().map(|c| &mut c[..]), &mut Vec::new())
+            let b = cols.iter().map(|c| &c[..]);
+            f.solve_columns(b, x.iter_mut().map(|c| &mut c[..]), &mut Vec::new())
         });
         assert_eq!(blocked, 2 * chunks, "{ncols}-column block solve");
     }

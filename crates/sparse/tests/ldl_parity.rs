@@ -61,13 +61,8 @@ fn factor_fingerprint(a: &CsrMatrix, kind: OrderingKind) -> (Vec<f64>, Vec<f64>,
         })
         .collect();
     let mut blocked = vec![vec![0.0; n]; cols.len()];
-    let b = cols.iter().map(|c| (&c[..], 0.0));
-    f.solve_columns(
-        None,
-        b,
-        blocked.iter_mut().map(|c| &mut c[..]),
-        &mut Vec::new(),
-    );
+    let b = cols.iter().map(|c| &c[..]);
+    f.solve_columns(b, blocked.iter_mut().map(|c| &mut c[..]), &mut Vec::new());
     (f.d(), x, blocked)
 }
 
@@ -179,8 +174,8 @@ fn singleton_and_empty_parity() {
         assert_eq!((shape.lanes, shape.trunk_cols, shape.total_work), (0, 0, 0));
         let x = f.solve(&[]);
         let mut bx = vec![Vec::new(); 3];
-        let b = [(&[][..], 0.0); 3];
-        f.solve_columns(None, b, bx.iter_mut().map(|c| &mut c[..]), &mut Vec::new());
+        let b = [&[][..]; 3];
+        f.solve_columns(b, bx.iter_mut().map(|c| &mut c[..]), &mut Vec::new());
         (x, bx)
     });
 }

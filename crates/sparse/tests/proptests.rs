@@ -220,8 +220,8 @@ proptest! {
                 .map(|_| (0..n).map(|_| rng.gen_range(-5.0f64..5.0)).collect())
                 .collect();
             let mut blocked = vec![vec![0.0; n]; ncols];
-            let b = cols.iter().map(|c| (&c[..], 0.0));
-            f.solve_columns(None, b, blocked.iter_mut().map(|c| &mut c[..]), &mut Vec::new());
+            let b = cols.iter().map(|c| &c[..]);
+            f.solve_columns(b, blocked.iter_mut().map(|c| &mut c[..]), &mut Vec::new());
             for (c, col) in cols.iter().enumerate() {
                 let single = f.solve(col);
                 for (bx, sx) in blocked[c].iter().zip(&single) {

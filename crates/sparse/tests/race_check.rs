@@ -140,7 +140,7 @@ fn corrupted_transpose_trips_the_blocked_backward_read_tracker() {
     f.corrupt_transpose_for_test(4, 3);
     let (b, mut x) = (vec![1.0; n], vec![vec![0.0; n]; 8]);
     let x = x.iter_mut().map(|c| &mut c[..]);
-    f.solve_columns(None, [(&b[..], 0.0); 8], x, &mut Vec::new());
+    f.solve_columns([&b[..]; 8], x, &mut Vec::new());
 }
 
 /// Disjoint dispatches of every shape stay silent at every width.

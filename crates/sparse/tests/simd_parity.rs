@@ -137,13 +137,8 @@ fn ldl_fingerprint(a: &CsrMatrix) -> (Vec<f64>, Vec<f64>, Vec<Vec<f64>>) {
         })
         .collect();
     let mut blocked = vec![vec![0.0; n]; cols.len()];
-    let b = cols.iter().map(|c| (&c[..], 0.0));
-    f.solve_columns(
-        None,
-        b,
-        blocked.iter_mut().map(|c| &mut c[..]),
-        &mut Vec::new(),
-    );
+    let b = cols.iter().map(|c| &c[..]);
+    f.solve_columns(b, blocked.iter_mut().map(|c| &mut c[..]), &mut Vec::new());
     (f.d(), x, blocked)
 }
 

@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     run("jacobi", &JacobiPrec::new(&lg));
 
     // 3. Spanning tree only (a sparsifier with zero off-tree edges): the
-    // grounded solver eliminates a tree's Laplacian leaf to root in O(n).
+    // grounded solver peels a tree's Laplacian whole, leaf to root, in O(n).
     let tree_ids = spanning::max_weight_spanning_tree(&g)?;
     let tree_solver = GroundedSolver::new(&g.laplacian_of_edges(&tree_ids), Default::default())?;
     let tree = run("max-weight spanning tree", &LaplacianPrec::new(tree_solver));

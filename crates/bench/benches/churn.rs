@@ -35,16 +35,17 @@
 //! incremental single-edge edit over both baselines (plus the
 //! structural pair time for reference). The bench then asserts that the
 //! edit beats the frozen recompute by at least [`MIN_SPEEDUP_VS_FROZEN`]
-//! on every workload — a ratio of two timings from the same run, so it
-//! holds on a slow or busy host and fails when a value-only edit stops
-//! being a partial refactor. Record the baseline with
+//! on every workload — a ratio of two medians over alternating samples
+//! of the same run, so it holds on a slow or busy host and fails when a
+//! value-only edit stops being a partial refactor. Record the baseline
+//! with
 //!
 //! ```text
 //! CRITERION_JSON=BENCH_CHURN.json cargo bench -p sass-bench --bench churn
 //! ```
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use sass_bench::record_simd_provenance;
+use sass_bench::record_provenance;
 use sass_core::{IncrementalSparsifier, SparsifyConfig};
 use sass_graph::generators::{barabasi_albert, circuit_grid, grid2d, WeightModel};
 use sass_graph::{Graph, GraphEdit};
@@ -101,21 +102,26 @@ fn fresh_pairs(g: &Graph, k: usize) -> Vec<(usize, usize)> {
     pairs
 }
 
-/// Median wall-clock nanoseconds of `f` over `samples` calls.
-fn median_ns<T>(samples: usize, mut f: impl FnMut() -> T) -> u128 {
-    let mut times: Vec<u128> = (0..samples)
-        .map(|_| {
-            let t0 = std::time::Instant::now();
-            black_box(f());
-            t0.elapsed().as_nanos()
-        })
-        .collect();
+/// Wall-clock nanoseconds of one call of `f`.
+fn time_ns<T>(f: impl FnOnce() -> T) -> u128 {
+    let t0 = std::time::Instant::now();
+    black_box(f());
+    t0.elapsed().as_nanos()
+}
+
+/// The median of `times`.
+fn median(mut times: Vec<u128>) -> u128 {
     times.sort_unstable();
     times[times.len() / 2]
 }
 
+/// Median wall-clock nanoseconds of `f` over `samples` calls.
+fn median_ns<T>(samples: usize, mut f: impl FnMut() -> T) -> u128 {
+    median((0..samples).map(|_| time_ns(&mut f)).collect())
+}
+
 fn bench_churn(c: &mut Criterion) {
-    record_simd_provenance("churn");
+    record_provenance("churn");
     let mut group = c.benchmark_group("churn");
     group.sample_size(10);
     for (name, g, config) in workloads() {
@@ -218,13 +224,19 @@ fn bench_churn(c: &mut Criterion) {
         // Summary record: per-edit speedup of the incremental single-edge
         // edit (the value-only back-annotation case the factor patching
         // targets) over both recompute baselines, plus the structural
-        // insert+delete pair for reference.
-        let per_edit = median_ns(9, || inc.add_edge(su, sv, 1e-6).expect("bump")).max(1);
+        // insert+delete pair for reference. The gated pair is sampled
+        // alternately (edit, frozen, edit, …), so a burst of host load
+        // lands on both sides of the ratio.
+        let (mut edit_ns, mut frozen_ns) = (Vec::new(), Vec::new());
+        for _ in 0..9 {
+            edit_ns.push(time_ns(|| inc.add_edge(su, sv, 1e-6).expect("bump")));
+            frozen_ns.push(time_ns(|| inc.oracle_rebuild().expect("oracle")));
+        }
+        let (per_edit, frozen) = (median(edit_ns).max(1), median(frozen_ns));
         let structural_pair = median_ns(5, || {
             inc.add_edge(au, av, 0.8).expect("add");
             inc.remove_edge(au, av).expect("remove")
         });
-        let frozen = median_ns(3, || inc.oracle_rebuild().expect("oracle"));
         let full = median_ns(3, || IncrementalSparsifier::new(&g, &config).expect("new"));
         let (x_frozen, x_full) = (
             frozen as f64 / per_edit as f64,

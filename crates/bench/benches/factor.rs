@@ -30,14 +30,12 @@
 //! kernels per workload — `numeric` ([`LdlFactor::with_permutation`]
 //! with that precomputed ordering), `solve` (one right-hand side through
 //! [`LdlFactor::solve_columns`]) and `solve_block8` (one full 8-column
-//! chunk through the same call) — each at `serial` (`set_threads(1)`), `w2` and `w4`
-//! forced pool widths, and each once per SIMD dispatch mode (the
-//! detected tier and forced `scalar`, suffixed onto the width label —
-//! the 8-wide interleaved sweeps are the rows the `kernel` module's LDLᵀ
-//! microkernels target). The forced rows engage the partitioned path
-//! regardless of the gates (one dispatch per phase); on a single-core
-//! host they measure pure dispatch overhead (the speedup needs real
-//! cores), so every record carries `available_parallelism`. Record the
+//! chunk through the same call) — each at `serial` (`set_threads(1)`),
+//! `w2` and `w4` forced pool widths. The forced rows engage the
+//! partitioned path regardless of the gates (one dispatch per phase); on
+//! a single-core host they measure pure dispatch overhead (the speedup
+//! needs real cores), so the provenance record carries
+//! `available_parallelism`. Record the
 //! baseline from the repository root with (cargo runs benches from
 //! `crates/bench`, so the path must be absolute; records are appended,
 //! so delete the old file first)
@@ -47,13 +45,13 @@
 //! ```
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use sass_bench::{record_simd_provenance, simd_modes};
+use sass_bench::record_provenance;
 use sass_core::{sparsify, IncrementalSparsifier, SparsifyConfig};
 use sass_graph::generators::{barabasi_albert, circuit_grid, grid2d, WeightModel};
 use sass_graph::spanning;
 use sass_solver::{GroundedScratch, GroundedSolver};
 use sass_sparse::ordering::{self, OrderingKind};
-use sass_sparse::{kernel, pool, CsrMatrix, DenseBlock, LdlFactor, LDL_BLOCK_WIDTH};
+use sass_sparse::{pool, CsrMatrix, DenseBlock, LdlFactor, LDL_BLOCK_WIDTH};
 
 /// Grounded (SPD) principal submatrix of a Laplacian, vertex 0 deleted.
 fn grounded(l: &CsrMatrix) -> CsrMatrix {
@@ -78,13 +76,12 @@ fn workloads() -> Vec<(String, CsrMatrix)> {
 }
 
 fn bench_factor(c: &mut Criterion) {
-    record_simd_provenance("factor");
+    record_provenance("factor");
     let mut group = c.benchmark_group("factor");
     group.sample_size(10);
     for (name, a) in workloads() {
-        // The ordering is serial and SIMD-free: one row. The numeric rows
-        // below reuse its result, so they measure the symbolic + numeric
-        // phases alone.
+        // The ordering is serial: one row. The numeric rows below reuse its
+        // result, so they measure the symbolic + numeric phases alone.
         group.bench_with_input(BenchmarkId::new("order", &name), &(), |bch, ()| {
             bch.iter(|| black_box(ordering::compute(&a, OrderingKind::MinDegree).unwrap()))
         });
@@ -112,58 +109,53 @@ fn bench_factor(c: &mut Criterion) {
         let mut x = vec![0.0; n];
         let mut xb = DenseBlock::zeros(n, LDL_BLOCK_WIDTH);
         let mut work = Vec::new();
-        for (mode, level) in simd_modes() {
-            kernel::set_level(level);
-            for (width_label, width) in [("serial", 1usize), ("w2", 2), ("w4", 4)] {
-                let label = format!("{width_label}_{mode}");
-                pool::set_threads(width);
-                // The partition is built for the pool width at
-                // factorization time, so each width solves with its own.
-                let f = LdlFactor::with_permutation(&a, perm.clone()).unwrap();
-                group.bench_with_input(
-                    BenchmarkId::new(format!("numeric/{label}"), &name),
-                    &(),
-                    |bch, ()| {
-                        bch.iter(|| {
-                            black_box(
-                                LdlFactor::with_permutation(&a, perm.clone())
-                                    .unwrap()
-                                    .nnz_l(),
-                            )
-                        })
-                    },
-                );
-                group.bench_with_input(
-                    BenchmarkId::new(format!("solve/{label}"), &name),
-                    &(),
-                    |bch, ()| {
-                        bch.iter(|| {
-                            f.solve_columns([&b[..]], [&mut x[..]], &mut work);
-                            black_box(x[0])
-                        })
-                    },
-                );
-                group.bench_with_input(
-                    BenchmarkId::new(format!("solve_block8/{label}"), &name),
-                    &(),
-                    |bch, ()| {
-                        bch.iter(|| {
-                            f.solve_columns(rhs.columns(), xb.columns_mut(), &mut work);
-                            black_box(xb.col(0)[0])
-                        })
-                    },
-                );
-                pool::set_threads(0);
-            }
+        for (label, width) in [("serial", 1usize), ("w2", 2), ("w4", 4)] {
+            pool::set_threads(width);
+            // The partition is built for the pool width at
+            // factorization time, so each width solves with its own.
+            let f = LdlFactor::with_permutation(&a, perm.clone()).unwrap();
+            group.bench_with_input(
+                BenchmarkId::new(format!("numeric/{label}"), &name),
+                &(),
+                |bch, ()| {
+                    bch.iter(|| {
+                        black_box(
+                            LdlFactor::with_permutation(&a, perm.clone())
+                                .unwrap()
+                                .nnz_l(),
+                        )
+                    })
+                },
+            );
+            group.bench_with_input(
+                BenchmarkId::new(format!("solve/{label}"), &name),
+                &(),
+                |bch, ()| {
+                    bch.iter(|| {
+                        f.solve_columns([&b[..]], [&mut x[..]], &mut work);
+                        black_box(x[0])
+                    })
+                },
+            );
+            group.bench_with_input(
+                BenchmarkId::new(format!("solve_block8/{label}"), &name),
+                &(),
+                |bch, ()| {
+                    bch.iter(|| {
+                        f.solve_columns(rhs.columns(), xb.columns_mut(), &mut work);
+                        black_box(xb.col(0)[0])
+                    })
+                },
+            );
+            pool::set_threads(0);
         }
-        kernel::set_level(None);
     }
     group.finish();
 }
 
 fn bench_grounded(c: &mut Criterion) {
     let g = grid2d(140, 140, WeightModel::Uniform { lo: 0.5, hi: 2.0 }, 140);
-    let tree = spanning::canonical_max_weight_spanning_tree(&g).expect("connected grid");
+    let tree = spanning::max_weight_spanning_tree(&g).expect("connected grid");
     let served = IncrementalSparsifier::new(&g, &SparsifyConfig::new(100.0).with_seed(0x5a55_c0de))
         .expect("served sparsifier");
     let mut group = c.benchmark_group("factor");

@@ -36,7 +36,7 @@
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sass_bench::record_simd_provenance;
+use sass_bench::record_provenance;
 use sass_graph::generators::{grid2d, WeightModel};
 use sass_graph::Graph;
 use sass_serve::{serve, Client, ServerConfig, SparsifyParams, WireEdit, WireGraph};
@@ -149,7 +149,7 @@ fn best_of(max_batch_cols: usize) -> (Duration, u64, u64) {
 }
 
 fn bench_serve(c: &mut Criterion) {
-    record_simd_provenance("serve");
+    record_provenance("serve");
     let g = workload();
     let n = g.n();
     eprintln!(

@@ -25,7 +25,7 @@
 //! ```
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use sass_bench::record_simd_provenance;
+use sass_bench::record_provenance;
 use sass_core::{sparsify, SparsifyConfig};
 use sass_graph::generators::{circuit_grid, grid2d, WeightModel};
 use sass_solver::{GroundedScratch, GroundedSolver};
@@ -60,7 +60,7 @@ fn workloads() -> Vec<(String, GroundedSolver, usize)> {
 }
 
 fn bench_solve_many(c: &mut Criterion) {
-    record_simd_provenance("solve_many");
+    record_provenance("solve_many");
     let mut group = c.benchmark_group("solve_many");
     group.sample_size(20);
     let mut speedups = Vec::new();

@@ -46,10 +46,10 @@ fn main() {
         let tree = g.subgraph_with_edges(tree_ids);
         let lt = tree.laplacian();
         let tree_solver = GroundedSolver::new(&lt, OrderingKind::MinDegree).expect("tree factor");
-        let (l1_tree, _) = GeneralizedPencil::new(&lg, &lt, &tree_solver).power_max(12, 9);
+        let (l1_tree, _) = GeneralizedPencil::new(&lg, &lt, &tree_solver).power_max_block(12, 1, 9);
         let lp = sp.graph().laplacian();
         let sp_solver = GroundedSolver::new(&lp, OrderingKind::MinDegree).expect("sp factor");
-        let (l1_sp, _) = GeneralizedPencil::new(&lg, &lp, &sp_solver).power_max(12, 9);
+        let (l1_sp, _) = GeneralizedPencil::new(&lg, &lp, &sp_solver).power_max_block(12, 1, 9);
         let drop = l1_tree / l1_sp;
 
         // First 10 nontrivial eigenvectors, original vs sparsified.

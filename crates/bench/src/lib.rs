@@ -36,19 +36,6 @@ pub fn fmt_mib(bytes: usize) -> String {
     format!("{:.1}M", bytes as f64 / (1024.0 * 1024.0))
 }
 
-/// The SIMD dispatch modes a bench should A/B: the detected tier (no
-/// override) and, when that tier is above scalar, a forced-scalar row.
-/// Pass each `Option<SimdLevel>` to [`sass_sparse::kernel::set_level`]
-/// and use the string in the bench row label.
-pub fn simd_modes() -> Vec<(&'static str, Option<sass_sparse::kernel::SimdLevel>)> {
-    use sass_sparse::kernel::{detected, SimdLevel};
-    let mut modes = vec![(detected().name(), None)];
-    if detected() != SimdLevel::Scalar {
-        modes.push(("scalar", Some(SimdLevel::Scalar)));
-    }
-    modes
-}
-
 /// Escapes `s` for embedding inside a JSON string literal (quotes,
 /// backslashes and control characters — the classes that would corrupt a
 /// hand-built record).
@@ -103,51 +90,28 @@ pub fn append_json_record(rec: &str) {
     }
 }
 
-/// Prints a `# simd: …` provenance line (detected/active dispatch tier,
-/// arch, compile-time target features, rustc version, and the host's
+/// Prints a `# provenance: …` line (arch, rustc version, and the host's
 /// `available_parallelism` — forced multi-lane rows only measure speedup
-/// when it exceeds one) and, when
-/// `CRITERION_JSON` is set, upserts the same record into the baseline
-/// file as a `{"id":"<group>/provenance", …}` JSON line — so recorded
-/// simd-vs-scalar rows carry the toolchain context they were measured
+/// when it exceeds one) and, when `CRITERION_JSON` is set, upserts the
+/// same record into the baseline file as a `{"id":"<group>/provenance", …}`
+/// JSON line — so recorded rows carry the context they were measured
 /// under, without duplicate records piling up across runs.
-pub fn record_simd_provenance(group: &str) {
-    use sass_sparse::kernel;
+pub fn record_provenance(group: &str) {
     let rustc = std::process::Command::new("rustc")
         .arg("-V")
         .output()
         .ok()
         .and_then(|o| String::from_utf8(o.stdout).ok())
         .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string());
-    let compile_features = [
-        ("sse2", cfg!(target_feature = "sse2")),
-        ("avx2", cfg!(target_feature = "avx2")),
-        ("neon", cfg!(target_feature = "neon")),
-    ]
-    .iter()
-    .filter(|&&(_, on)| on)
-    .map(|&(name, _)| name)
-    .collect::<Vec<_>>()
-    .join("+");
-    let (detected, active) = (kernel::detected().name(), kernel::active().name());
     let arch = std::env::consts::ARCH;
     let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
-    println!(
-        "# simd: detected={detected} active={active} arch={arch} \
-         compile_target_features=[{compile_features}] rustc=\"{rustc}\" \
-         available_parallelism={cores}"
-    );
+    println!("# provenance: arch={arch} rustc=\"{rustc}\" available_parallelism={cores}");
     if let Ok(path) = std::env::var("CRITERION_JSON") {
         let id = format!("\"id\":\"{}/provenance\"", json_escape(group));
         let rec = format!(
-            "{{{id},\"detected\":\"{detected}\",\
-             \"active\":\"{active}\",\"arch\":\"{arch}\",\
-             \"compile_target_features\":\"{features}\",\
-             \"rustc\":\"{rustc}\",\"available_parallelism\":{cores}}}",
-            detected = json_escape(detected),
-            active = json_escape(active),
+            "{{{id},\"arch\":\"{arch}\",\"rustc\":\"{rustc}\",\
+             \"available_parallelism\":{cores}}}",
             arch = json_escape(arch),
-            features = json_escape(&compile_features),
             rustc = json_escape(&rustc),
         );
         if let Err(e) = upsert_json_line(&path, &id, &rec) {

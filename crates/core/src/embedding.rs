@@ -205,12 +205,11 @@ pub fn heat_from_embedding(g: &Graph, off_tree: &[u32], h: &DenseBlock) -> OffTr
         };
     }
     let p = pool::Pool::global();
-    // Heat accumulation: spans of off-tree edges through the SIMD-
-    // dispatched Joule-heat kernel (one edge per lane, probe columns
-    // summed in column order) — the same floating-point association as
-    // the serial column-outer loop, so heats are bit-identical at any
-    // worker count and SIMD level. Endpoints and weights are gathered
-    // into flat arrays once so each lane's kernel call is branch-free.
+    // Heat accumulation: spans of off-tree edges through the Joule-heat
+    // kernel (each edge's probe columns summed in column order), so heats
+    // are bit-identical at any worker count. Endpoints and weights are
+    // gathered into flat arrays once so each lane's kernel call is
+    // branch-free.
     let mut us = Vec::with_capacity(off_tree.len());
     let mut vs = Vec::with_capacity(off_tree.len());
     let mut ws = Vec::with_capacity(off_tree.len());

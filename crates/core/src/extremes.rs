@@ -45,8 +45,7 @@ pub fn estimate_lambda_max(
     iters: usize,
     seed: u64,
 ) -> f64 {
-    let pencil = GeneralizedPencil::new(lg, lp, solver_p);
-    pencil.power_max(iters, seed).0
+    estimate_lambda_max_probes(lg, lp, solver_p, iters, 1, seed)
 }
 
 /// Multi-probe variant of [`estimate_lambda_max`]: `probes` generalized

@@ -101,9 +101,8 @@ pub fn select_edges(
         .parallel_reduce(
             &spans,
             |_, (lo, hi)| {
-                // SIMD-dispatched scan; selects the same pairs in the same
-                // order as the scalar filter (see `kernel`), so the
-                // span-order concatenation below stays deterministic.
+                // Keeps each span's pairs in input order, so the span-order
+                // concatenation below stays deterministic.
                 kernel::scan_heat_candidates(&off_tree[lo..hi], &heats[lo..hi], cutoff)
             },
             |mut a, b| {

@@ -43,7 +43,7 @@ use crate::extremes::{estimate_lambda_max, estimate_lambda_min};
 use crate::filter::{heat_threshold, select_edges};
 use crate::similarity::prune;
 use crate::{CoreError, Result, SparsifyConfig};
-use sass_graph::spanning::{canonical_max_weight_spanning_tree, DynamicTree};
+use sass_graph::spanning::{max_weight_spanning_tree, DynamicTree};
 use sass_graph::{Graph, GraphEdit, LcaIndex, RootedTree};
 use sass_solver::GroundedSolver;
 use sass_sparse::{DenseBlock, RefactorStats};
@@ -157,7 +157,7 @@ impl IncrementalSparsifier {
             });
         }
 
-        let tree_ids = canonical_max_weight_spanning_tree(g)?;
+        let tree_ids = max_weight_spanning_tree(g)?;
         let rooted = RootedTree::new(g, tree_ids.clone(), 0)?;
         let lp = g.laplacian_of_edges(&tree_ids);
         let tree_solver = GroundedSolver::new(&lp, config.ordering)?;
@@ -537,7 +537,7 @@ impl IncrementalSparsifier {
     /// no longer admits a spanning tree or a factorization (cannot
     /// happen after successful edits).
     pub fn oracle_rebuild(&self) -> Result<IncrementalSparsifier> {
-        let tree_ids = canonical_max_weight_spanning_tree(&self.g)?;
+        let tree_ids = max_weight_spanning_tree(&self.g)?;
         let rooted = RootedTree::new(&self.g, tree_ids.clone(), 0)?;
         let embedding = self.embedding.clone();
         Self::from_basis(

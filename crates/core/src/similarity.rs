@@ -16,9 +16,9 @@
 //!   heat), at the cost of walking tree paths.
 //!
 //! Unlike the heat scoring and filtering stages, nothing here routes
-//! through the SIMD kernel layer ([`sass_sparse::kernel`]): the policies
-//! are boolean endpoint marking and tree-path walks with no
-//! floating-point inner loops for a vector unit to help with.
+//! through the shared kernels ([`sass_sparse::kernel`]): the policies are
+//! boolean endpoint marking and tree-path walks with no floating-point
+//! inner loops.
 
 use sass_graph::{Graph, LcaIndex, RootedTree};
 

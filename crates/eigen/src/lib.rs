@@ -12,7 +12,6 @@
 //!   matrices produced by Lanczos,
 //! - [`lanczos`]: symmetric Lanczos with full reorthogonalization, for the
 //!   extreme eigenpairs of large sparse operators (`eigs` replacement),
-//! - [`power`]: (deflated) power iteration,
 //! - [`pencil`]: the generalized pencil `L_P⁺ L_G` as an operator —
 //!   generalized power iterations, Rayleigh quotients and a dense
 //!   generalized eigensolver for validation,
@@ -50,7 +49,6 @@ pub mod fiedler;
 pub mod jacobi;
 pub mod lanczos;
 pub mod pencil;
-pub mod power;
 pub mod tridiag;
 
 pub use error::EigenError;

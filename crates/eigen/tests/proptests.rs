@@ -1,11 +1,10 @@
 //! Property-based tests for the eigensolvers: agreement between the
-//! independent algorithms (Jacobi, tridiagonal QL, Lanczos, power
-//! iteration) over randomized symmetric operators.
+//! independent algorithms (Jacobi, tridiagonal QL, Lanczos) over
+//! randomized symmetric operators.
 
 use proptest::prelude::*;
 use sass_eigen::jacobi::dense_symmetric_eig;
 use sass_eigen::lanczos::{lanczos_largest, LanczosOptions};
-use sass_eigen::power::{power_iteration, PowerOptions};
 use sass_eigen::tridiag::tridiagonal_eig;
 use sass_sparse::{CooMatrix, CsrMatrix};
 
@@ -81,8 +80,8 @@ proptest! {
 
     #[test]
     fn lanczos_top_pair_matches_jacobi_on_psd(a in symmetric_matrix()) {
-        // Shift to PSD so the largest eigenvalue is well defined for the
-        // power-style methods: B = A + (|A|_inf + 1) I.
+        // Shift to PSD so the largest eigenvalue is also the largest in
+        // magnitude: B = A + (|A|_inf + 1) I.
         let n = a.nrows();
         let dense = a.to_dense();
         let shift = dense.iter().flatten().map(|v| v.abs()).fold(0.0, f64::max) * n as f64 + 1.0;
@@ -96,13 +95,5 @@ proptest! {
         let res = lanczos_largest(&b, 1, false, &LanczosOptions::default()).unwrap();
         prop_assert!((res.eigenvalues[0] - exact).abs() < 1e-6 * exact.abs().max(1.0),
                      "lanczos {} vs jacobi {}", res.eigenvalues[0], exact);
-        let (p_lam, _) = power_iteration(&b, false, &PowerOptions {
-            max_iter: 2000, tol: 1e-12, seed: 3,
-        }).unwrap();
-        // Power iteration can stall at a lower eigenvalue only if the start
-        // vector is orthogonal to the top eigenvector (measure zero); allow
-        // slightly looser agreement.
-        prop_assert!(p_lam <= exact + 1e-9);
-        prop_assert!(p_lam >= 0.9 * exact, "power {} vs exact {}", p_lam, exact);
     }
 }

@@ -17,8 +17,8 @@
 //! is *strict*, the maximum spanning tree is unique, and each exchange
 //! step lands exactly on the canonical tree of the edited graph — the
 //! incremental tree is bit-identical to a from-scratch
-//! [`canonical_max_weight_spanning_tree`](super::canonical_max_weight_spanning_tree)
-//! after every edit. Proptests in `sass-core` pin this across randomized
+//! [`max_weight_spanning_tree`](super::max_weight_spanning_tree) after
+//! every edit. Proptests in `sass-core` pin this across randomized
 //! edit sequences.
 
 use super::kruskal::canonical_beats;
@@ -237,7 +237,7 @@ impl DynamicTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spanning::canonical_max_weight_spanning_tree;
+    use crate::spanning::max_weight_spanning_tree;
 
     fn pairs_of(g: &Graph, ids: &[u32]) -> Vec<(u32, u32)> {
         let mut p: Vec<(u32, u32)> = ids
@@ -254,7 +254,7 @@ mod tests {
     #[test]
     fn offer_swaps_in_a_stronger_edge() {
         let g = Graph::from_edges(4, &[(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0)]).unwrap();
-        let ids = canonical_max_weight_spanning_tree(&g).unwrap();
+        let ids = max_weight_spanning_tree(&g).unwrap();
         let mut dt = DynamicTree::new(&g, &ids);
         // A strong chord 0-3 displaces the weakest path edge (0, 1).
         let swap = dt.offer(0, 3, 10.0).unwrap();
@@ -262,14 +262,14 @@ mod tests {
         // Oracle: canonical tree of the edited graph.
         let g2 =
             Graph::from_edges(4, &[(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0), (0, 3, 10.0)]).unwrap();
-        let oracle = canonical_max_weight_spanning_tree(&g2).unwrap();
+        let oracle = max_weight_spanning_tree(&g2).unwrap();
         assert_eq!(dt.pairs(), pairs_of(&g2, &oracle));
     }
 
     #[test]
     fn weak_offer_is_rejected() {
         let g = Graph::from_edges(3, &[(0, 1, 5.0), (1, 2, 5.0)]).unwrap();
-        let ids = canonical_max_weight_spanning_tree(&g).unwrap();
+        let ids = max_weight_spanning_tree(&g).unwrap();
         let mut dt = DynamicTree::new(&g, &ids);
         assert!(dt.offer(0, 2, 1.0).is_none());
         assert_eq!(dt.pairs(), vec![(0, 1), (1, 2)]);
@@ -281,11 +281,11 @@ mod tests {
         // beats (1, 2) lexicographically, and loses to (0, 1) — exactly
         // what from-scratch canonical Kruskal picks (ids 0 and 1).
         let g = Graph::from_edges(3, &[(0, 1, 1.0), (1, 2, 1.0)]).unwrap();
-        let ids = canonical_max_weight_spanning_tree(&g).unwrap();
+        let ids = max_weight_spanning_tree(&g).unwrap();
         let mut dt = DynamicTree::new(&g, &ids);
         assert_eq!(dt.offer(0, 2, 1.0), Some(((1, 2), (0, 2))));
         let g2 = Graph::from_edges(3, &[(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]).unwrap();
-        let oracle = canonical_max_weight_spanning_tree(&g2).unwrap();
+        let oracle = max_weight_spanning_tree(&g2).unwrap();
         assert_eq!(oracle, vec![0, 1]);
         assert_eq!(dt.pairs(), pairs_of(&g2, &oracle));
     }
@@ -294,7 +294,7 @@ mod tests {
     fn tree_edge_removal_repairs_across_the_cut() {
         let g =
             Graph::from_edges(4, &[(0, 1, 4.0), (1, 2, 3.0), (2, 3, 2.0), (0, 3, 1.0)]).unwrap();
-        let ids = canonical_max_weight_spanning_tree(&g).unwrap();
+        let ids = max_weight_spanning_tree(&g).unwrap();
         let mut dt = DynamicTree::new(&g, &ids);
         assert!(dt.contains(1, 2));
         // Remove tree edge (1, 2); the only crossing edge left is (0, 3).
@@ -302,14 +302,14 @@ mod tests {
         let adopted = dt.remove(1, 2, remaining.iter().copied()).unwrap();
         assert_eq!(adopted, Some((0, 3)));
         let g2 = Graph::from_edges(4, &[(0, 1, 4.0), (2, 3, 2.0), (0, 3, 1.0)]).unwrap();
-        let oracle = canonical_max_weight_spanning_tree(&g2).unwrap();
+        let oracle = max_weight_spanning_tree(&g2).unwrap();
         assert_eq!(dt.pairs(), pairs_of(&g2, &oracle));
     }
 
     #[test]
     fn disconnecting_removal_errors_and_preserves_tree() {
         let g = Graph::from_edges(3, &[(0, 1, 1.0), (1, 2, 1.0)]).unwrap();
-        let ids = canonical_max_weight_spanning_tree(&g).unwrap();
+        let ids = max_weight_spanning_tree(&g).unwrap();
         let mut dt = DynamicTree::new(&g, &ids);
         let err = dt.remove(0, 1, [(1u32, 2u32, 1.0)].iter().copied());
         assert!(matches!(err, Err(GraphError::Disconnected { .. })));
@@ -319,7 +319,7 @@ mod tests {
     #[test]
     fn off_tree_removal_is_a_no_op() {
         let g = Graph::from_edges(3, &[(0, 1, 2.0), (1, 2, 2.0), (0, 2, 1.0)]).unwrap();
-        let ids = canonical_max_weight_spanning_tree(&g).unwrap();
+        let ids = max_weight_spanning_tree(&g).unwrap();
         let mut dt = DynamicTree::new(&g, &ids);
         let r = dt
             .remove(0, 2, [(0u32, 1u32, 2.0), (1u32, 2u32, 2.0)].iter().copied())

@@ -5,11 +5,9 @@
 //!
 //! - [`max_weight_spanning_tree`]: Kruskal on descending weight — the
 //!   practical default of Feng's GRASS line of work (heavy edges are the
-//!   spectrally important ones),
-//! - [`canonical_max_weight_spanning_tree`]: the same tree under a
-//!   *strict* total order (weight descending, `(u, v)` ascending), which
-//!   makes it unique — the backbone contract [`DynamicTree`] maintains
-//!   incrementally under edge churn,
+//!   spectrally important ones) — under a *strict* total order (weight
+//!   descending, `(u, v)` ascending), which makes it unique: the backbone
+//!   contract [`DynamicTree`] maintains incrementally under edge churn,
 //! - [`akpw_spanning_tree`]: an AKPW-style low-stretch tree via repeated
 //!   bounded-radius clustering over growing weight classes,
 //! - [`bfs_spanning_tree`]: hop-BFS tree, a cheap baseline,
@@ -26,7 +24,7 @@ mod wilson;
 
 pub use akpw::{akpw_spanning_tree, AkpwParams};
 pub use dynamic::DynamicTree;
-pub use kruskal::{canonical_max_weight_spanning_tree, max_weight_spanning_tree};
+pub use kruskal::max_weight_spanning_tree;
 pub use wilson::random_spanning_tree;
 
 use crate::{Graph, GraphError, Result};

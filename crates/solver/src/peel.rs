@@ -632,25 +632,26 @@ impl Peel {
     /// Bytes held by the records, the core matrix and factor, and the
     /// pattern copy.
     pub(crate) fn memory_bytes(&self) -> usize {
-        use std::mem::{size_of, size_of_val};
-        let u32s = self.row_vertex.len()
-            + self.row_of.len()
-            + self.parent.len()
-            + self.up.len()
-            + self.up_row.len()
-            + self.diag.len()
-            + self.core_vertex.len()
-            + self.core_src.len()
-            + self.pattern.as_ref().map_or(0, |(_, i)| i.len())
-            + 4 * (self.pair.len() + self.slots.len() + self.pair_row.len());
-        u32s * size_of::<u32>()
+        use std::mem::size_of_val;
+        let pattern = self
+            .pattern
+            .as_ref()
+            .map_or(0, |(p, i)| size_of_val(&p[..]) + size_of_val(&i[..]));
+        size_of_val(&self.row_vertex[..])
+            + size_of_val(&self.row_of[..])
+            + size_of_val(&self.parent[..])
+            + size_of_val(&self.up[..])
+            + size_of_val(&self.up_row[..])
             + size_of_val(&self.l1[..])
+            + size_of_val(&self.pair[..])
+            + size_of_val(&self.slots[..])
+            + size_of_val(&self.pair_row[..])
             + size_of_val(&self.l2[..])
             + size_of_val(&self.d[..])
-            + self
-                .pattern
-                .as_ref()
-                .map_or(0, |(p, _)| size_of_val(&p[..]))
+            + size_of_val(&self.diag[..])
+            + size_of_val(&self.core_vertex[..])
+            + size_of_val(&self.core_src[..])
+            + pattern
             + self.core_matrix.memory_bytes()
             + self.core.as_ref().map_or(0, |c| c.memory_bytes())
     }
@@ -1156,6 +1157,50 @@ mod tests {
             solvers[1].peel.nfill, m,
             "hub 0 stays live under ground n/2"
         );
+    }
+
+    /// `memory_bytes` is the array-by-array sum at each element's size:
+    /// a two-neighbour record holds 2 + 4 + 2 u32s and two multipliers,
+    /// here on the hub graph's spokes, before and after a refactor copies
+    /// the pattern.
+    #[test]
+    fn memory_bytes_counts_each_record_array_at_its_element_size() {
+        let m = 12;
+        let mut edges = Vec::new();
+        for i in 0..m {
+            let (spoke, ring) = (1 + i, 1 + m + i);
+            edges.push((0, spoke, 1.0 + i as f64 * 0.05));
+            edges.push((spoke, ring, 2.0));
+            edges.push((ring, 1 + m + (i + 1) % m, 0.8));
+        }
+        let l = laplacian(1 + 2 * m, &edges);
+        let mut s = GroundedSolver::with_ground(&l, m, OrderingKind::MinDegree).unwrap();
+        for refactored in [false, true] {
+            let p = &s.peel;
+            assert_eq!(p.pattern.is_some(), refactored);
+            assert!(!p.pair.is_empty(), "the spokes are two-neighbour records");
+            let u32s = p.row_vertex.len()
+                + p.row_of.len()
+                + p.parent.len()
+                + p.up.len()
+                + p.up_row.len()
+                + 2 * p.pair.len()
+                + 4 * p.slots.len()
+                + 2 * p.pair_row.len()
+                + p.diag.len()
+                + p.core_vertex.len()
+                + p.core_src.len()
+                + p.pattern.as_ref().map_or(0, |(_, i)| i.len());
+            let f64s = p.l1.len() + 2 * p.l2.len() + p.d.len();
+            let usizes = p.pattern.as_ref().map_or(0, |(ptr, _)| ptr.len());
+            let want = 4 * u32s
+                + 8 * f64s
+                + std::mem::size_of::<usize>() * usizes
+                + p.core_matrix.memory_bytes()
+                + p.core.as_ref().map_or(0, |c| c.memory_bytes());
+            assert_eq!(s.memory_bytes(), want, "refactored: {refactored}");
+            s.refactor(&l, &[0], 0.5).unwrap();
+        }
     }
 
     /// For each ground, one extra vertex hangs off it alone: its record

@@ -6,13 +6,12 @@
 //! with malformed values surfaced as a panic naming the variable instead
 //! of being silently ignored. Flipping a variable after the first read
 //! has no effect — tests that need in-process A/B use the explicit
-//! override hooks ([`crate::kernel::set_level`], `Pool::with_threads`)
-//! instead.
+//! override hooks ([`crate::pool::set_threads`],
+//! [`crate::pool::Pool::with_threads`]) instead.
 //!
 //! | Variable       | Accessor             | Accepted values              |
 //! |----------------|----------------------|------------------------------|
 //! | `SASS_THREADS` | [`threads_override`] | unset / `""` / `0` (auto), k ≥ 1 |
-//! | `SASS_NO_SIMD` | [`no_simd`]          | unset / `""` / `0` (off), `1` (on) |
 
 use std::sync::OnceLock;
 
@@ -27,23 +26,6 @@ pub fn threads_override() -> Option<usize> {
     *CACHE.get_or_init(|| {
         let raw = std::env::var("SASS_THREADS").ok();
         match parse_threads(raw.as_deref()) {
-            Ok(v) => v,
-            Err(e) => panic!("{e}"),
-        }
-    })
-}
-
-/// Whether `SASS_NO_SIMD` forces the scalar kernels.
-///
-/// Unset, empty, and `0` leave SIMD dispatch on; `1` forces scalar.
-/// Anything else panics — a value like `yes` or `ture` must not silently
-/// pick either side of an A/B run.
-pub fn no_simd() -> bool {
-    static CACHE: OnceLock<bool> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        let raw = std::env::var_os("SASS_NO_SIMD");
-        let raw = raw.as_deref().map(|v| v.to_string_lossy().into_owned());
-        match parse_no_simd(raw.as_deref()) {
             Ok(v) => v,
             Err(e) => panic!("{e}"),
         }
@@ -67,18 +49,6 @@ fn parse_threads(raw: Option<&str>) -> Result<Option<usize>, String> {
     }
 }
 
-/// Pure parser behind [`no_simd`].
-fn parse_no_simd(raw: Option<&str>) -> Result<bool, String> {
-    match raw.map(str::trim) {
-        None | Some("") | Some("0") => Ok(false),
-        Some("1") => Ok(true),
-        Some(other) => Err(format!(
-            "SASS_NO_SIMD must be `1` (force scalar) or `0`/empty/unset (leave SIMD on), \
-             got `{other}`"
-        )),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,22 +67,9 @@ mod tests {
     }
 
     #[test]
-    fn no_simd_grammar() {
-        assert_eq!(parse_no_simd(None), Ok(false));
-        assert_eq!(parse_no_simd(Some("")), Ok(false));
-        assert_eq!(parse_no_simd(Some("0")), Ok(false));
-        assert_eq!(parse_no_simd(Some("1")), Ok(true));
-        assert!(parse_no_simd(Some("yes")).is_err());
-        assert!(parse_no_simd(Some("true")).is_err());
-    }
-
-    #[test]
     fn parse_errors_name_the_variable() {
         assert!(parse_threads(Some("x"))
             .unwrap_err()
             .contains("SASS_THREADS"));
-        assert!(parse_no_simd(Some("x"))
-            .unwrap_err()
-            .contains("SASS_NO_SIMD"));
     }
 }

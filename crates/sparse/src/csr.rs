@@ -152,7 +152,7 @@ impl CsrMatrix {
     }
 
     /// Matrix-vector product into a caller-provided buffer: `y = A·x`,
-    /// routed through the [`crate::kernel`] SpMV dispatcher.
+    /// through the [`crate::kernel`] SpMV row gather.
     ///
     /// # Panics
     ///

@@ -3,9 +3,8 @@
 //! `Vec<f64>` only guarantees 8-byte alignment; [`AlignedVec`] allocates
 //! at [`ALIGNMENT`]-byte (cache-line) boundaries. Its one user is
 //! [`crate::DenseBlock`]. Only the start of a block's buffer is aligned
-//! (column `c` starts `c · nrows` doubles in), the SIMD kernels issue
-//! unaligned loads throughout, and the blocked LDLᵀ sweeps never read
-//! block storage. The allocation stays because a `Vec<f64>`-backed block
+//! (column `c` starts `c · nrows` doubles in), and the blocked LDLᵀ
+//! sweeps never read block storage. The allocation stays because a `Vec<f64>`-backed block
 //! measured slower end to end, for reasons not yet established; see
 //! [`crate::DenseBlock`] for the code that reads block storage and the
 //! numbers.
@@ -18,7 +17,7 @@ use std::alloc::{self, Layout};
 use std::ops::{Deref, DerefMut};
 
 /// Alignment, in bytes, of every [`AlignedVec`] allocation (one cache
-/// line; a superset of the 32-byte AVX and 16-byte SSE/NEON requirements).
+/// line).
 pub const ALIGNMENT: usize = 64;
 
 /// A growable contiguous buffer whose allocation starts on an

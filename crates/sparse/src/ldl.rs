@@ -1083,8 +1083,7 @@ impl LdlFactor {
 
     /// Pack, sweep and unpack of one chunk of exactly `K` columns (see
     /// [`LdlFactor::solve_columns`]), monomorphized so the
-    /// per-row copy loops unroll and the sweeps use the fixed-width
-    /// kernels.
+    /// per-row copy loops and the sweeps' `[f64; K]` accumulators unroll.
     fn solve_chunk<const K: usize>(
         &self,
         b: &[&[f64]; LDL_BLOCK_WIDTH],
@@ -1208,16 +1207,6 @@ impl LdlFactor {
         #[cfg(feature = "race-check")]
         self.check_row_reads(q, if K == 1 { "forward" } else { "forward-block" });
         let base = w.get();
-        if K == LDL_BLOCK_WIDTH {
-            // The full-width chunk is the hot shape; route it through the
-            // 8-wide SIMD dispatcher (bit-identical to the loop below —
-            // the referenced rows sit strictly below `q`, so the in-place
-            // accumulator never aliases them).
-            let acc = std::slice::from_raw_parts_mut(base.add(q * K), K);
-            let (s, e) = (self.rp[q], self.rp[q + 1]);
-            crate::kernel::ldl_row_update8(acc, &self.ri[s..e], &self.rx[s..e], base);
-            return;
-        }
         let mut acc = [0.0f64; K];
         acc.copy_from_slice(std::slice::from_raw_parts(base.add(q * K), K));
         for p in self.rp[q]..self.rp[q + 1] {
@@ -1240,11 +1229,6 @@ impl LdlFactor {
     unsafe fn scale_row<const K: usize>(&self, q: usize, w: &pool::SendPtr<f64>) {
         let dj = self.d[q];
         let wj = std::slice::from_raw_parts_mut(w.get().add(q * K), K);
-        if K == LDL_BLOCK_WIDTH {
-            // Lanewise division is correctly rounded: bit-identical.
-            crate::kernel::ldl_scale_row8(wj, dj);
-            return;
-        }
         for c in 0..K {
             wj[c] /= dj;
         }
@@ -1263,14 +1247,6 @@ impl LdlFactor {
         #[cfg(feature = "race-check")]
         self.check_col_reads(q, if K == 1 { "backward" } else { "backward-block" });
         let base = w.get();
-        if K == LDL_BLOCK_WIDTH {
-            // As `forward_row`: the transpose index references rows
-            // strictly above `q`, never the accumulator itself.
-            let acc = std::slice::from_raw_parts_mut(base.add(q * K), K);
-            let (s, e) = (self.cp[q], self.cp[q + 1]);
-            crate::kernel::ldl_row_update8(acc, &self.ci[s..e], &self.cx[s..e], base);
-            return;
-        }
         let mut acc = [0.0f64; K];
         acc.copy_from_slice(std::slice::from_raw_parts(base.add(q * K), K));
         for p in self.cp[q]..self.cp[q + 1] {

@@ -6,11 +6,9 @@
 //! - [`CooMatrix`]: triplet assembly format with duplicate summing,
 //! - [`CsrMatrix`]: compressed sparse row storage with matrix-vector kernels
 //!   (threaded above a size crossover — see [`CsrMatrix::par_mul_vec_into`]),
-//! - [`kernel`]: explicit SIMD microkernels (SSE2/AVX2/NEON behind runtime
-//!   dispatch, `SASS_NO_SIMD` escape hatch) for the hot paths — the
-//!   8-wide LDLᵀ sweeps, the Joule-heat and heat-scan loops, and the CSR
-//!   SpMV entry point (scalar at every tier, by measurement) — with the
-//!   scalar loops as always-on fallback and parity oracle, plus the
+//! - [`kernel`]: the shared `f64` loops of the hot paths — the CSR SpMV
+//!   row gather, Joule-heat scoring and the heat-filter scan — one
+//!   portable implementation each with a fixed summation order, plus the
 //!   [`kernel::AlignedVec`] cache-line-aligned buffer behind
 //!   [`DenseBlock`] storage (kept because a plain `Vec` measured slower
 //!   end to end; see [`DenseBlock`]),

@@ -61,8 +61,8 @@ fn par_spmv_on(p: &pool::Pool, a: &CsrMatrix, x: &[f64], y: &mut [f64], workers:
     let spans = pool::balanced_spans(indptr, workers);
     p.parallel_for_disjoint_mut(y, &spans, |s, chunk| {
         let (lo, hi) = spans[s];
-        // Same kernel dispatcher as the serial path, per span — parallel
-        // stays bit-identical to serial at every SIMD level.
+        // Same kernel as the serial path, per span — parallel stays
+        // bit-identical to serial.
         kernel::spmv_range_f64(indptr, indices, data, x, chunk, lo, hi);
     });
 }

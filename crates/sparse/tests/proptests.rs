@@ -1,6 +1,6 @@
 //! Property-based tests for the sparse-matrix substrate: factorization
-//! correctness against a dense reference, format round-trips, and
-//! permutation algebra — over randomized inputs.
+//! correctness against a dense reference, format round-trips,
+//! permutation algebra and the heat kernels — over randomized inputs.
 
 #![allow(clippy::needless_range_loop)] // the dense reference reads best with indices
 
@@ -239,5 +239,61 @@ proptest! {
         let text = sass_sparse::mmio::write_string(&a).unwrap();
         let back = sass_sparse::mmio::read_str(&text).unwrap().to_csr();
         prop_assert_eq!(a, back);
+    }
+
+    /// Joule-heat scoring walks four edges at a time; every edge must
+    /// still get the bits of the one-edge loop, each column added in
+    /// storage order, whatever the edge count's remainder.
+    #[test]
+    fn joule_heat_matches_one_edge_loop(
+        n in 1usize..32,
+        r in 1usize..4,
+        edges in proptest::collection::vec((0u32..1024, 0u32..1024, 0.1f64..2.0), 0..40),
+    ) {
+        let h: Vec<f64> = (0..n * r).map(|k| ((k * 29 + 7) % 61) as f64 * 0.05 - 1.4).collect();
+        let us: Vec<u32> = edges.iter().map(|&(u, _, _)| u % n as u32).collect();
+        let vs: Vec<u32> = edges.iter().map(|&(_, v, _)| v % n as u32).collect();
+        let ws: Vec<f64> = edges.iter().map(|&(_, _, w)| w).collect();
+        let want: Vec<f64> = (0..edges.len())
+            .map(|k| {
+                let mut acc = 0.0;
+                for c in 0..r {
+                    let d = h[c * n + us[k] as usize] - h[c * n + vs[k] as usize];
+                    acc += ws[k] * d * d;
+                }
+                acc
+            })
+            .collect();
+        let mut got = vec![-1.0; edges.len()];
+        sass_sparse::kernel::joule_heat(&us, &vs, &ws, &h, n, &mut got);
+        prop_assert_eq!(got, want);
+    }
+
+    /// The heat-filter scan keeps exactly the finite, strictly positive
+    /// heats at or above the cutoff, in input order, with NaN, ±∞ and
+    /// zero heats salted in.
+    #[test]
+    fn heat_scan_keeps_finite_positive_heats_above_cutoff(
+        mut heats in proptest::collection::vec(-0.5f64..2.0, 0..80),
+        cutoff in 0.0f64..1.5,
+    ) {
+        for (k, h) in heats.iter_mut().enumerate() {
+            match k % 11 {
+                3 => *h = f64::NAN,
+                5 => *h = f64::INFINITY,
+                7 => *h = f64::NEG_INFINITY,
+                9 => *h = 0.0,
+                _ => {}
+            }
+        }
+        let ids: Vec<u32> = (0..heats.len() as u32).map(|k| k * 3 + 1).collect();
+        let got = sass_sparse::kernel::scan_heat_candidates(&ids, &heats, cutoff);
+        let mut rest = got.iter();
+        for (&id, &h) in ids.iter().zip(&heats) {
+            if h.is_finite() && h > 0.0 && h >= cutoff {
+                prop_assert_eq!(rest.next(), Some(&(id, h)));
+            }
+        }
+        prop_assert_eq!(rest.next(), None);
     }
 }
